@@ -185,8 +185,9 @@ def _verysparse_coloring(spec: TrialSpec) -> tuple[Coloring, bool, float]:
     if spec.k is None:
         raise ValueError("the verysparse regime requires --k")
     g = gen_gnp(spec.n, spec.p, spec.seed)
-    coloring = build_verysparse_coloring(g, spec.k, p=spec.p)
-    upper = _census_upper_F(census(g).path_counts, spec.n, spec.p, spec.k)
+    tally = census(g)
+    coloring = build_verysparse_coloring(g, tally, spec.k, p=spec.p)
+    upper = _census_upper_F(tally.path_counts, spec.n, spec.p, spec.k)
     return coloring, True, upper
 
 
@@ -218,9 +219,14 @@ def run_trial(spec: TrialSpec) -> TrialRecord:
     )
 
 
+# trial_seed(base, i) meets trial_seed(base + 1, 0) at i = _SEED_STRIDE, so
+# experiment runs at most _SEED_STRIDE trials
+_SEED_STRIDE = 1_000_003
+
+
 def trial_seed(base: int, trial: int) -> int:
     # transparent per-trial seed; distinct trials never share a graph
-    return base * 1_000_003 + trial
+    return base * _SEED_STRIDE + trial
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +368,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_experiment(args) -> int:
     p = _resolve_p(args.parser, args)
+    if args.trials > _SEED_STRIDE:
+        args.parser.error(f"--trials above {_SEED_STRIDE} repeats trial seeds")
     if args.regime == "verysparse":
         if args.k is None:
             args.parser.error("--k is required for the verysparse regime")

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from .bounds import ell, theta_verysparse
 from .catalog import LinearForest, ahu_code, partitions
 from .embed import EmbedResult
-from .graph import Component, Graph, components
+from .graph import ComponentCensus, Graph, components
 from .pathpack import dfs_path_pack, pack_forests
 
 Edge = tuple[int, int]
@@ -449,6 +449,7 @@ class CensusVector:
 
 def verysparse_box(
     g: Graph,
+    tally: ComponentCensus,
     k: int,
     *,
     safety: float = 0.5,
@@ -457,10 +458,11 @@ def verysparse_box(
 ) -> tuple[list[int], list[int], float]:
     """Per-order class budgets for the very sparse regime.
 
-    Counts path components of each order 2..l in g, scales each count by
-    safety / theta, subtracts one, and clamps so that realising every
-    vector in the resulting box cannot exceed the observed supply.
-    Returns (xi, observed, theta) with xi[i] the budget for order i + 2.
+    Reads the path components of each order 2..l off tally, the census of
+    g, scales each count by safety / theta, subtracts one, and clamps so
+    that realising every vector in the resulting box cannot exceed the
+    observed supply.  Returns (xi, observed, theta) with xi[i] the budget
+    for order i + 2.
 
     An explicit xi skips the density estimate and is used as the starting
     box instead; the supply clamp still applies.
@@ -475,12 +477,7 @@ def verysparse_box(
             raise ValueError("cannot infer edge density from an empty graph")
         p = g.edge_count / (g.n * (g.n - 1) / 2)
     theta = theta_verysparse(g.n, p, k)
-    observed = [0] * (L - 1)
-    for comp in components(g):
-        if comp.is_path():
-            order = len(comp.vertices)
-            if 2 <= order <= L:
-                observed[order - 2] += 1
+    observed = [tally.path_counts.get(order, 0) for order in range(2, L + 1)]
     if xi is not None:
         if len(xi) != L - 1 or any(x < 0 for x in xi):
             raise ValueError(
@@ -509,6 +506,7 @@ def verysparse_box(
 
 def build_verysparse_coloring(
     g: Graph,
+    tally: ComponentCensus,
     k: int,
     *,
     safety: float = 0.5,
@@ -516,20 +514,16 @@ def build_verysparse_coloring(
     xi: Optional[Sequence[int]] = None,
 ) -> Coloring:
     """One colour class per nonzero census vector in the clamped box, each a
-    union of small path components, plus the leftover class."""
-    xi, observed, _ = verysparse_box(g, k, safety=safety, p=p, xi=xi)
+    union of small path components taken from tally, the census of g, plus
+    the leftover class."""
+    xi, observed, _ = verysparse_box(g, tally, k, safety=safety, p=p, xi=xi)
     if all(x == 0 for x in xi):
         raise RuntimeError(
             "census too small: no census vector is realisable "
             f"(observed path counts {observed})"
         )
     L = ell(k)
-    pools: list[list[Component]] = [[] for _ in range(L - 1)]
-    for comp in components(g):
-        if comp.is_path():
-            order = len(comp.vertices)
-            if 2 <= order <= L:
-                pools[order - 2].append(comp)
+    pools = [tally.paths.get(order, ()) for order in range(2, L + 1)]
     cursors = [0] * (L - 1)
     classes: list[tuple[Edge, ...]] = []
     labels: list[str] = []

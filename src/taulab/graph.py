@@ -7,6 +7,13 @@ seed: it either draws one Bernoulli per pair (vectorised, small or dense
 inputs) or draws the edge count from a binomial and then a uniform random
 subset of pair ranks (sparse inputs), which yields the same distribution
 without touching all ~n^2/2 pairs.
+
+Components come from one vectorised labelling pass over the edge arrays
+(root hooking plus pointer jumping).  `components` groups the vertices and
+edges by label; `census` reads each component's order, edge count and
+maximum degree off the same labels with `bincount`, so isolated vertices and
+paths, by far the most common components of a very sparse graph, are
+classified without building a graph per component.
 """
 
 from __future__ import annotations
@@ -132,55 +139,90 @@ class Component:
     def is_tree(self) -> bool:
         return len(self.edges) == len(self.vertices) - 1
 
-    def is_path(self) -> bool:
-        """Path on >= 2 vertices: a tree with maximum degree <= 2."""
-        if self.order < 2 or not self.is_tree():
-            return False
-        deg: dict[int, int] = {v: 0 for v in self.vertices}
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return max(deg.values()) <= 2
+
+def _component_labels(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Label every vertex with the smallest vertex of its component.
+
+    Root hooking after Shiloach and Vishkin (J. Algorithms 1982): each edge
+    joining two trees hooks the larger root onto the smaller, then pointer
+    jumping flattens every tree to a star.  Pointers only ever go down, so a
+    component's last root is its smallest vertex.  A root that neither hooks
+    nor is hooked onto in one round sees only smaller roots in the next, so
+    the roots of a component at least halve every two rounds, whatever the
+    labelling.  Plain neighbour-min propagation instead needs about one
+    round per vertex on an adversarially labelled path.
+    """
+    parent = np.arange(n, dtype=np.int64)
+    while True:
+        ru, rv = parent[us], parent[vs]
+        live = ru != rv
+        if not live.any():
+            return parent
+        ru, rv = ru[live], rv[live]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+
+
+def _labelled(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(edges, labels, roots): the edges as a lexicographically sorted
+    (m, 2) array, each vertex's component label, and the ascending roots."""
+    edges = np.array(sorted(g.edges), dtype=np.int64).reshape(-1, 2)
+    labels = _component_labels(g.n, edges[:, 0], edges[:, 1])
+    roots = np.flatnonzero(labels == np.arange(g.n))
+    return edges, labels, roots
+
+
+def _grouped(
+    edges: np.ndarray, labels: np.ndarray, roots: np.ndarray
+) -> list[Component]:
+    """The components whose smallest vertex is in roots (ascending), in that
+    order, with sorted vertices and lexicographically sorted edges."""
+    verts = np.argsort(labels, kind="stable")
+    by_edge = np.argsort(labels[edges[:, 0]], kind="stable")
+    vlab, elab = labels[verts], labels[edges[by_edge, 0]]
+    vertex_list, edge_list = verts.tolist(), edges[by_edge].tolist()
+    bounds = zip(
+        np.searchsorted(vlab, roots, "left").tolist(),
+        np.searchsorted(vlab, roots, "right").tolist(),
+        np.searchsorted(elab, roots, "left").tolist(),
+        np.searchsorted(elab, roots, "right").tolist(),
+    )
+    return [
+        Component(
+            vertices=tuple(vertex_list[a:b]),
+            edges=tuple((u, v) for u, v in edge_list[c:d]),
+        )
+        for a, b, c, d in bounds
+    ]
 
 
 def components(g: Graph) -> list[Component]:
     """Connected components in order of their smallest vertex."""
-    seen = bytearray(g.n)
-    out: list[Component] = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = 1
-        stack = [s]
-        verts = [s]
-        while stack:
-            v = stack.pop()
-            for w in g.adj[v]:
-                if not seen[w]:
-                    seen[w] = 1
-                    verts.append(w)
-                    stack.append(w)
-        verts.sort()
-        vset = set(verts)
-        edges = tuple(
-            (u, v) for u in verts for v in g.adj[u] if u < v and v in vset
-        )
-        out.append(Component(vertices=tuple(verts), edges=edges))
-    return out
+    return _grouped(*_labelled(g))
 
 
 @dataclass(frozen=True)
 class ComponentCensus:
     """Classification of a graph's components by canonical code.
 
-    counts maps each component's canonical code to its multiplicity, orders
-    maps the same codes to the component order, and path_counts tallies the
-    isolated path components by order (order >= 2).
+    counts maps each component's canonical code to its multiplicity and
+    orders maps the same codes to the component order.  paths holds the
+    path components (order >= 2) of each order, in order of their smallest
+    vertex.
     """
 
     counts: dict
-    path_counts: dict[int, int]
     orders: dict
+    paths: dict[int, tuple[Component, ...]]
+
+    @property
+    def path_counts(self) -> dict[int, int]:
+        """Number of path components of each order (order >= 2)."""
+        return {order: len(comps) for order, comps in self.paths.items()}
 
     def total_vertices(self) -> int:
         return sum(self.orders[c] * k for c, k in self.counts.items())
@@ -215,17 +257,45 @@ def _relabelled(comp: Component) -> Graph:
 
 
 def census(g: Graph) -> ComponentCensus:
-    """Classify every component of g by canonical code and tally paths."""
+    """Classify every component of g by canonical code and collect paths.
+
+    One labelling pass gives each component's order, edge count and maximum
+    degree.  Isolated vertices and paths are determined up to isomorphism
+    by their order, so one representative of each order is coded; every
+    other component is coded on its own.
+    """
+    edges, labels, roots = _labelled(g)
+    comp_order = np.bincount(labels, minlength=g.n)[roots]
+    comp_size = np.bincount(labels[edges[:, 0]], minlength=g.n)[roots]
+    max_degree = np.zeros(g.n, dtype=np.int64)
+    np.maximum.at(max_degree, labels, np.bincount(edges.ravel(), minlength=g.n))
+    is_path = (comp_size == comp_order - 1) & (max_degree[roots] <= 2)
     counts: dict = {}
     orders: dict = {}
-    path_counts: dict[int, int] = {}
-    for comp in components(g):
-        code = _component_code(comp)
-        counts[code] = counts.get(code, 0) + 1
-        orders[code] = comp.order
-        if comp.is_path():
-            path_counts[comp.order] = path_counts.get(comp.order, 0) + 1
-    return ComponentCensus(counts=counts, path_counts=path_counts, orders=orders)
+
+    def tally(rep: Component, multiplicity: int) -> None:
+        code = _component_code(rep)
+        counts[code] = counts.get(code, 0) + multiplicity
+        orders[code] = rep.order
+
+    isolated = int(np.count_nonzero(comp_order == 1))
+    if isolated:
+        tally(Component(vertices=(0,), edges=()), isolated)
+    paths: dict[int, list[Component]] = {}
+    big = comp_order >= 2
+    grouped = _grouped(edges, labels, roots[big])
+    for comp, path in zip(grouped, is_path[big].tolist()):
+        if path:
+            paths.setdefault(comp.order, []).append(comp)
+        else:
+            tally(comp, 1)
+    for comps in paths.values():
+        tally(comps[0], len(comps))
+    return ComponentCensus(
+        counts=counts,
+        orders=orders,
+        paths={k: tuple(comps) for k, comps in sorted(paths.items())},
+    )
 
 
 def write_edgelist(g: Graph, path: str) -> None:

@@ -7,9 +7,10 @@ the fast code is checked against, not production paths.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Sequence
 
-from taulab.graph import Graph
+from taulab.graph import Component, Graph, _component_code
 
 
 def brute_isomorphic(a: Graph, b: Graph) -> bool:
@@ -99,3 +100,46 @@ def all_graphs(n: int):
         yield Graph.from_edges(
             n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
         )
+
+
+def bfs_components(g: Graph) -> list[Component]:
+    """Connected components by graph search, in order of their smallest
+    vertex, with sorted vertices and lexicographically sorted edges."""
+    seen = bytearray(g.n)
+    out: list[Component] = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        seen[s] = 1
+        stack = [s]
+        verts = [s]
+        while stack:
+            v = stack.pop()
+            for w in g.adj[v]:
+                if not seen[w]:
+                    seen[w] = 1
+                    verts.append(w)
+                    stack.append(w)
+        verts.sort()
+        vset = set(verts)
+        edges = tuple(
+            (u, v) for u in verts for v in g.adj[u] if u < v and v in vset
+        )
+        out.append(Component(vertices=tuple(verts), edges=edges))
+    return out
+
+
+def component_census(g: Graph) -> tuple[dict, dict, dict]:
+    """(counts, orders, paths) with every component coded on its own;
+    paths maps each order to its path components in smallest-vertex order."""
+    counts: dict = {}
+    orders: dict = {}
+    paths: dict = {}
+    for comp in bfs_components(g):
+        code = _component_code(comp)
+        counts[code] = counts.get(code, 0) + 1
+        orders[code] = comp.order
+        degrees = Counter(v for e in comp.edges for v in e)
+        if comp.is_tree() and comp.order >= 2 and max(degrees.values()) <= 2:
+            paths.setdefault(comp.order, []).append(comp)
+    return counts, orders, {k: tuple(v) for k, v in paths.items()}

@@ -255,7 +255,7 @@ def test_06_verysparse_pipeline():
                     band,
                 )
 
-            coloring = build_verysparse_coloring(g, k, p=p)
+            coloring = build_verysparse_coloring(g, tally, k, p=p)
             assert coloring.num_classes >= 0.1 * theta, (
                 seed,
                 coloring.num_classes,

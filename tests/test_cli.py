@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -335,3 +336,64 @@ def test_experiment_deterministic_and_parallel(capsys, tmp_path):
     third = lines(capsys)[0]
     assert first == second == third
     assert strip_millis(a) == strip_millis(b) == strip_millis(c)
+
+
+def test_experiment_trials_cap(capsys, tmp_path):
+    # one more trial and trial_seed(1, i) would reach trial_seed(2, 0); the
+    # flag is refused before any trial runs
+    assert trial_seed(1, 1_000_002) < trial_seed(2, 0)
+    out = tmp_path / "runs.csv"
+    argv = ["experiment", "--regime", "sparse", "--n", "10", "--p", "0.5",
+            "--seed", "1", "--trials", "1000004", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "--trials above 1000003" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# --- byte-identity pins ----------------------------------------------------
+
+# A small very sparse instance inside the k=4 window.  The digests pin the
+# colouring file, the experiment CSV without its millis column and the
+# census output, so any change to the component labelling, the census or the
+# class construction that alters seeded output fails here.
+PIN_FLAGS = ["--regime", "verysparse", "--n", "20000", "--p-exponent", "1.3",
+             "--k", "4", "--seed", "7"]
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def test_verysparse_outputs_pinned(capsys, tmp_path):
+    col = str(tmp_path / "col.txt")
+    assert main(["color", *PIN_FLAGS, "--out", col]) == 0
+    assert kv(lines(capsys)) == {
+        "classes": "5",
+        "upper_bound": "191.24911397984096",
+        "verify_distinct": "true",
+    }
+    assert sha256(open(col).read()) == (
+        "0e8d4544b798a2c4bd5c0c09fa85e159a7182e4c938ba032bc215eae38d40bb9"
+    )
+
+    runs = str(tmp_path / "runs.csv")
+    assert main(["experiment", *PIN_FLAGS, "--trials", "3", "--out", runs]) == 0
+    capsys.readouterr()
+    assert sha256("\n".join(strip_millis(runs))) == (
+        "abd65e7330a1b2142f18b37a75a08f8af250f80341049a0a2b8d7b2171ef116a"
+    )
+
+    edges = str(tmp_path / "g.edges")
+    gen = ["gen", "--n", "20000", "--p-exponent", "1.3", "--seed", "7"]
+    assert main([*gen, "--out", edges]) == 0
+    capsys.readouterr()
+    assert main(["census", "--in", edges, "--json"]) == 0
+    assert sha256(capsys.readouterr().out) == (
+        "3cf6182921bfaa2fb41fb24e778d26c13dc568a6884ea29947021fd3cbfb91a9"
+    )
+    assert main(["census", "--in", edges]) == 0
+    assert sha256(capsys.readouterr().out) == (
+        "598d167edf0e6bd72012e73f58760d5777923d11858efe603a020d605f4f44b3"
+    )

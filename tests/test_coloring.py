@@ -24,7 +24,7 @@ from taulab.coloring import (
     write_coloring,
 )
 from taulab.embed import LazyRandomGraph, greedy_embed, materialize
-from taulab.graph import Graph, gen_gnp
+from taulab.graph import Graph, census, gen_gnp
 
 
 def maxdeg3_trees(t: int) -> list[Graph]:
@@ -242,10 +242,10 @@ def hand_box_graph(extra_triangle: bool = False) -> Graph:
 
 def test_verysparse_hand_box():
     g = hand_box_graph()
-    xi, observed, _ = verysparse_box(g, 4, xi=(1, 1))
+    xi, observed, _ = verysparse_box(g, census(g), 4, xi=(1, 1))
     assert xi == [1, 1]
     assert observed == [3, 2]
-    col = build_verysparse_coloring(g, 4, xi=(1, 1))
+    col = build_verysparse_coloring(g, census(g), 4, xi=(1, 1))
     # all three census vectors realised; the spare P2 is isomorphic to the
     # (1,0) class, so it merges into the largest class instead
     assert col.labels == ("vector:0,1", "vector:1,0", "vector:1,1+leftover")
@@ -256,7 +256,8 @@ def test_verysparse_hand_box():
 
 
 def test_verysparse_leftover_kept_separate():
-    col = build_verysparse_coloring(hand_box_graph(extra_triangle=True), 4, xi=(1, 1))
+    g = hand_box_graph(extra_triangle=True)
+    col = build_verysparse_coloring(g, census(g), 4, xi=(1, 1))
     assert col.labels == (
         "vector:0,1",
         "vector:1,0",
@@ -271,14 +272,14 @@ def test_verysparse_leftover_kept_separate():
 
 def test_verysparse_clamp_respects_supply():
     g = hand_box_graph()
-    xi, observed, _ = verysparse_box(g, 4, xi=(50, 50))
+    xi, observed, _ = verysparse_box(g, census(g), 4, xi=(50, 50))
     box = 1
     for x in xi:
         box *= x + 1
     for i, x in enumerate(xi):
         # total components of order i+2 consumed over the whole box
         assert x * (x + 1) // 2 * (box // (x + 1)) <= observed[i]
-    col = build_verysparse_coloring(g, 4, xi=(50, 50))
+    col = build_verysparse_coloring(g, census(g), 4, xi=(50, 50))
     assert verify_distinct(col) == (True, None)
 
 
@@ -291,7 +292,7 @@ def test_verysparse_estimated_box():
     for i in range(60):
         edges += [(base + 3 * i, base + 3 * i + 1), (base + 3 * i + 1, base + 3 * i + 2)]
     g = Graph.from_edges(base + 180, edges)
-    col = build_verysparse_coloring(g, 4, p=1e-4)
+    col = build_verysparse_coloring(g, census(g), 4, p=1e-4)
     assert col.num_classes > 1
     assert verify_distinct(col) == (True, None)
 
@@ -300,15 +301,17 @@ def test_verysparse_errors():
     # theta at p=0.5 exceeds the single observed path, so the box is empty
     g = Graph.from_edges(4, [(0, 1)])
     with pytest.raises(RuntimeError, match="census too small"):
-        build_verysparse_coloring(g, 4, p=0.5)
+        build_verysparse_coloring(g, census(g), 4, p=0.5)
+    g = hand_box_graph()
     with pytest.raises(RuntimeError, match="census too small"):
-        build_verysparse_coloring(hand_box_graph(), 4, xi=(0, 0))
+        build_verysparse_coloring(g, census(g), 4, xi=(0, 0))
     with pytest.raises(ValueError, match="entries"):
-        verysparse_box(hand_box_graph(), 4, xi=(1, 1, 1))
+        verysparse_box(g, census(g), 4, xi=(1, 1, 1))
     with pytest.raises(ValueError, match="entries"):
-        verysparse_box(hand_box_graph(), 4, xi=(-1, 1))
+        verysparse_box(g, census(g), 4, xi=(-1, 1))
+    g = Graph.from_edges(4, [])
     with pytest.raises(ValueError, match="empty"):
-        verysparse_box(Graph.from_edges(4, []), 4)
+        verysparse_box(g, census(g), 4)
 
 
 # --- exact tau -------------------------------------------------------------

@@ -1,13 +1,17 @@
+import heapq
 import math
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_isomorphic
+from conftest import bfs_components, brute_isomorphic, component_census
 from taulab import rng as rngmod
 from taulab.graph import (
     Graph,
+    _component_labels,
     census,
     components,
     gen_gnp,
@@ -82,8 +86,8 @@ def test_components_and_isolated_vertices():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (4, 5)])
     comps = components(g)
     assert [c.vertices for c in comps] == [(0, 1, 2), (3,), (4, 5)]
-    assert comps[0].is_path() and comps[2].is_path()
-    assert not comps[1].is_path()  # single vertex is not a path here
+    # a single vertex is not a path here
+    assert census(g).paths == {2: (comps[2],), 3: (comps[0],)}
 
 
 def test_census_hand_example():
@@ -105,7 +109,7 @@ def test_census_sum_invariant_random():
 
 
 def _naive_census(g: Graph):
-    comps = [c for c in components(g)]
+    comps = bfs_components(g)
     reps: list = []
     counts: list[int] = []
     for comp in comps:
@@ -134,6 +138,79 @@ def test_census_agrees_with_naive_classification():
         g = gen_gnp(n, p, seed)
         assert sorted(census(g).counts.values()) == _naive_census(g)
         checked += 1
+
+
+def _assert_matches_oracle(g: Graph) -> None:
+    assert components(g) == bfs_components(g)
+    counts, orders, paths = component_census(g)
+    c = census(g)
+    assert c.counts == counts
+    assert c.orders == orders
+    assert c.paths == paths
+    assert c.path_counts == {k: len(v) for k, v in paths.items()}
+
+
+@given(
+    st.integers(0, 2**31),
+    st.integers(2, 400),
+    st.sampled_from([0.3, 0.7, 1.5, 3.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_labelling_matches_bfs_oracle(seed, n, mean_degree):
+    # mean degree below and above 1: tiny components only, then a giant one
+    _assert_matches_oracle(gen_gnp(n, min(1.0, mean_degree / n), seed))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 17])
+def test_labelling_edgeless_graphs(n):
+    g = Graph.from_edges(n, [])
+    _assert_matches_oracle(g)
+    assert [c.vertices for c in components(g)] == [(v,) for v in range(n)]
+    assert census(g).paths == {}
+
+
+def _random_tree_edges(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A uniformly random labelled tree on n vertices, by Pruefer decoding."""
+    seq = rng.integers(0, n, size=n - 2).tolist()
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for v in seq:
+        edges.append((heapq.heappop(leaves), v))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return np.array(edges, dtype=np.int64)
+
+
+@pytest.mark.parametrize("shape", ["path", "tree"])
+def test_labelling_adversarial_order_is_fast(shape):
+    # neighbour-min propagation needs ~26k rounds (about a minute) on the
+    # randomly labelled path; root hooking needs a logarithmic number
+    n = 10**5
+    rng = rngmod.stream(2024, 0)
+    if shape == "path":
+        edges = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+    else:
+        edges = _random_tree_edges(n, rng)
+    perm = rng.permutation(n)
+    us, vs = perm[edges[:, 0]], perm[edges[:, 1]]
+    # drop one edge, so the labels must also keep two components apart
+    cut = n // 3
+    keep = np.arange(n - 1) != cut
+    start = time.perf_counter()
+    labels = _component_labels(n, us[keep], vs[keep])
+    elapsed = time.perf_counter() - start
+    g = Graph.from_edges(n, zip(us[keep].tolist(), vs[keep].tolist()))
+    comps = bfs_components(g)
+    assert len(comps) == 2
+    for comp in comps:
+        assert (labels[list(comp.vertices)] == comp.vertices[0]).all()
+    assert elapsed < 2.0, elapsed
 
 
 def test_edgelist_round_trip(tmp_path):
