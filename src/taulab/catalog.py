@@ -218,7 +218,7 @@ def ahu_code(g: Graph) -> CanonicalCode:
             raise ValueError("input is not a tree (not connected)")
         return CanonicalCode(body)
     c1, c2 = centers
-    if not g.has_edge(c1, c2):
+    if c2 not in g.adj[c1]:
         raise ValueError("input is not a tree (disconnected centre pair)")
     e = (c1, c2)
     a = _rooted_ahu(g, c1, blocked=e)

@@ -368,6 +368,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_experiment(args) -> int:
     p = _resolve_p(args.parser, args)
+    if args.trials < 1:
+        args.parser.error("--trials must be at least 1")
     if args.trials > _SEED_STRIDE:
         args.parser.error(f"--trials above {_SEED_STRIDE} repeats trial seeds")
     if args.regime == "verysparse":

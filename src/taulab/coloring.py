@@ -1,14 +1,16 @@
 """Edge colourings whose colour classes are pairwise non-isomorphic.
 
 A colouring here is a partition of the host's edge set; isolated vertices
-never matter, so classes are plain edge lists.  Three builders produce the
+never matter, so each class is a sorted int64 array of the pair ranks its
+edges have in the host (see `taulab.graph`).  Three builders produce the
 classes for the three random-graph regimes (embedded trees, linear forests
 packed into long paths, unions of small path components), each followed by a
-single leftover class absorbing everything unused.  `verify_distinct` then
-certifies pairwise non-isomorphism from scratch: classes of different edge
-counts are trivially non-isomorphic, forests are compared by their multiset
-of tree codes, and anything else must be small enough for the exact
-canonicaliser.
+single leftover class absorbing everything unused: one `np.setdiff1d` against
+the host's ranks.  Constructing a `Coloring` checks with one sort that the
+classes cover the host disjointly.  `verify_distinct` then certifies
+pairwise non-isomorphism from scratch: classes of different edge counts are
+trivially non-isomorphic, forests are compared by their multiset of tree
+codes, and anything else must be small enough for the exact canonicaliser.
 
 `tau_exact` answers the inverse question for tiny graphs (at most 8 edges)
 by exhausting set partitions of the edge set, and `tau_matching` gives the
@@ -23,10 +25,19 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .bounds import ell, theta_verysparse
 from .catalog import LinearForest, ahu_code, partitions
 from .embed import EmbedResult
-from .graph import ComponentCensus, Graph, components
+from .graph import (
+    ComponentCensus,
+    Graph,
+    _relabelled,
+    components,
+    edge_tuples,
+    pair_ranks,
+)
 from .pathpack import dfs_path_pack, pack_forests
 
 Edge = tuple[int, int]
@@ -153,33 +164,48 @@ def canonical_form(g: Graph, max_vertices: int = 10) -> bytes:
 # colourings
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coloring:
-    """A partition of the host's edges into labelled colour classes."""
+    """A partition of the host's edges into labelled colour classes, each a
+    sorted int64 array of host pair ranks."""
 
     host: Graph
-    classes: tuple[tuple[Edge, ...], ...]
+    classes: tuple[np.ndarray, ...]
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if len(self.classes) != len(self.labels):
             raise ValueError("one label per class required")
-        seen: set[Edge] = set()
-        for cls in self.classes:
-            if not cls:
-                raise ValueError("empty colour class")
-            for e in cls:
-                if e in seen:
-                    raise ValueError(f"edge {e} appears in two classes")
-                if e not in self.host.edges:
-                    raise ValueError(f"edge {e} not in host graph")
-                seen.add(e)
-        if len(seen) != self.host.edge_count:
+        if any(len(cls) == 0 for cls in self.classes):
+            raise ValueError("empty colour class")
+        ranks = np.sort(_joined(self.classes))
+        if not np.array_equal(ranks, self.host.ranks):
+            _check_edges(
+                ranks,
+                self.host,
+                "edge {} appears in two classes",
+                "edge {} not in host graph",
+            )
             raise ValueError("classes do not cover the host edge set")
 
     @property
     def num_classes(self) -> int:
         return len(self.classes)
+
+
+def _joined(classes: Sequence[np.ndarray]) -> np.ndarray:
+    return np.concatenate((np.empty(0, np.int64), *classes))
+
+
+def _check_edges(ranks: np.ndarray, host: Graph, repeated: str, stray: str) -> None:
+    """Raise ValueError naming the first edge that the sorted ranks repeat,
+    else the first that host lacks; the messages format the edge into {}."""
+    twice = ranks[1:][ranks[1:] == ranks[:-1]]
+    if len(twice):
+        raise ValueError(repeated.format(edge_tuples(twice[:1])[0]))
+    missing = np.setdiff1d(ranks, host.ranks, assume_unique=True)
+    if len(missing):
+        raise ValueError(stray.format(edge_tuples(missing[:1])[0]))
 
 
 _COLORING_MAGIC = "coloring 1"
@@ -190,10 +216,8 @@ def write_coloring(coloring: Coloring, path: str) -> None:
         fh.write(f"{_COLORING_MAGIC}\n")
         fh.write(f"{coloring.host.n} {coloring.num_classes}\n")
         for label, cls in zip(coloring.labels, coloring.classes):
-            fh.write(f"label {label}\n")
-            fh.write(f"{len(cls)}\n")
-            for u, v in sorted(cls):
-                fh.write(f"{u} {v}\n")
+            fh.write(f"label {label}\n{len(cls)}\n")
+            fh.writelines(f"{u} {v}\n" for u, v in edge_tuples(cls))
 
 
 def read_coloring(path: str) -> Coloring:
@@ -205,7 +229,7 @@ def read_coloring(path: str) -> Coloring:
         if len(header) != 2:
             raise ValueError("expected '<n> <classes>' on line 2")
         n, num = int(header[0]), int(header[1])
-        classes: list[tuple[Edge, ...]] = []
+        classes: list[list[Edge]] = []
         labels: list[str] = []
         for _ in range(num):
             tag = fh.readline().rstrip("\n")
@@ -217,12 +241,15 @@ def read_coloring(path: str) -> Coloring:
             for _ in range(count):
                 u, v = map(int, fh.readline().split())
                 edges.append((u, v))
-            classes.append(tuple(edges))
+            classes.append(edges)
         if fh.readline() != "":
             raise ValueError("trailing data after colouring")
-    host_edges = [e for cls in classes for e in cls]
-    host = Graph.from_edges(n, host_edges)
-    return Coloring(host=host, classes=tuple(classes), labels=tuple(labels))
+    host = Graph.from_edges(n, [e for cls in classes for e in cls])
+    return Coloring(
+        host=host,
+        classes=tuple(np.sort(pair_ranks(cls)) for cls in classes),
+        labels=tuple(labels),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +282,6 @@ def _class_components(edges: Sequence[Edge]) -> list[tuple[list[int], list[Edge]
     return out
 
 
-def _component_graph(vertices: Sequence[int], edges: Sequence[Edge]) -> Graph:
-    index = {v: i for i, v in enumerate(vertices)}
-    return Graph.from_edges(
-        len(vertices), [(index[u], index[v]) for u, v in edges]
-    )
-
-
 def class_signature(edges: Sequence[Edge], max_vertices: int = 10) -> tuple:
     """Isomorphism invariant of an edge set that is also complete: equal
     signatures imply isomorphic classes.  Forests of any size are handled by
@@ -269,7 +289,7 @@ def class_signature(edges: Sequence[Edge], max_vertices: int = 10) -> tuple:
     comps = _class_components(edges)
     if all(len(e) == len(v) - 1 for v, e in comps):
         codes = sorted(
-            ahu_code(_component_graph(v, e)).data for v, e in comps
+            ahu_code(_relabelled(v, e)).data for v, e in comps
         )
         return ("F", tuple(codes))
     certs = sorted(
@@ -298,7 +318,7 @@ def verify_distinct(
         seen: dict[tuple, int] = {}
         for i in group:
             try:
-                sig = class_signature(coloring.classes[i], max_vertices)
+                sig = class_signature(edge_tuples(coloring.classes[i]), max_vertices)
             except CanonicalizationError as exc:
                 raise VerifyError(
                     f"class {i} ({count} edges) cannot be verified: {exc}"
@@ -310,22 +330,30 @@ def verify_distinct(
 
 
 def _append_leftover(
-    host: Graph,
-    classes: list[tuple[Edge, ...]],
-    labels: list[str],
-    used: set[Edge],
+    host: Graph, classes: list[np.ndarray], labels: list[str], what: str
 ) -> None:
-    """Add the leftover class, merging it into the largest existing class if
-    it happens to be isomorphic to one (possible only on tiny inputs)."""
-    leftover = tuple(sorted(host.edges - used))
-    if not leftover:
+    """Check that the classes take distinct host edges, then add the leftover
+    class, merging it into the largest existing class if it happens to be
+    isomorphic to one (possible only on tiny inputs).  what names the class
+    edges in error messages."""
+    used = np.sort(_joined(classes))
+    _check_edges(
+        used,
+        host,
+        f"{what} edge {{}} used twice",
+        f"{what} edge {{}} missing from host graph",
+    )
+    leftover = np.setdiff1d(host.ranks, used, assume_unique=True)
+    if not len(leftover):
         return
     collide = None
     for i, cls in enumerate(classes):
         if len(cls) != len(leftover):
             continue
         try:
-            if class_signature(cls) == class_signature(leftover):
+            if class_signature(edge_tuples(cls)) == class_signature(
+                edge_tuples(leftover)
+            ):
                 collide = i
                 break
         except CanonicalizationError as exc:
@@ -338,7 +366,7 @@ def _append_leftover(
         labels.append("leftover")
         return
     big = max(range(len(classes)), key=lambda i: (len(classes[i]), -i))
-    classes[big] = tuple(sorted(classes[big] + leftover))
+    classes[big] = np.union1d(classes[big], leftover)
     labels[big] = labels[big] + "+leftover"
     # a merge can only happen on tiny inputs, so a full recheck is cheap
     probe = Coloring(host=host, classes=tuple(classes), labels=tuple(labels))
@@ -360,23 +388,16 @@ def build_dense_coloring(result: EmbedResult, host: Graph) -> Coloring:
     The embedded trees are pairwise non-isomorphic by construction (their
     codes are distinct); the host must contain every embedded edge.
     """
-    classes: list[tuple[Edge, ...]] = []
+    classes: list[np.ndarray] = []
     labels: list[str] = []
-    used: set[Edge] = set()
     codes = set()
     for tree in result.embedded:
         if tree.code in codes:
             raise ValueError("embedded trees repeat a shape")
         codes.add(tree.code)
-        for e in tree.edges:
-            if not host.has_edge(*e):
-                raise ValueError(f"embedded edge {e} missing from host graph")
-            if e in used:
-                raise ValueError(f"embedded edge {e} used twice")
-            used.add(e)
-        classes.append(tree.edges)
+        classes.append(np.sort(pair_ranks(tree.edges)))
         labels.append(f"tree:{tree.code.text()}")
-    _append_leftover(host, classes, labels, used)
+    _append_leftover(host, classes, labels, "embedded")
     return Coloring(host=host, classes=tuple(classes), labels=tuple(labels))
 
 
@@ -406,25 +427,14 @@ def build_sparse_coloring(
             max_paths = max(1, round(2 * g.edge_count / max(1, g.n - 1)))
     pack = dfs_path_pack(g, target_len, max_paths)
     if not pack.paths:
-        return Coloring(
-            host=g,
-            classes=(tuple(sorted(g.edges)),),
-            labels=("leftover",),
-        )
+        return Coloring(host=g, classes=(g.ranks,), labels=("leftover",))
     # lazy: pack_forests stops consuming at the first forest that fits
     # nowhere, and p(k) is far too large to materialise
     forests = (LinearForest(lengths) for lengths in partitions(k))
     packed = pack_forests(pack.paths, forests)
-    classes: list[tuple[Edge, ...]] = []
-    labels: list[str] = []
-    used: set[Edge] = set()
-    for placement in packed.placements:
-        classes.append(placement.edges)
-        labels.append("forest:" + ",".join(map(str, placement.lengths)))
-        for e in placement.edges:
-            assert e not in used
-            used.add(e)
-    _append_leftover(g, classes, labels, used)
+    classes = [np.sort(pair_ranks(pl.edges)) for pl in packed.placements]
+    labels = ["forest:" + ",".join(map(str, pl.lengths)) for pl in packed.placements]
+    _append_leftover(g, classes, labels, "placed")
     return Coloring(host=g, classes=tuple(classes), labels=tuple(labels))
 
 
@@ -525,9 +535,8 @@ def build_verysparse_coloring(
     L = ell(k)
     pools = [tally.paths.get(order, ()) for order in range(2, L + 1)]
     cursors = [0] * (L - 1)
-    classes: list[tuple[Edge, ...]] = []
+    classes: list[np.ndarray] = []
     labels: list[str] = []
-    used: set[Edge] = set()
     for counts in product(*(range(x + 1) for x in xi)):
         if all(c == 0 for c in counts):
             continue
@@ -539,13 +548,9 @@ def build_verysparse_coloring(
             cursors[i] += c
             for comp in take:
                 edges.extend(comp.edges)
-        cls = tuple(sorted(edges))
-        classes.append(cls)
+        classes.append(np.sort(pair_ranks(edges)))
         labels.append(vector.label())
-        for e in cls:
-            assert e not in used
-            used.add(e)
-    _append_leftover(g, classes, labels, used)
+    _append_leftover(g, classes, labels, "census")
     return Coloring(host=g, classes=tuple(classes), labels=tuple(labels))
 
 
@@ -569,7 +574,7 @@ def tau_exact(g: Graph, max_edges: int = 8) -> int:
         raise ValueError(f"tau_exact is limited to {max_edges} edges, got {m}")
     if m == 0:
         return 0
-    edge_list = sorted(g.edges)
+    edge_list = g.edges
 
     sig_memo: dict[int, tuple] = {}
 

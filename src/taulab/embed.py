@@ -35,7 +35,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .catalog import CanonicalCode, ahu_code
-from .graph import Graph, pair_rank, _unrank_pairs
+from .graph import Graph, pair_rank
 
 _REJECTION_TRIES = 40
 _MATERIALIZE_BLOCK = 1 << 22
@@ -91,14 +91,12 @@ def materialize(g: LazyRandomGraph) -> Graph:
     Revealed pairs keep their outcomes because the same hash decides them.
     """
     npairs = g.n * (g.n - 1) // 2
-    edges: list[tuple[int, int]] = []
+    blocks = [np.empty(0, dtype=np.int64)]
     for start in range(0, npairs, _MATERIALIZE_BLOCK):
         stop = min(start + _MATERIALIZE_BLOCK, npairs)
         ranks = np.arange(start, stop, dtype=np.int64)
-        hit = rngmod.pair_uniform_array(g._key, ranks) < g.p
-        us, vs = _unrank_pairs(ranks[hit])
-        edges.extend(zip(us.tolist(), vs.tolist()))
-    return Graph.from_edges(g.n, edges)
+        blocks.append(ranks[rngmod.pair_uniform_array(g._key, ranks) < g.p])
+    return Graph.from_ranks(g.n, np.concatenate(blocks))
 
 
 @dataclass

@@ -1,12 +1,19 @@
-"""Graph core: a small immutable graph type, G(n, p) sampling, component
-census, and a plain text edge-list format.
+"""Graph core: an immutable graph stored as one array of pair ranks, G(n, p)
+sampling, component census, and a plain text edge-list format.
 
-Graphs are simple and undirected with vertices 0..n-1.  Edges are stored as
-(u, v) pairs with u < v.  The G(n, p) sampler is deterministic for a fixed
-seed: it either draws one Bernoulli per pair (vectorised, small or dense
-inputs) or draws the edge count from a binomial and then a uniform random
-subset of pair ranks (sparse inputs), which yields the same distribution
-without touching all ~n^2/2 pairs.
+Graphs are simple and undirected with vertices 0..n-1.  The edge (u, v),
+u < v, is kept as its colexicographic pair rank C(v, 2) + u, and a graph's
+edge set is one strictly increasing int64 array of those ranks.  Samplers
+and the colouring builders work on rank arrays directly: `has_edge` is a
+binary search, set differences and cover checks are array operations, and
+adjacency tuples are built from the ranks only when a caller asks for them.
+`Graph.from_edges` still takes Python (u, v) pairs and validates each one.
+
+The G(n, p) sampler is deterministic for a fixed seed: it either draws one
+Bernoulli per pair (vectorised, small or dense inputs) or draws the edge
+count from a binomial and then a uniform random subset of pair ranks
+(sparse inputs), which yields the same distribution without touching all
+~n^2/2 pairs.
 
 Components come from one vectorised labelling pass over the edge arrays
 (root hooking plus pointer jumping).  `components` groups the vertices and
@@ -19,8 +26,9 @@ classified without building a graph per component.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -48,44 +56,115 @@ def _unrank_pairs(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-@dataclass(frozen=True)
+def _lex_endpoints(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays (us, vs) of the ranked pairs in lexicographic order."""
+    us, vs = _unrank_pairs(ranks)
+    order = np.lexsort((vs, us))
+    return us[order], vs[order]
+
+
+def pair_ranks(edges: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Vectorised pair_rank of (u, v) pairs with 0 <= u < v, in input order."""
+    e = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    us, vs = e[:, 0], e[:, 1]
+    if not ((0 <= us) & (us < vs)).all():
+        raise ValueError("edges must be (u, v) pairs with 0 <= u < v")
+    return vs * (vs - 1) // 2 + us
+
+
+def edge_tuples(ranks: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """The ranked pairs as (u, v) tuples in lexicographic order."""
+    us, vs = _lex_endpoints(ranks)
+    return tuple(zip(us.tolist(), vs.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1."""
+    """Simple undirected graph on vertices 0..n-1; ranks holds the pair rank
+    of every edge, strictly increasing."""
 
     n: int
-    edges: frozenset[tuple[int, int]]
-    adj: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    ranks: np.ndarray
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """Graph from (u, v) pairs in either orientation, each validated."""
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        seen: set[tuple[int, int]] = set()
+        seen: set[int] = set()
         neighbours: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-            neighbours[e[0]].append(e[1])
-            neighbours[e[1]].append(e[0])
-        adj = tuple(tuple(sorted(ns)) for ns in neighbours)
-        return Graph(n=n, edges=frozenset(seen), adj=adj)
+            if u > v:
+                u, v = v, u
+            rank = v * (v - 1) // 2 + u
+            if rank in seen:
+                raise ValueError(f"duplicate edge {(u, v)}")
+            seen.add(rank)
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+        g = Graph(n, np.array(sorted(seen), dtype=np.int64))
+        # the neighbour lists are at hand, so fill the adjacency cache now
+        object.__setattr__(g, "adj", tuple(tuple(sorted(ns)) for ns in neighbours))
+        return g
+
+    @staticmethod
+    def from_ranks(n: int, ranks: np.ndarray) -> "Graph":
+        """Graph from a strictly increasing int64 array of pair ranks."""
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
+        if ranks.dtype != np.int64 or ranks.ndim != 1:
+            raise ValueError("pair ranks must be a one-dimensional int64 array")
+        if len(ranks):
+            if not (ranks[1:] > ranks[:-1]).all():
+                raise ValueError("pair ranks must be strictly increasing")
+            if ranks[0] < 0 or ranks[-1] >= n * (n - 1) // 2:
+                raise ValueError(f"pair rank out of range for n={n}")
+        return Graph(n, ranks)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.ranks, other.ranks)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.ranks.tobytes()))
+
+    @cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbour tuple of every vertex, from one CSR pass."""
+        n = self.n
+        us, vs = _unrank_pairs(self.ranks)
+        # both orientations as source * n + target, sorted: CSR order
+        arcs = np.sort(np.concatenate((us * n + vs, vs * n + us)))
+        flat = (arcs % n).tolist()
+        bounds = [0] + np.cumsum(np.bincount(arcs // n, minlength=n)).tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as (u, v) tuples, u < v, in lexicographic order."""
+        return edge_tuples(self.ranks)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.ranks)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        e = (u, v) if u < v else (v, u)
-        return e in self.edges
+        if u > v:
+            u, v = v, u
+        if not 0 <= u < v < self.n:
+            return False
+        rank = v * (v - 1) // 2 + u
+        ranks = self.ranks
+        i = ranks.searchsorted(rank)
+        return i < len(ranks) and int(ranks[i]) == rank
 
 
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
@@ -97,32 +176,31 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     npairs = n * (n - 1) // 2
     gen = rngmod.stream(seed, 0)
     if npairs == 0 or p == 0.0:
-        return Graph.from_edges(n, [])
+        return Graph.from_ranks(n, np.empty(0, dtype=np.int64))
     if npairs <= _PAIR_BLOCK or p >= _RANK_SAMPLING_DENSITY:
-        edges: list[tuple[int, int]] = []
+        blocks = []
         for start in range(0, npairs, _PAIR_BLOCK):
-            stop = min(start + _PAIR_BLOCK, npairs)
-            hit = gen.random(stop - start) < p
-            ranks = np.nonzero(hit)[0] + start
-            us, vs = _unrank_pairs(ranks)
-            edges.extend(zip(us.tolist(), vs.tolist()))
-        return Graph.from_edges(n, edges)
+            hit = gen.random(min(start + _PAIR_BLOCK, npairs) - start) < p
+            blocks.append(np.flatnonzero(hit) + start)
+        return Graph.from_ranks(n, np.concatenate(blocks))
     # sparse: edge count is Binomial(npairs, p), then a uniform random subset
     # of pair ranks, which is exactly G(n, p) conditioned on its edge count
     m = int(gen.binomial(npairs, p))
-    chosen: set[int] = set()
-    picked: list[int] = []
+    return Graph.from_ranks(n, _first_distinct_draws(gen, npairs, m))
+
+
+def _first_distinct_draws(gen: np.random.Generator, npairs: int, m: int) -> np.ndarray:
+    """The first m distinct values, sorted, of uniform draws below npairs,
+    drawn in batches of a little more than the number still missing."""
+    picked = np.empty(0, dtype=np.int64)
     while len(picked) < m:
         need = m - len(picked)
         batch = gen.integers(0, npairs, size=need + max(16, need // 8))
-        for r in batch.tolist():
-            if r not in chosen:
-                chosen.add(r)
-                picked.append(r)
-                if len(picked) == m:
-                    break
-    us, vs = _unrank_pairs(np.asarray(picked, dtype=np.int64))
-    return Graph.from_edges(n, list(zip(us.tolist(), vs.tolist())))
+        _, first = np.unique(batch, return_index=True)
+        fresh = batch[np.sort(first)]
+        fresh = fresh[~np.isin(fresh, picked)]
+        picked = np.concatenate((picked, fresh[:need]))
+    return np.sort(picked)
 
 
 @dataclass(frozen=True)
@@ -170,7 +248,7 @@ def _component_labels(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
 def _labelled(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(edges, labels, roots): the edges as a lexicographically sorted
     (m, 2) array, each vertex's component label, and the ascending roots."""
-    edges = np.array(sorted(g.edges), dtype=np.int64).reshape(-1, 2)
+    edges = np.column_stack(_lex_endpoints(g.ranks))
     labels = _component_labels(g.n, edges[:, 0], edges[:, 1])
     roots = np.flatnonzero(labels == np.arange(g.n))
     return edges, labels, roots
@@ -236,7 +314,7 @@ def _component_code(comp: Component):
     from .catalog import ahu_code
     from .coloring import canonical_form
 
-    sub = _relabelled(comp)
+    sub = _relabelled(comp.vertices, comp.edges)
     if comp.is_tree():
         return ahu_code(sub)
     if comp.order <= _EXACT_CENSUS_CAP:
@@ -249,11 +327,10 @@ def _component_code(comp: Component):
     return b"L%d,%d:%s" % (comp.order, len(comp.edges), digest.encode("ascii"))
 
 
-def _relabelled(comp: Component) -> Graph:
-    index = {v: i for i, v in enumerate(comp.vertices)}
-    return Graph.from_edges(
-        comp.order, [(index[u], index[v]) for u, v in comp.edges]
-    )
+def _relabelled(vertices: Sequence[int], edges: Iterable[tuple[int, int]]) -> Graph:
+    """The graph on vertices (ascending) with its edges renumbered 0.."""
+    index = {v: i for i, v in enumerate(vertices)}
+    return Graph.from_edges(len(vertices), [(index[u], index[v]) for u, v in edges])
 
 
 def census(g: Graph) -> ComponentCensus:
@@ -300,14 +377,15 @@ def census(g: Graph) -> ComponentCensus:
 
 def write_edgelist(g: Graph, path: str) -> None:
     """Write the text edge-list format: "n m" header, then "u v" per line."""
+    us, vs = _lex_endpoints(g.ranks)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{g.n} {g.edge_count}\n")
-        for u, v in sorted(g.edges):
-            fh.write(f"{u} {v}\n")
+        fh.writelines(f"{u} {v}\n" for u, v in zip(us.tolist(), vs.tolist()))
 
 
 def read_edgelist(path: str) -> Graph:
-    """Read the format written by write_edgelist, validating as it goes."""
+    """Read the format written by write_edgelist.  The format checks are
+    made here; Graph.from_edges rejects out-of-range and repeated edges."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -325,7 +403,6 @@ def read_edgelist(path: str) -> Graph:
     if len(body) != m:
         raise ValueError(f"header promises {m} edges, found {len(body)}")
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     for ln in body:
         parts = ln.split()
         if len(parts) != 2:
@@ -334,14 +411,7 @@ def read_edgelist(path: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise ValueError(f"malformed edge line: {ln!r}") from exc
-        if u == v:
-            raise ValueError(f"self-loop in edge line: {ln!r}")
         if not u < v:
             raise ValueError(f"edge line not in u < v order: {ln!r}")
-        if v >= n:
-            raise ValueError(f"vertex index {v} out of range for n={n}")
-        if (u, v) in seen:
-            raise ValueError(f"duplicate edge {(u, v)}")
-        seen.add((u, v))
         edges.append((u, v))
     return Graph.from_edges(n, edges)

@@ -8,9 +8,68 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 from taulab.graph import Component, Graph, _component_code
+
+
+@dataclass(frozen=True)
+class TupleGraph:
+    """The earlier graph store: a frozenset of (u, v) tuples, u < v, plus
+    sorted neighbour tuples, validated edge by edge."""
+
+    n: int
+    edges: frozenset[tuple[int, int]]
+    adj: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+
+    @staticmethod
+    def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "TupleGraph":
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
+        seen: set[tuple[int, int]] = set()
+        neighbours: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+            e = (u, v) if u < v else (v, u)
+            if e in seen:
+                raise ValueError(f"duplicate edge {e}")
+            seen.add(e)
+            neighbours[e[0]].append(e[1])
+            neighbours[e[1]].append(e[0])
+        adj = tuple(tuple(sorted(ns)) for ns in neighbours)
+        return TupleGraph(n=n, edges=frozenset(seen), adj=adj)
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.edges)
+
+    def degree(self, v: int) -> int:
+        return len(self.adj[v])
+
+    def has_edge(self, u: int, v: int) -> bool:
+        e = (u, v) if u < v else (v, u)
+        return e in self.edges
+
+
+def first_distinct_draws(gen, npairs: int, m: int) -> list[int]:
+    """The first m distinct values, sorted, of uniform draws below npairs,
+    taken one draw at a time from the same batches the sampler draws."""
+    chosen: set[int] = set()
+    picked: list[int] = []
+    while len(picked) < m:
+        need = m - len(picked)
+        batch = gen.integers(0, npairs, size=need + max(16, need // 8))
+        for r in batch.tolist():
+            if r not in chosen:
+                chosen.add(r)
+                picked.append(r)
+                if len(picked) == m:
+                    break
+    return sorted(picked)
 
 
 def brute_isomorphic(a: Graph, b: Graph) -> bool:

@@ -352,6 +352,20 @@ def test_experiment_trials_cap(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_experiment_needs_a_trial(capsys, tmp_path, trials):
+    # an empty batch has no summary; the flag is refused before any file
+    # is written
+    out = tmp_path / "runs.csv"
+    argv = ["experiment", "--regime", "sparse", "--n", "10", "--p", "0.5",
+            "--seed", "1", "--trials", trials, "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "--trials must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- byte-identity pins ----------------------------------------------------
 
 # A small very sparse instance inside the k=4 window.  The digests pin the
@@ -397,3 +411,62 @@ def test_verysparse_outputs_pinned(capsys, tmp_path):
     assert sha256(capsys.readouterr().out) == (
         "598d167edf0e6bd72012e73f58760d5777923d11858efe603a020d605f4f44b3"
     )
+
+
+# Dense and sparse instances small enough for the unit suite.  The colouring
+# file, the experiment CSV without millis and the stdout lines are pinned, so
+# a change to the graph store, the builders or the writers that alters seeded
+# output fails here.
+REGIME_PINS = {
+    "dense": (
+        ["--regime", "dense", "--n", "300", "--p", "0.5", "--seed", "7"],
+        {"classes": "20", "upper_bound": "27473.28810465374"},
+        "67517b4a3bad42edbdd28ab491ef32823b39f3b6a79f1ea77a75773470ac795e",
+        "6b488eb01474a665710911e806514d63d7aee947c9b17976c601ac48b423655e",
+    ),
+    "sparse": (
+        ["--regime", "sparse", "--n", "2000", "--p-over-n", "30", "--seed", "7"],
+        {"classes": "31", "upper_bound": "32021.465804335203"},
+        "5c76adbfc2fbe53ff7d001b0406aaacc785cbda192f45c75b4edf685ed70f211",
+        "836c8a34c39ab00fb203770cca4e0e7591bee6c12b5a030b7c8c012ce40e2305",
+    ),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(REGIME_PINS))
+def test_regime_outputs_pinned(capsys, tmp_path, regime):
+    flags, info, col_digest, csv_digest = REGIME_PINS[regime]
+    col = str(tmp_path / "col.txt")
+    assert main(["color", *flags, "--out", col]) == 0
+    assert kv(lines(capsys)) == {**info, "verify_distinct": "true"}
+    assert sha256(open(col).read()) == col_digest
+
+    runs = str(tmp_path / "runs.csv")
+    assert main(["experiment", *flags, "--trials", "3", "--out", runs]) == 0
+    capsys.readouterr()
+    assert sha256("\n".join(strip_millis(runs))) == csv_digest
+
+
+# n = 2000 has C(n, 2) <= 2**22 pairs, so gen_gnp draws one Bernoulli per
+# pair; n = 5000 at p = 5/n takes the binomial plus rank-sampling branch.
+GEN_PINS = {
+    "bernoulli": (
+        ["--n", "2000", "--p-over-n", "30", "--seed", "7"],
+        "30150",
+        "0a98b334010a3e7b57f4b4be6039732eaaf33487a0cb3785d6dd7ab580baccec",
+    ),
+    "rank": (
+        ["--n", "5000", "--p-over-n", "5", "--seed", "7"],
+        "12315",
+        "ff3fcd5eb391d5b5abb0a587d27fdfa561a8ee682f360a863231d2f13b0452ae",
+    ),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(GEN_PINS))
+def test_gen_outputs_pinned(capsys, tmp_path, branch):
+    flags, m, digest = GEN_PINS[branch]
+    out = str(tmp_path / "g.edges")
+    assert main(["gen", *flags, "--out", out]) == 0
+    assert kv(lines(capsys))["m"] == m
+    assert sha256(open(out).read()) == digest

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from conftest import brute_isomorphic, relabel
 from hypothesis import given, settings
@@ -24,7 +25,16 @@ from taulab.coloring import (
     write_coloring,
 )
 from taulab.embed import LazyRandomGraph, greedy_embed, materialize
-from taulab.graph import Graph, census, gen_gnp
+from taulab.graph import Graph, census, edge_tuples, gen_gnp, pair_ranks
+
+
+def ranked(*classes) -> tuple[np.ndarray, ...]:
+    """Colour classes given as edge lists, as Coloring takes them."""
+    return tuple(np.sort(pair_ranks(cls)) for cls in classes)
+
+
+def class_edges(col: Coloring) -> tuple[tuple[tuple[int, int], ...], ...]:
+    return tuple(edge_tuples(cls) for cls in col.classes)
 
 
 def maxdeg3_trees(t: int) -> list[Graph]:
@@ -90,24 +100,62 @@ def test_class_signature_handles_large_forests():
 def test_coloring_validation():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(ValueError, match="label"):
-        Coloring(host=g, classes=(((0, 1),), ((2, 3),)), labels=("a",))
+        Coloring(host=g, classes=ranked([(0, 1)], [(2, 3)]), labels=("a",))
     with pytest.raises(ValueError, match="two classes"):
         Coloring(
             host=g,
-            classes=(((0, 1),), ((0, 1), (2, 3))),
+            classes=ranked([(0, 1)], [(0, 1), (2, 3)]),
             labels=("a", "b"),
         )
     with pytest.raises(ValueError, match="not in host"):
-        Coloring(host=g, classes=(((0, 1), (1, 2)), ((2, 3),)), labels=("a", "b"))
+        Coloring(host=g, classes=ranked([(0, 1), (1, 2)], [(2, 3)]), labels=("a", "b"))
     with pytest.raises(ValueError, match="cover"):
-        Coloring(host=g, classes=(((0, 1),),), labels=("a",))
+        Coloring(host=g, classes=ranked([(0, 1)]), labels=("a",))
     with pytest.raises(ValueError, match="empty"):
-        Coloring(host=g, classes=(((0, 1), (2, 3)), ()), labels=("a", "b"))
+        Coloring(host=g, classes=ranked([(0, 1), (2, 3)], []), labels=("a", "b"))
+
+
+@given(
+    st.integers(0, 2**31),
+    st.integers(1, 5),
+    st.sampled_from(["valid", "label", "two classes", "not in host", "cover", "empty"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_coloring_validation_property(seed, parts, fault):
+    # split a random graph's ranks into classes, then plant one fault
+    rng = rngmod.stream(seed, 0)
+    g = gen_gnp(int(rng.integers(4, 12)), 0.5, seed)
+    if g.edge_count < 2 or g.edge_count == g.n * (g.n - 1) // 2:
+        return
+    owner = rng.integers(0, parts, size=g.edge_count)
+    classes = [g.ranks[owner == c] for c in range(parts) if (owner == c).any()]
+    labels = [str(i) for i in range(len(classes))]
+    non_edge = np.setdiff1d(np.arange(g.n * (g.n - 1) // 2), g.ranks)[:1]
+    if fault == "label":
+        labels.append("spare")
+    elif fault == "two classes":
+        classes.append(classes[0][:1])
+        labels.append("copy")
+    elif fault == "not in host":
+        classes[-1] = np.sort(np.concatenate((classes[-1], non_edge)))
+    elif fault == "cover":
+        if len(classes[0]) == 1:
+            del classes[0], labels[0]
+        else:
+            classes[0] = classes[0][1:]
+    elif fault == "empty":
+        classes.append(np.empty(0, dtype=np.int64))
+        labels.append("none")
+    if fault == "valid":
+        Coloring(host=g, classes=tuple(classes), labels=tuple(labels))
+        return
+    with pytest.raises(ValueError, match=fault):
+        Coloring(host=g, classes=tuple(classes), labels=tuple(labels))
 
 
 def test_verify_flags_isomorphic_singletons():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    col = Coloring(host=g, classes=(((0, 1),), ((2, 3),)), labels=("a", "b"))
+    col = Coloring(host=g, classes=ranked([(0, 1)], [(2, 3)]), labels=("a", "b"))
     ok, pair = verify_distinct(col)
     assert not ok
     assert pair == (0, 1)
@@ -117,7 +165,7 @@ def test_verify_separates_same_size_classes():
     g = Graph.from_edges(7, [(0, 1), (1, 2), (3, 4), (5, 6)])
     col = Coloring(
         host=g,
-        classes=(((0, 1), (1, 2)), ((3, 4), (5, 6))),
+        classes=ranked([(0, 1), (1, 2)], [(3, 4), (5, 6)]),
         labels=("two adjacent", "two disjoint"),
     )
     assert verify_distinct(col) == (True, None)
@@ -130,7 +178,7 @@ def test_verify_raises_when_uncheckable():
     edges_a = norm((i, (i + 1) % 12) for i in range(12))
     edges_b = norm((20 + i, 20 + (i + 1) % 12) for i in range(12))
     g = Graph.from_edges(32, edges_a + edges_b)
-    col = Coloring(host=g, classes=(edges_a, edges_b), labels=("a", "b"))
+    col = Coloring(host=g, classes=ranked(edges_a, edges_b), labels=("a", "b"))
     with pytest.raises(VerifyError):
         verify_distinct(col)
     # a larger cap resolves the group (and finds the collision)
@@ -142,13 +190,13 @@ def test_serialization_round_trip(tmp_path):
     g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     col = Coloring(
         host=g,
-        classes=(((0, 1), (1, 2)), ((3, 4),), ((4, 5),)),
+        classes=ranked([(0, 1), (1, 2)], [(3, 4)], [(4, 5)]),
         labels=("tree:x", "a", "b"),
     )
     file = tmp_path / "col.txt"
     write_coloring(col, str(file))
     back = read_coloring(str(file))
-    assert back.classes == col.classes
+    assert class_edges(back) == class_edges(col)
     assert back.labels == col.labels
     assert back.host.n == col.host.n
     assert back.host.edges == col.host.edges
@@ -203,7 +251,7 @@ def test_sparse_builder_no_paths():
     g = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
     col = build_sparse_coloring(g, 3, target_len=5)
     assert col.labels == ("leftover",)
-    assert col.classes == (((0, 1), (2, 3), (4, 5)),)
+    assert class_edges(col) == (((0, 1), (2, 3), (4, 5)),)
 
 
 def test_sparse_builder_on_cycle():
@@ -213,7 +261,7 @@ def test_sparse_builder_on_cycle():
     assert col.labels[-1] == "leftover"
     assert col.num_classes == 4
     assert verify_distinct(col) == (True, None)
-    for cls in col.classes[:3]:
+    for cls in class_edges(col)[:3]:
         assert len(cls) == 3
         for u, v in cls:
             assert g.has_edge(u, v)
@@ -249,9 +297,11 @@ def test_verysparse_hand_box():
     # all three census vectors realised; the spare P2 is isomorphic to the
     # (1,0) class, so it merges into the largest class instead
     assert col.labels == ("vector:0,1", "vector:1,0", "vector:1,1+leftover")
-    assert col.classes[0] == ((6, 7), (7, 8))
-    assert col.classes[1] == ((0, 1),)
-    assert col.classes[2] == ((2, 3), (4, 5), (9, 10), (10, 11))
+    assert class_edges(col) == (
+        ((6, 7), (7, 8)),
+        ((0, 1),),
+        ((2, 3), (4, 5), (9, 10), (10, 11)),
+    )
     assert verify_distinct(col) == (True, None)
 
 
@@ -265,7 +315,7 @@ def test_verysparse_leftover_kept_separate():
         "leftover",
     )
     assert ((12, 13), (12, 14), (13, 14)) == tuple(
-        e for e in col.classes[-1] if e[0] >= 12
+        e for e in class_edges(col)[-1] if e[0] >= 12
     )
     assert verify_distinct(col) == (True, None)
 

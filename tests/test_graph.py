@@ -7,15 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bfs_components, brute_isomorphic, component_census
+from conftest import (
+    TupleGraph,
+    bfs_components,
+    brute_isomorphic,
+    component_census,
+    first_distinct_draws,
+)
 from taulab import rng as rngmod
 from taulab.graph import (
     Graph,
     _component_labels,
+    _first_distinct_draws,
     census,
     components,
+    edge_tuples,
     gen_gnp,
     pair_rank,
+    pair_ranks,
     read_edgelist,
     write_edgelist,
 )
@@ -39,6 +48,73 @@ def test_from_edges_validation():
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 1), (1, 0)])
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(
+    st.integers(0, 12),
+    st.lists(st.tuples(st.integers(-1, 12), st.integers(-1, 12)), max_size=30),
+)
+@settings(max_examples=300, deadline=None)
+def test_from_edges_matches_tuple_oracle(n, edges):
+    # random lists hit self-loops, duplicates in either orientation and
+    # out-of-range vertices as well as valid graphs
+    want = _raised(TupleGraph.from_edges, n, edges)
+    assert _raised(Graph.from_edges, n, edges) == want
+    if want is not None:
+        return
+    oracle = TupleGraph.from_edges(n, edges)
+    g = Graph.from_edges(n, edges)
+    # the same graph built from its ranks computes adj by the CSR pass
+    h = Graph.from_ranks(n, np.sort(pair_ranks(sorted(oracle.edges))))
+    assert g == h
+    for x in (g, h):
+        assert x.edges == tuple(sorted(oracle.edges))
+        assert x.adj == oracle.adj
+        assert x.edge_count == oracle.edge_count
+        assert [x.degree(v) for v in range(n)] == [oracle.degree(v) for v in range(n)]
+        for u in range(-1, n + 1):
+            for v in range(-1, n + 1):
+                assert x.has_edge(u, v) == oracle.has_edge(u, v), (u, v)
+
+
+def test_from_ranks_validation():
+    ok = np.array([0, 2, 5], dtype=np.int64)  # (0, 1), (1, 2), (2, 3)
+    assert Graph.from_ranks(4, ok).edges == ((0, 1), (1, 2), (2, 3))
+    for bad in ([0, 2, 2], [2, 0, 5], [-1, 2], [0, 6]):
+        with pytest.raises(ValueError):
+            Graph.from_ranks(4, np.array(bad, dtype=np.int64))
+    with pytest.raises(ValueError):
+        Graph.from_ranks(4, ok.astype(np.float64))
+    with pytest.raises(ValueError):
+        Graph.from_ranks(-1, np.empty(0, dtype=np.int64))
+
+
+def test_rank_edge_conversions():
+    edges = [(2, 3), (0, 3), (0, 1), (1, 2)]
+    ranks = pair_ranks(edges)
+    assert ranks.tolist() == [pair_rank(u, v) for u, v in edges]
+    assert edge_tuples(ranks) == tuple(sorted(edges))
+    for bad in ([(1, 1)], [(2, 1)], [(-1, 2)]):
+        with pytest.raises(ValueError):
+            pair_ranks(bad)
+
+
+@pytest.mark.parametrize("npairs, m", [(20, 15), (40, 40), (4_498_500, 4500)])
+@pytest.mark.parametrize("seed", range(4))
+def test_first_distinct_draws_matches_loop(seed, npairs, m):
+    # small npairs repeat draws often enough to need several batches; the
+    # large case is the G(3000, 3/3000) rank-sampling branch, whose first
+    # batch repeats a few ranks
+    got = _first_distinct_draws(rngmod.stream(seed, 0), npairs, m)
+    assert got.tolist() == first_distinct_draws(rngmod.stream(seed, 0), npairs, m)
 
 
 def test_gen_gnp_extremes():
