@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from itertools import islice
+from typing import Iterator, Optional, Sequence
 
 import networkx as nx
 import numpy as np
@@ -149,13 +150,13 @@ def rooted_to_graph(root: RootedBinaryTree) -> Graph:
     return Graph.from_edges(counter, edges)
 
 
-def _tree_centers(g: Graph) -> list[int]:
-    n = g.n
+def _tree_centers(adj: Sequence[Sequence[int]]) -> list[int]:
+    n = len(adj)
     if n == 1:
         return [0]
     if n == 2:
         return [0, 1]
-    deg = [g.degree(v) for v in range(n)]
+    deg = [len(a) for a in adj]
     layer = [v for v in range(n) if deg[v] == 1]
     alive = n
     while alive > 2:
@@ -166,7 +167,7 @@ def _tree_centers(g: Graph) -> list[int]:
         nxt = []
         for v in layer:
             deg[v] = 0
-            for w in g.adj[v]:
+            for w in adj[v]:
                 if deg[w] > 0:
                     deg[w] -= 1
                     if deg[w] == 1:
@@ -175,84 +176,88 @@ def _tree_centers(g: Graph) -> list[int]:
     return sorted(layer)
 
 
-def _rooted_ahu(g: Graph, root: int, blocked: Optional[tuple[int, int]] = None) -> bytes:
-    """AHU string of the tree rooted at root, iteratively (no recursion)."""
-    parent = {root: -1}
+def _rooted_ahu(adj: Sequence[Sequence[int]], root: int, above: int = -1) -> bytes:
+    """AHU string of the tree rooted at root, iteratively (no recursion).
+    The branch through the neighbour above, if any, is left out."""
+    parent = [-1] * len(adj)
+    parent[root] = above
     order = [root]
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in g.adj[v]:
-            if w == parent[v]:
-                continue
-            e = (v, w) if v < w else (w, v)
-            if blocked is not None and e == blocked:
-                continue
-            parent[w] = v
-            order.append(w)
-            stack.append(w)
-    code: dict[int, bytes] = {}
-    children: dict[int, list[int]] = {v: [] for v in order}
-    for v in order[1:]:
-        children[parent[v]].append(v)
+    for v in order:  # breadth first; order grows while it is walked
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    code = [b""] * len(adj)
     for v in reversed(order):
-        code[v] = b"(" + b"".join(sorted(code[w] for w in children[v])) + b")"
+        kids = sorted(code[w] for w in adj[v] if w != parent[v])
+        code[v] = b"(" + b"".join(kids) + b")"
     return code[root]
 
 
-def ahu_code(g: Graph) -> CanonicalCode:
-    """Canonical code of an unrooted tree.
+def tree_code(adj: Sequence[Sequence[int]]) -> bytes:
+    """AHU code of the tree on vertices 0..n-1 with these neighbour lists.
 
     The tree is rooted at its centre; bicentral trees are split at the central
     edge and both halves encoded, smaller half first.  Codes of two trees are
-    equal exactly when the trees are isomorphic.
+    equal exactly when the trees are isomorphic.  The caller checks that
+    there are n - 1 edges.
     """
+    n = len(adj)
+    centers = _tree_centers(adj)
+    if len(centers) == 1:
+        body = _rooted_ahu(adj, centers[0])
+        if n > 1 and len(body) != 2 * n:
+            raise ValueError("input is not a tree (not connected)")
+        return body
+    c1, c2 = centers
+    if c2 not in adj[c1]:
+        raise ValueError("input is not a tree (disconnected centre pair)")
+    a = _rooted_ahu(adj, c1, above=c2)
+    b = _rooted_ahu(adj, c2, above=c1)
+    if len(a) + len(b) != 2 * n:
+        raise ValueError("input is not a tree (not connected)")
+    lo, hi = sorted((a, b))
+    return b"[" + lo + hi + b"]"
+
+
+def ahu_code(g: Graph) -> CanonicalCode:
+    """Canonical code of an unrooted tree: its `tree_code`."""
     if g.n == 0:
         raise ValueError("empty graph is not a tree")
     if g.edge_count != g.n - 1:
         raise ValueError("input is not a tree (wrong edge count)")
-    centers = _tree_centers(g)
-    if len(centers) == 1:
-        body = _rooted_ahu(g, centers[0])
-        if g.n > 1 and len(body) != 2 * g.n:
-            raise ValueError("input is not a tree (not connected)")
-        return CanonicalCode(body)
-    c1, c2 = centers
-    if c2 not in g.adj[c1]:
-        raise ValueError("input is not a tree (disconnected centre pair)")
-    e = (c1, c2)
-    a = _rooted_ahu(g, c1, blocked=e)
-    b = _rooted_ahu(g, c2, blocked=e)
-    if len(a) + len(b) != 2 * g.n:
-        raise ValueError("input is not a tree (not connected)")
-    lo, hi = sorted((a, b))
-    return CanonicalCode(b"[" + lo + hi + b"]")
+    return CanonicalCode(tree_code(g.adj))
 
 
 def free_trees(t: int) -> list[Graph]:
     """All unlabelled trees on t vertices, in a fixed enumeration order."""
+    return _trees_up_to_degree(t, t)
+
+
+def maxdeg3_trees(t: int) -> list[Graph]:
+    """All unlabelled trees on t vertices with maximum degree <= 3."""
+    return _trees_up_to_degree(t, 3)
+
+
+def _trees_up_to_degree(t: int, max_degree: int) -> list[Graph]:
+    """The free trees on t vertices with no degree above max_degree, checked
+    before a Graph is built for each."""
     if t < 1:
         raise ValueError("t must be at least 1")
     if t == 1:
         return [Graph.from_edges(1, [])]
     if t > _EXHAUSTIVE_TREE_CAP:
         raise ValueError(f"exhaustive tree enumeration refused for t={t}")
-    out = []
-    for tree in nx.nonisomorphic_trees(t):
-        out.append(Graph.from_edges(t, [tuple(sorted(e)) for e in tree.edges()]))
-    return out
+    return [
+        Graph.from_edges(t, [tuple(sorted(e)) for e in tree.edges()])
+        for tree in nx.nonisomorphic_trees(t)
+        if max(d for _, d in tree.degree()) <= max_degree
+    ]
 
 
-def _max_degree(g: Graph) -> int:
-    return max((len(a) for a in g.adj), default=0)
-
-
-def maxdeg3_trees(t: int) -> list[Graph]:
-    """All unlabelled trees on t vertices with maximum degree <= 3."""
-    return [g for g in free_trees(t) if _max_degree(g) <= 3]
-
-
-def iter_distinct_maxdeg3_trees(t: int, rng: np.random.Generator) -> Iterator[Graph]:
+def iter_distinct_maxdeg3_trees(
+    t: int, rng: Optional[np.random.Generator]
+) -> Iterator[Graph]:
     """Stream of pairwise non-isomorphic max-degree-3 trees on t vertices.
 
     Small t yields the exhaustive list; larger t samples uniform rooted
@@ -280,41 +285,19 @@ def iter_distinct_maxdeg3_trees(t: int, rng: np.random.Generator) -> Iterator[Gr
 
 
 def distinct_maxdeg3_trees(
-    t: int,
-    want: int,
-    rng: Optional[np.random.Generator] = None,
-    sample_budget: Optional[int] = None,
+    t: int, want: int, rng: Optional[np.random.Generator] = None
 ) -> list[Graph]:
-    """want pairwise non-isomorphic trees on t vertices with max degree <= 3.
-
-    Small t is served from the exhaustive enumeration; larger t by sampling
-    with code deduplication, which raises if the budget runs out first.
-    """
+    """The first want trees of `iter_distinct_maxdeg3_trees`; raises if the
+    stream ends sooner.  Only t > 16 samples, and so needs rng."""
     if want < 0:
         raise ValueError("want must be nonnegative")
-    if t <= _EXHAUSTIVE_TREE_CAP:
-        pool = maxdeg3_trees(t)
-        if want > len(pool):
-            raise RuntimeError(
-                f"only {len(pool)} max-degree-3 trees exist on {t} vertices"
-            )
-        return pool[:want]
-    if rng is None:
+    if t > _EXHAUSTIVE_TREE_CAP and rng is None:
         raise ValueError("sampling path needs an rng")
-    budget = sample_budget if sample_budget is not None else max(10_000, 60 * want)
-    seen: set[CanonicalCode] = set()
-    out: list[Graph] = []
-    for _ in range(budget):
-        if len(out) == want:
-            break
-        g = rooted_to_graph(sample_rooted_binary(t, rng))
-        code = ahu_code(g)
-        if code not in seen:
-            seen.add(code)
-            out.append(g)
+    out = list(islice(iter_distinct_maxdeg3_trees(t, rng), want))
     if len(out) < want:
         raise RuntimeError(
-            f"sampling budget {budget} exhausted with {len(out)} of {want} trees"
+            f"only {len(out)} of {want} distinct max-degree-3 trees "
+            f"found on {t} vertices"
         )
     return out
 

@@ -9,8 +9,11 @@ single leftover class absorbing everything unused: one `np.setdiff1d` against
 the host's ranks.  Constructing a `Coloring` checks with one sort that the
 classes cover the host disjointly.  `verify_distinct` then certifies
 pairwise non-isomorphism from scratch: classes of different edge counts are
-trivially non-isomorphic, forests are compared by their multiset of tree
-codes, and anything else must be small enough for the exact canonicaliser.
+trivially non-isomorphic, and classes of equal size are compared by the
+multiset of their components' codes.  One rule, `connected_code`, codes
+every component on plain neighbour lists, for census and `tau_exact` too: a
+tree of any size gets its AHU string, any other component its exact
+certificate, which needs a small component.
 
 `tau_exact` answers the inverse question for tiny graphs (at most 8 edges)
 by exhausting set partitions of the edge set, and `tau_matching` gives the
@@ -28,15 +31,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import ell, theta_verysparse
-from .catalog import LinearForest, ahu_code, partitions
+# ahu_code is not called here since class_signature codes trees through
+# tree_code, but it stays importable as coloring.ahu_code, where
+# perfbench/run.py's tracer looks it up
+from .catalog import LinearForest, ahu_code, partitions, tree_code  # noqa: F401
 from .embed import EmbedResult
 from .graph import (
     ComponentCensus,
     Graph,
-    _relabelled,
     components,
     edge_tuples,
     pair_ranks,
+    parse_edge_line,
 )
 from .pathpack import dfs_path_pack, pack_forests
 
@@ -49,8 +55,8 @@ class CanonicalizationError(ValueError):
 
 
 class VerifyError(RuntimeError):
-    """Raised when a colouring cannot be certified: a repeated class, or a
-    class that is neither a forest nor small enough to canonicalise."""
+    """Raised when a colouring cannot be certified: a class with a
+    component that is neither a tree nor small enough to canonicalise."""
 
 
 # ---------------------------------------------------------------------------
@@ -126,26 +132,32 @@ def _canonical_bits(n: int, adj: Sequence[Sequence[int]]) -> int:
     return best
 
 
-def _connected_cert(vertices: Sequence[int], edges: Sequence[Edge], cap: int) -> bytes:
-    n = len(vertices)
+def _connected_cert(adj: Sequence[Sequence[int]], cap: int) -> bytes:
+    """Exact certificate of the connected graph on 0..n-1 with these
+    neighbour lists, n <= cap."""
+    n = len(adj)
     if n > cap:
         raise CanonicalizationError(
             f"component has {n} vertices, canonical form capped at {cap}"
         )
-    index = {v: i for i, v in enumerate(sorted(vertices))}
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[index[u]].append(index[v])
-        adj[index[v]].append(index[u])
-    m = len(edges)
-    degrees = sorted(len(a) for a in adj)
+    degrees = sorted(map(len, adj))
     # two shapes common enough to special-case: complete graphs and cycles
-    if m == n * (n - 1) // 2:
+    if degrees[0] == n - 1:
         return b"K%d" % n
     if n >= 3 and degrees[0] == 2 and degrees[-1] == 2:
         return b"C%d" % n
     bits = _canonical_bits(n, adj)
     return b"B%d:%x" % (n, bits)
+
+
+def connected_code(adj: Sequence[Sequence[int]], max_vertices: int) -> bytes:
+    """Code of the connected graph on 0..n-1 with these neighbour lists:
+    equal codes exactly when isomorphic.  A tree of any size gets its AHU
+    string (starting with "(" or "["), anything else its exact certificate
+    (starting with "K", "C" or "B"), which needs n <= max_vertices."""
+    if sum(map(len, adj)) == 2 * (len(adj) - 1):
+        return tree_code(adj)
+    return _connected_cert(adj, max_vertices)
 
 
 def canonical_form(g: Graph, max_vertices: int = 10) -> bytes:
@@ -154,8 +166,7 @@ def canonical_form(g: Graph, max_vertices: int = 10) -> bytes:
     vertex count compare exactly.  Each connected component must have at
     most max_vertices vertices."""
     certs = [
-        _connected_cert(sorted(comp.vertices), comp.edges, max_vertices)
-        for comp in components(g)
+        _connected_cert(comp.local_adj(), max_vertices) for comp in components(g)
     ]
     return b"G{" + b"|".join(sorted(certs)) + b"}"
 
@@ -237,11 +248,9 @@ def read_coloring(path: str) -> Coloring:
                 raise ValueError(f"expected a label line, got {tag!r}")
             labels.append(tag[len("label "):])
             count = int(fh.readline())
-            edges = []
-            for _ in range(count):
-                u, v = map(int, fh.readline().split())
-                edges.append((u, v))
-            classes.append(edges)
+            classes.append(
+                [parse_edge_line(fh.readline().rstrip("\n")) for _ in range(count)]
+            )
         if fh.readline() != "":
             raise ValueError("trailing data after colouring")
     host = Graph.from_edges(n, [e for cls in classes for e in cls])
@@ -256,46 +265,37 @@ def read_coloring(path: str) -> Coloring:
 # distinctness
 
 
-def _class_components(edges: Sequence[Edge]) -> list[tuple[list[int], list[Edge]]]:
+def _class_components(edges: Sequence[Edge]) -> list[list[list[int]]]:
+    """The connected components of an edge set, each as neighbour lists
+    over its own vertices renumbered 0.. in order of discovery."""
     adj: dict[int, list[int]] = {}
     for u, v in edges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    seen: set[int] = set()
-    out: list[tuple[list[int], list[Edge]]] = []
-    for start in sorted(adj):
-        if start in seen:
+    index: dict[int, int] = {}  # vertex -> its number in its component
+    out: list[list[list[int]]] = []
+    for start in adj:
+        if start in index:
             continue
-        stack = [start]
-        seen.add(start)
-        verts = []
-        while stack:
-            x = stack.pop()
-            verts.append(x)
+        index[start] = 0
+        order = [start]
+        for x in order:  # breadth first; order grows while it is walked
             for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        vset = set(verts)
-        comp_edges = [e for e in edges if e[0] in vset]
-        out.append((sorted(verts), comp_edges))
+                if y not in index:
+                    index[y] = len(order)
+                    order.append(y)
+        out.append([[index[y] for y in adj[x]] for x in order])
     return out
 
 
 def class_signature(edges: Sequence[Edge], max_vertices: int = 10) -> tuple:
-    """Isomorphism invariant of an edge set that is also complete: equal
-    signatures imply isomorphic classes.  Forests of any size are handled by
-    tree codes; anything else must have small components."""
-    comps = _class_components(edges)
-    if all(len(e) == len(v) - 1 for v, e in comps):
-        codes = sorted(
-            ahu_code(_relabelled(v, e)).data for v, e in comps
-        )
-        return ("F", tuple(codes))
-    certs = sorted(
-        _connected_cert(v, e, max_vertices) for v, e in comps
+    """Isomorphism invariant of an edge set that is also complete: the
+    sorted `connected_code` of its components, so equal signatures mean
+    isomorphic classes.  Tree components of any size are coded exactly;
+    every other component must have at most max_vertices vertices."""
+    return tuple(
+        sorted(connected_code(adj, max_vertices) for adj in _class_components(edges))
     )
-    return ("G", tuple(certs))
 
 
 def verify_distinct(
@@ -306,7 +306,8 @@ def verify_distinct(
     Returns (True, None), or (False, (i, j)) naming the first two classes
     found isomorphic.  Classes are grouped by edge count first, so
     signatures are only computed inside groups of equal size; a class in
-    such a group that is neither a forest nor small raises VerifyError.
+    such a group with a component that is neither a tree nor of at most
+    max_vertices vertices raises VerifyError.
     """
     by_count: dict[int, list[int]] = {}
     for i, cls in enumerate(coloring.classes):

@@ -55,13 +55,11 @@ class LazyRandomGraph:
         self.p = p
         self.seed = seed
         self._key = rngmod.derive_key(seed, 0)
-        self.revealed: set[int] = set()
-        self.present: set[tuple[int, int]] = set()
+        # the revealed pairs, stored at both ends
         self._partners: dict[int, set[int]] = {}
 
     def is_revealed(self, u: int, v: int) -> bool:
-        e = (u, v) if u < v else (v, u)
-        return pair_rank(*e) in self.revealed
+        return v in self._partners.get(u, ())
 
     def revealed_partners(self, v: int) -> set[int]:
         return self._partners.get(v, set())
@@ -73,16 +71,11 @@ class LazyRandomGraph:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"pair ({u}, {v}) out of range")
         a, b = (u, v) if u < v else (v, u)
-        rank = pair_rank(a, b)
-        if rank in self.revealed:
+        if self.is_revealed(a, b):
             raise ValueError(f"pair ({a}, {b}) already revealed")
-        self.revealed.add(rank)
         self._partners.setdefault(a, set()).add(b)
         self._partners.setdefault(b, set()).add(a)
-        hit = rngmod.pair_uniform(self._key, rank) < self.p
-        if hit:
-            self.present.add((a, b))
-        return hit
+        return rngmod.pair_uniform(self._key, pair_rank(a, b)) < self.p
 
 
 def materialize(g: LazyRandomGraph) -> Graph:

@@ -20,7 +20,8 @@ Components come from one vectorised labelling pass over the edge arrays
 edges by label; `census` reads each component's order, edge count and
 maximum degree off the same labels with `bincount`, so isolated vertices and
 paths, by far the most common components of a very sparse graph, are
-classified without building a graph per component.
+classified by their order alone; every other component is coded on its own
+neighbour lists by `coloring.connected_code`, the rule verification uses.
 """
 
 from __future__ import annotations
@@ -92,7 +93,6 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         seen: set[int] = set()
-        neighbours: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
@@ -104,12 +104,7 @@ class Graph:
             if rank in seen:
                 raise ValueError(f"duplicate edge {(u, v)}")
             seen.add(rank)
-            neighbours[u].append(v)
-            neighbours[v].append(u)
-        g = Graph(n, np.array(sorted(seen), dtype=np.int64))
-        # the neighbour lists are at hand, so fill the adjacency cache now
-        object.__setattr__(g, "adj", tuple(tuple(sorted(ns)) for ns in neighbours))
-        return g
+        return Graph(n, np.array(sorted(seen), dtype=np.int64))
 
     @staticmethod
     def from_ranks(n: int, ranks: np.ndarray) -> "Graph":
@@ -217,6 +212,15 @@ class Component:
     def is_tree(self) -> bool:
         return len(self.edges) == len(self.vertices) - 1
 
+    def local_adj(self) -> list[list[int]]:
+        """Neighbour lists with the vertices renumbered 0.. in order."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        adj: list[list[int]] = [[] for _ in self.vertices]
+        for u, v in self.edges:
+            adj[index[u]].append(index[v])
+            adj[index[v]].append(index[u])
+        return adj
+
 
 def _component_labels(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Label every vertex with the smallest vertex of its component.
@@ -310,27 +314,25 @@ _EXACT_CENSUS_CAP = 12
 
 
 def _component_code(comp: Component):
+    """Census code of a component: the AHU `CanonicalCode` of a tree,
+    b"G{cert}" for any other component of at most 12 vertices, where cert
+    is its exact certificate (`coloring.connected_code` both times), and a
+    coarse b"L..." code above that."""
     # imported here to avoid a cycle: catalog and coloring build on Graph
-    from .catalog import ahu_code
-    from .coloring import canonical_form
+    from .catalog import CanonicalCode
+    from .coloring import connected_code
 
-    sub = _relabelled(comp.vertices, comp.edges)
+    adj = comp.local_adj()
     if comp.is_tree():
-        return ahu_code(sub)
+        return CanonicalCode(connected_code(adj, _EXACT_CENSUS_CAP))
     if comp.order <= _EXACT_CENSUS_CAP:
-        return canonical_form(sub, max_vertices=_EXACT_CENSUS_CAP)
+        return b"G{" + connected_code(adj, _EXACT_CENSUS_CAP) + b"}"
     # too large to classify exactly; the coarse code is isomorphism-invariant
     # but may merge types (census never errors, exactness is promised only
     # for trees and small components)
-    degseq = ",".join(map(str, sorted(sub.degree(v) for v in range(sub.n))))
+    degseq = ",".join(map(str, sorted(map(len, adj))))
     digest = hashlib.blake2b(degseq.encode("ascii"), digest_size=8).hexdigest()
     return b"L%d,%d:%s" % (comp.order, len(comp.edges), digest.encode("ascii"))
-
-
-def _relabelled(vertices: Sequence[int], edges: Iterable[tuple[int, int]]) -> Graph:
-    """The graph on vertices (ascending) with its edges renumbered 0.."""
-    index = {v: i for i, v in enumerate(vertices)}
-    return Graph.from_edges(len(vertices), [(index[u], index[v]) for u, v in edges])
 
 
 def census(g: Graph) -> ComponentCensus:
@@ -402,16 +404,19 @@ def read_edgelist(path: str) -> Graph:
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != m:
         raise ValueError(f"header promises {m} edges, found {len(body)}")
-    edges: list[tuple[int, int]] = []
-    for ln in body:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge line: {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"malformed edge line: {ln!r}") from exc
-        if not u < v:
-            raise ValueError(f"edge line not in u < v order: {ln!r}")
-        edges.append((u, v))
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, [parse_edge_line(ln) for ln in body])
+
+
+def parse_edge_line(ln: str) -> tuple[int, int]:
+    """The pair (u, v) on a "u v" line of the edge-list and colouring
+    formats, which must have u < v."""
+    parts = ln.split()
+    if len(parts) != 2:
+        raise ValueError(f"malformed edge line: {ln!r}")
+    try:
+        u, v = int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise ValueError(f"malformed edge line: {ln!r}") from exc
+    if not u < v:
+        raise ValueError(f"edge line not in u < v order: {ln!r}")
+    return u, v

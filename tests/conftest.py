@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from taulab.catalog import ahu_code, rooted_to_graph, sample_rooted_binary
 from taulab.graph import Component, Graph, _component_code
 
 
@@ -202,3 +203,20 @@ def component_census(g: Graph) -> tuple[dict, dict, dict]:
         if comp.is_tree() and comp.order >= 2 and max(degrees.values()) <= 2:
             paths.setdefault(comp.order, []).append(comp)
     return counts, orders, {k: tuple(v) for k, v in paths.items()}
+
+
+def sampled_distinct_trees(t: int, want: int, rng) -> list[Graph]:
+    """want pairwise non-isomorphic max-degree-3 trees on t vertices, drawn
+    one uniform rooted binary shape at a time and kept when their code is
+    new, within a budget of max(10000, 60 * want) draws."""
+    seen: set = set()
+    out: list[Graph] = []
+    for _ in range(max(10_000, 60 * want)):
+        if len(out) == want:
+            break
+        g = rooted_to_graph(sample_rooted_binary(t, rng))
+        code = ahu_code(g)
+        if code not in seen:
+            seen.add(code)
+            out.append(g)
+    return out

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_isomorphic, prufer_tree, relabel
+from conftest import brute_isomorphic, prufer_tree, relabel, sampled_distinct_trees
 from taulab import rng as rngmod
 from taulab.catalog import (
     LinearForest,
@@ -101,6 +101,22 @@ def test_distinct_maxdeg3_sampling_route():
     codes = {ahu_code(g) for g in trees}
     assert len(codes) == 25
     assert all(g.n == 20 for g in trees)
+
+
+@pytest.mark.parametrize("t", [17, 20, 34])
+@pytest.mark.parametrize("seed", range(5))
+def test_distinct_maxdeg3_matches_sampling_loop(t, seed):
+    # the stream's prefix is the tree sequence a plain sampling loop keeps
+    want = 40
+    got = distinct_maxdeg3_trees(t, want, rng=rngmod.stream(seed, 2))
+    oracle = sampled_distinct_trees(t, want, rngmod.stream(seed, 2))
+    assert len(oracle) == want
+    assert [g.edges for g in got] == [g.edges for g in oracle]
+
+
+def test_distinct_maxdeg3_sampling_needs_rng():
+    with pytest.raises(ValueError, match="rng"):
+        distinct_maxdeg3_trees(20, 3)
 
 
 def test_iter_distinct_trees():

@@ -1,5 +1,6 @@
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
 from conftest import brute_isomorphic, relabel
@@ -94,6 +95,68 @@ def test_class_signature_handles_large_forests():
     assert class_signature(c) != class_signature(a)
 
 
+def _random_class(kind: str, rng) -> list[tuple[int, int]]:
+    """A random edge set on at most 10 vertices: a forest, a graph with a
+    cycle, or a forest beside a graph with a cycle."""
+
+    def forest(vs):
+        return [
+            (int(vs[rng.integers(0, i)]), int(vs[i]))
+            for i in range(1, len(vs))
+            if rng.random() < 0.8
+        ]
+
+    def cyclic(vs):
+        k = int(rng.integers(3, len(vs) + 1))
+        ring = [(int(vs[i]), int(vs[(i + 1) % k])) for i in range(k)]
+        extra = [
+            (int(a), int(b))
+            for a, b in itertools.combinations(vs, 2)
+            if rng.random() < 0.25
+        ]
+        return ring + extra
+
+    vs = rng.permutation(10)[: int(rng.integers(5 if kind == "mixed" else 3, 11))]
+    if kind == "forest":
+        edges = forest(vs)
+    elif kind == "cyclic":
+        edges = cyclic(vs)
+    else:
+        cut = int(rng.integers(2, len(vs) - 2))
+        edges = forest(vs[:cut]) + cyclic(vs[cut:])
+    return sorted({(min(a, b), max(a, b)) for a, b in edges})
+
+
+def _nx_graph(edges) -> nx.Graph:
+    g = nx.Graph()
+    g.add_edges_from(edges)
+    return g
+
+
+@given(
+    st.integers(0, 2**31),
+    st.sampled_from(["forest", "cyclic", "mixed"]),
+    st.sampled_from(["relabelled", "edge moved", "fresh"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_class_signature_agrees_with_networkx(seed, kind, partner):
+    rng = rngmod.stream(seed, 0)
+    a = _random_class(kind, rng)
+    if not a:
+        return
+    if partner == "fresh":
+        b = _random_class(kind, rng)
+    else:
+        b = list(a)
+        if partner == "edge moved":
+            free = [e for e in itertools.combinations(range(10), 2) if e not in a]
+            b[int(rng.integers(0, len(b)))] = free[int(rng.integers(0, len(free)))]
+        perm = rng.permutation(10).tolist()
+        b = sorted(tuple(sorted((perm[u], perm[v]))) for u, v in b)
+    same = class_signature(a) == class_signature(b)
+    assert same == nx.is_isomorphic(_nx_graph(a), _nx_graph(b))
+
+
 # --- colourings and verification ------------------------------------------
 
 
@@ -186,6 +249,22 @@ def test_verify_raises_when_uncheckable():
     assert not ok and pair == (0, 1)
 
 
+def test_verify_mixed_class_with_large_tree():
+    # a 15-vertex path beside a triangle: the path is above the canonical
+    # form's cap, but as a tree it is coded exactly at any size
+    mixed = [(i, i + 1) for i in range(14)] + [(15, 16), (15, 17), (16, 17)]
+    path = [(20 + i, 21 + i) for i in range(17)]
+    g = Graph.from_edges(40, mixed + path)
+    col = Coloring(host=g, classes=ranked(mixed, path), labels=("a", "b"))
+    # both classes have 17 edges, so their signatures are compared
+    assert verify_distinct(col) == (True, None)
+    # and a copy of the mixed class on other vertices is caught
+    twin = [(u + 40, v + 40) for u, v in mixed]
+    g = Graph.from_edges(60, mixed + path + twin)
+    col = Coloring(host=g, classes=ranked(mixed, path, twin), labels=("a", "b", "c"))
+    assert verify_distinct(col) == (False, (0, 2))
+
+
 def test_serialization_round_trip(tmp_path):
     g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     col = Coloring(
@@ -206,6 +285,22 @@ def test_read_rejects_bad_header(tmp_path):
     file = tmp_path / "bad.txt"
     file.write_text("colouring 9\n0 0\n")
     with pytest.raises(ValueError, match="header"):
+        read_coloring(str(file))
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # the class promises two edges, the file ends after one
+        ("label a\n2\n0 1\n", "malformed edge line: ''"),
+        ("label a\n1\n1 0\n", "not in u < v order: '1 0'"),
+        ("label a\n1\n0 1 2\n", "malformed edge line: '0 1 2'"),
+    ],
+)
+def test_read_coloring_rejects_bad_edge_lines(tmp_path, body, message):
+    file = tmp_path / "bad.txt"
+    file.write_text("coloring 1\n3 1\n" + body)
+    with pytest.raises(ValueError, match=message):
         read_coloring(str(file))
 
 

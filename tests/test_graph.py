@@ -15,6 +15,7 @@ from conftest import (
     first_distinct_draws,
 )
 from taulab import rng as rngmod
+from taulab.catalog import CanonicalCode
 from taulab.graph import (
     Graph,
     _component_labels,
@@ -176,6 +177,26 @@ def test_census_hand_example():
     assert c.path_counts == {2: 2, 3: 1}
     assert sorted(c.counts.values()) == [1, 1, 1, 2]
     assert c.total_vertices() == 11
+
+
+@pytest.mark.parametrize(
+    "n, edges, code",
+    [
+        # a tree: its AHU code
+        (5, [(0, 1), (1, 2), (1, 3), (3, 4)], CanonicalCode(b"[(()())(())]")),
+        # small non-trees: "G{" + exact certificate + "}"
+        (3, [(0, 1), (1, 2), (0, 2)], b"G{K3}"),
+        (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], b"G{B4:3d}"),
+        # above 12 vertices: order, size and a digest of the degree sequence
+        (
+            13,
+            [(i, i + 1) for i in range(12)] + [(0, 2)],
+            b"L13,13:c1326e5729785d02",
+        ),
+    ],
+)
+def test_census_codes_pinned(n, edges, code):
+    assert census(Graph.from_edges(n, edges)).counts == {code: 1}
 
 
 def test_census_sum_invariant_random():
