@@ -1,12 +1,20 @@
 #!/usr/bin/env python3
 """Profile the lazy tree embedding as n grows: trees embedded, reveal
-budget consumed, and the worst per-vertex reveal counters against their
-thresholds (1000 eps n for rev, 500 eps n for the active side).
+budget consumed, the worst per-vertex reveal counters against their
+thresholds (1000 eps n for rev, 500 eps n for the active side), and the
+wall time of the embedding in all and per step.  The edge probability is
+40 ln n / n, capped at 1 (it passes 1 below n = 250).
+
+Runs from a checkout: python3 scripts/embed_profile.py --sizes 500 1000
 """
 
 import argparse
 import math
+import sys
 import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from taulab import rng as rngmod
 from taulab.bounds import dense_tree_order
@@ -15,18 +23,20 @@ from taulab.embed import LazyRandomGraph, diagnostics_check, greedy_embed
 
 
 def one(n: int, seed: int, epsilon: float) -> None:
-    p = 40 * math.log(n) / n
+    p = min(1.0, 40 * math.log(n) / n)
     t = dense_tree_order(n)
     lazy = LazyRandomGraph(n, p, seed)
     trees = iter_distinct_maxdeg3_trees(t, rngmod.stream(seed, 2))
     start = time.perf_counter()
     result = greedy_embed(lazy, trees, int(epsilon * n * n), rngmod.stream(seed, 1))
     elapsed = time.perf_counter() - start
+    steps = result.trace.steps
     diag = diagnostics_check(result.trace, epsilon, n)
-    print(f"{n:>7} {t:>3} {len(result.embedded):>6} {result.trace.steps:>9} "
+    print(f"{n:>7} {p:>6.4f} {t:>3} {len(result.embedded):>6} {steps:>9} "
           f"{diag.max_rev:>8} {diag.rev_limit:>10.0f} "
           f"{diag.max_rev_active:>8} {diag.rev_active_limit:>10.0f} "
-          f"{str(diag.total_ok).lower():>5} {elapsed:>7.2f}s")
+          f"{str(diag.total_ok).lower():>5} {elapsed:>7.2f}s "
+          f"{1e6 * elapsed / max(steps, 1):>8.2f}")
 
 
 def main() -> None:
@@ -37,9 +47,9 @@ def main() -> None:
     ap.add_argument("--epsilon", type=float, default=0.01)
     args = ap.parse_args()
 
-    print(f"{'n':>7} {'t':>3} {'trees':>6} {'steps':>9} "
+    print(f"{'n':>7} {'p':>6} {'t':>3} {'trees':>6} {'steps':>9} "
           f"{'maxrev':>8} {'limit':>10} {'maxrev+':>8} {'limit+':>10} "
-          f"{'ok':>5} {'time':>8}")
+          f"{'ok':>5} {'time':>8} {'us/step':>8}")
     for n in args.sizes:
         one(n, args.seed, args.epsilon)
 

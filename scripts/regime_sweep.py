@@ -6,6 +6,10 @@ reproducible; pass --seeds to widen it.
 
 import argparse
 import math
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from taulab.cli import TrialSpec, run_trial
 

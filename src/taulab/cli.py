@@ -266,12 +266,16 @@ def _cmd_census(args) -> int:
 
 def _cmd_embed(args) -> int:
     p = _resolve_p(args.parser, args)
+    if args.budget is not None and args.budget < 0:
+        args.parser.error("--budget must be nonnegative")
+    if args.tree_order is not None and args.tree_order < 2:
+        args.parser.error("--tree-order must be at least 2")
     n = args.n
-    t = args.tree_order if args.tree_order else bnd.dense_tree_order(n)
+    t = args.tree_order if args.tree_order is not None else bnd.dense_tree_order(n)
     lazy = LazyRandomGraph(n, p, args.seed)
     picker = rngmod.stream(args.seed, 1)
     trees = iter_distinct_maxdeg3_trees(t, rngmod.stream(args.seed, 2))
-    budget = args.budget if args.budget else int(args.epsilon * n * n)
+    budget = args.budget if args.budget is not None else int(args.epsilon * n * n)
     result = greedy_embed(lazy, trees, budget, picker)
     diag = diagnostics_check(result.trace, args.epsilon, n)
     print(f"status {result.status}")

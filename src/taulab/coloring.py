@@ -231,6 +231,20 @@ def write_coloring(coloring: Coloring, path: str) -> None:
             fh.writelines(f"{u} {v}\n" for u, v in edge_tuples(cls))
 
 
+def _count_field(text: str, what: str, lineno: int) -> int:
+    """A nonnegative integer field of a colouring file, or a ValueError
+    that names the field and its line."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(
+            f"line {lineno}: {what} is not an integer: {text!r}"
+        ) from None
+    if value < 0:
+        raise ValueError(f"line {lineno}: {what} is negative: {text!r}")
+    return value
+
+
 def read_coloring(path: str) -> Coloring:
     with open(path, "r", encoding="ascii") as fh:
         magic = fh.readline().rstrip("\n")
@@ -239,18 +253,23 @@ def read_coloring(path: str) -> Coloring:
         header = fh.readline().split()
         if len(header) != 2:
             raise ValueError("expected '<n> <classes>' on line 2")
-        n, num = int(header[0]), int(header[1])
+        n = _count_field(header[0], "vertex count", 2)
+        num = _count_field(header[1], "class count", 2)
+        lineno = 2  # lines read so far
         classes: list[list[Edge]] = []
         labels: list[str] = []
         for _ in range(num):
             tag = fh.readline().rstrip("\n")
             if not tag.startswith("label "):
-                raise ValueError(f"expected a label line, got {tag!r}")
+                raise ValueError(
+                    f"line {lineno + 1}: expected a label line, got {tag!r}"
+                )
             labels.append(tag[len("label "):])
-            count = int(fh.readline())
+            count = _count_field(fh.readline().rstrip("\n"), "edge count", lineno + 2)
             classes.append(
                 [parse_edge_line(fh.readline().rstrip("\n")) for _ in range(count)]
             )
+            lineno += 2 + count
         if fh.readline() != "":
             raise ValueError("trailing data after colouring")
     host = Graph.from_edges(n, [e for cls in classes for e in cls])

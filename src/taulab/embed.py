@@ -23,6 +23,13 @@ Bookkeeping mirrors the analysis:
 
 So rev(v) = rev+(v) + rev-(v) for every v, and the rev totals over all
 vertices add up to twice the step count.
+
+Candidates are drawn a block at a time (``rng.integers(0, n, size=512)``
+gives the same values as 512 scalar calls) and replayed exactly: before
+the tree supply, the fallback pick or the caller next sees the generator,
+it is rewound to the block's start and only the values used are drawn
+again.  Seeded results and the generator's final state are therefore those
+of one scalar draw per candidate.
 """
 
 from __future__ import annotations
@@ -38,7 +45,8 @@ from .catalog import CanonicalCode, ahu_code
 from .graph import Graph, pair_rank
 
 _REJECTION_TRIES = 40
-_MATERIALIZE_BLOCK = 1 << 22
+_DRAW_BLOCK = 512  # a tree of order 34 takes about 310 candidate draws
+_MATERIALIZE_BLOCK = 1 << 16  # its uint64 temporaries stay in cache
 
 REPORT_VERSION = 1
 
@@ -62,7 +70,12 @@ class LazyRandomGraph:
         return v in self._partners.get(u, ())
 
     def revealed_partners(self, v: int) -> set[int]:
-        return self._partners.get(v, set())
+        """The live set of v's revealed partners, made on first ask: later
+        reveals at v add to it, so a caller may keep it but not change it."""
+        partners = self._partners.get(v)
+        if partners is None:
+            partners = self._partners[v] = set()
+        return partners
 
     def reveal(self, u: int, v: int) -> bool:
         """Draw the pair's outcome; errors on self-pairs and repeats."""
@@ -71,10 +84,17 @@ class LazyRandomGraph:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"pair ({u}, {v}) out of range")
         a, b = (u, v) if u < v else (v, u)
-        if self.is_revealed(a, b):
+        partners = self._partners
+        at_a = partners.get(a)
+        if at_a is None:
+            at_a = partners[a] = set()
+        elif b in at_a:
             raise ValueError(f"pair ({a}, {b}) already revealed")
-        self._partners.setdefault(a, set()).add(b)
-        self._partners.setdefault(b, set()).add(a)
+        at_b = partners.get(b)
+        if at_b is None:
+            at_b = partners[b] = set()
+        at_a.add(b)
+        at_b.add(a)
         return rngmod.pair_uniform(self._key, pair_rank(a, b)) < self.p
 
 
@@ -143,6 +163,61 @@ def _connected_order(tree: Graph) -> tuple[list[int], list[int]]:
     return order, parent
 
 
+class _CandidateDraws:
+    """Candidate vertices ``int(rng.integers(0, n))``, drawn in blocks.
+
+    numpy gives ``rng.integers(0, n, size=k)`` the same values as k scalar
+    calls, so a block is read ahead and handed out one value at a time.
+    `settle` rewinds rng to the block's start and redraws only the values
+    taken, which leaves rng exactly where the scalar calls would.  It must
+    run before anything else draws from rng.
+    """
+
+    def __init__(self, rng: np.random.Generator, n: int):
+        self._rng = rng
+        self._n = n
+        self._block: list[int] = []
+        self._taken = 0
+        self._start: Optional[dict] = None  # rng's state before the block
+
+    def take(self) -> int:
+        i = self._taken
+        self._taken = i + 1
+        try:
+            return self._block[i]
+        except IndexError:
+            self._start = self._rng.bit_generator.state
+            self._block = self._rng.integers(0, self._n, size=_DRAW_BLOCK).tolist()
+            self._taken = 1
+            return self._block[0]
+
+    def settle(self) -> None:
+        if self._taken < len(self._block):
+            self._rng.bit_generator.state = self._start
+            self._rng.integers(0, self._n, size=self._taken)
+        self._block = []
+        self._taken = 0
+
+    def pick_after_rejection(
+        self, active: int, partners: set[int], image: set[int]
+    ) -> Optional[int]:
+        """The pick after a rejected first candidate: up to _REJECTION_TRIES
+        draws in all, then a uniform choice among every allowed vertex."""
+        for _ in range(_REJECTION_TRIES - 1):
+            w = self.take()
+            if w != active and w not in partners and w not in image:
+                return w
+        allowed = [
+            w
+            for w in range(self._n)
+            if w != active and w not in partners and w not in image
+        ]
+        if not allowed:
+            return None
+        self.settle()
+        return allowed[int(self._rng.integers(0, len(allowed)))]
+
+
 def greedy_embed(
     g: LazyRandomGraph,
     trees: Iterable[Graph],
@@ -151,94 +226,95 @@ def greedy_embed(
     record_log: bool = False,
 ) -> EmbedResult:
     """Embed trees from the supply until the budget, the supply, or a
-    candidate pool runs out.  One step = one revealed pair."""
+    candidate pool runs out.  One step = one revealed pair.
+
+    Whenever the supply, the fallback pick or the caller (on return or on an
+    exception) next sees rng, it is where one scalar ``rng.integers(0, n)``
+    per candidate would have left it, so the supply may draw from it too.
+    """
     if step_budget < 0:
         raise ValueError("step_budget must be nonnegative")
     n = g.n
+    rev, rev_active, rev_inactive = [0] * n, [0] * n, [0] * n
+    activations = [0] * n
+    log: Optional[list[tuple[int, int, int, bool]]] = [] if record_log else None
     trace = EmbedTrace(
         steps=0,
-        rev=[0] * n,
-        rev_active=[0] * n,
-        rev_inactive=[0] * n,
-        activations=[0] * n,
-        log=[] if record_log else None,
+        rev=rev,
+        rev_active=rev_active,
+        rev_inactive=rev_inactive,
+        activations=activations,
+        log=log,
     )
     embedded: list[EmbeddedTree] = []
     status = "supply_exhausted"
-
-    def pick_candidate(active: int, image: set[int]) -> Optional[int]:
-        partners = g.revealed_partners(active)
-        for _ in range(_REJECTION_TRIES):
-            w = int(rng.integers(0, n))
-            if w != active and w not in partners and w not in image:
-                return w
-        allowed = [
-            w
-            for w in range(n)
-            if w != active and w not in partners and w not in image
-        ]
-        if not allowed:
-            return None
-        return allowed[int(rng.integers(0, len(allowed)))]
-
+    draws = _CandidateDraws(rng, n)
+    take, reveal = draws.take, g.reveal
+    steps = 0
     halt = False
-    for tree in trees:
-        if halt:
-            break
-        if tree.n < 2:
-            raise ValueError("trees must have at least 2 vertices")
-        if max(len(a) for a in tree.adj) > 3:
-            raise ValueError("trees must have maximum degree 3")
-        order, parent = _connected_order(tree)
-        start_step = trace.steps + 1
-        root_image = int(rng.integers(0, n))
-        image = {order[0]: root_image}
-        image_set = {root_image}
-        trace.activations[root_image] += 1
-        tree_edges: list[tuple[int, int]] = []
-        complete = True
-        for v in order[1:]:
-            active = image[parent[v]]
-            found = False
-            while not found:
-                if trace.steps >= step_budget:
-                    status = "budget_exhausted"
-                    complete = False
-                    halt = True
-                    break
-                w = pick_candidate(active, image_set)
-                if w is None:
-                    status = "failed"
-                    trace.failed = True
-                    trace.failure_step = trace.steps
-                    complete = False
-                    halt = True
-                    break
-                hit = g.reveal(active, w)
-                trace.steps += 1
-                trace.rev[active] += 1
-                trace.rev[w] += 1
-                trace.rev_active[active] += 1
-                trace.rev_inactive[w] += 1
-                if trace.log is not None:
-                    trace.log.append((trace.steps, active, w, hit))
-                if hit:
-                    image[v] = w
-                    image_set.add(w)
-                    trace.activations[w] += 1
-                    tree_edges.append((active, w) if active < w else (w, active))
-                    found = True
-            if not complete:
+    try:
+        for tree in trees:
+            if halt:
                 break
-        if complete:
-            trace.spans.append((start_step, trace.steps))
-            embedded.append(
-                EmbeddedTree(
-                    code=ahu_code(tree),
-                    mapping=dict(image),
-                    edges=tuple(tree_edges),
+            if tree.n < 2:
+                raise ValueError("trees must have at least 2 vertices")
+            if max(len(a) for a in tree.adj) > 3:
+                raise ValueError("trees must have maximum degree 3")
+            order, parent = _connected_order(tree)
+            start_step = steps + 1
+            root_image = take()
+            image = {order[0]: root_image}
+            image_set = {root_image}
+            activations[root_image] += 1
+            tree_edges: list[tuple[int, int]] = []
+            for v in order[1:]:
+                if steps >= step_budget:
+                    status = "budget_exhausted"
+                    halt = True
+                    break
+                active = image[parent[v]]
+                partners = g.revealed_partners(active)
+                while True:
+                    w = take()
+                    if w == active or w in partners or w in image_set:
+                        w = draws.pick_after_rejection(active, partners, image_set)
+                        if w is None:
+                            status = "failed"
+                            trace.failed = True
+                            trace.failure_step = steps
+                            halt = True
+                            break
+                    hit = reveal(active, w)
+                    steps += 1
+                    rev[active] += 1
+                    rev[w] += 1
+                    rev_active[active] += 1
+                    rev_inactive[w] += 1
+                    if log is not None:
+                        log.append((steps, active, w, hit))
+                    if hit:
+                        break
+                    if steps >= step_budget:
+                        status = "budget_exhausted"
+                        halt = True
+                        break
+                if halt:
+                    break
+                image[v] = w
+                image_set.add(w)
+                activations[w] += 1
+                tree_edges.append((active, w) if active < w else (w, active))
+            if not halt:
+                trace.spans.append((start_step, steps))
+                embedded.append(
+                    EmbeddedTree(
+                        code=ahu_code(tree), mapping=image, edges=tuple(tree_edges)
+                    )
                 )
-            )
+            draws.settle()  # the supply may draw from rng too
+    finally:
+        draws.settle()
+    trace.steps = steps
     return EmbedResult(n=n, p=g.p, status=status, embedded=embedded, trace=trace)
 
 

@@ -9,10 +9,20 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
+from taulab import rng as rngmod
 from taulab.catalog import ahu_code, rooted_to_graph, sample_rooted_binary
-from taulab.graph import Component, Graph, _component_code
+from taulab.embed import (
+    EmbeddedTree,
+    EmbedResult,
+    EmbedTrace,
+    LazyRandomGraph,
+    _connected_order,
+)
+from taulab.graph import Component, Graph, _component_code, pair_rank
 
 
 @dataclass(frozen=True)
@@ -220,3 +230,129 @@ def sampled_distinct_trees(t: int, want: int, rng) -> list[Graph]:
             seen.add(code)
             out.append(g)
     return out
+
+
+def scalar_reveal(g: LazyRandomGraph, u: int, v: int) -> bool:
+    """The earlier `LazyRandomGraph.reveal`: both partner sets through
+    setdefault, then the scalar hash of the pair's rank."""
+    if u == v:
+        raise ValueError("cannot reveal a self-pair")
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise ValueError(f"pair ({u}, {v}) out of range")
+    a, b = (u, v) if u < v else (v, u)
+    if b in g._partners.get(a, ()):
+        raise ValueError(f"pair ({a}, {b}) already revealed")
+    g._partners.setdefault(a, set()).add(b)
+    g._partners.setdefault(b, set()).add(a)
+    return rngmod.pair_uniform(g._key, pair_rank(a, b)) < g.p
+
+
+def scalar_greedy_embed(
+    g: LazyRandomGraph,
+    trees: Iterable[Graph],
+    step_budget: int,
+    rng: np.random.Generator,
+    record_log: bool = False,
+) -> EmbedResult:
+    """The earlier `greedy_embed`: one scalar ``rng.integers`` call per
+    candidate and a rejection-then-scan pick at every step."""
+    if step_budget < 0:
+        raise ValueError("step_budget must be nonnegative")
+    n = g.n
+    trace = EmbedTrace(
+        steps=0,
+        rev=[0] * n,
+        rev_active=[0] * n,
+        rev_inactive=[0] * n,
+        activations=[0] * n,
+        log=[] if record_log else None,
+    )
+    embedded: list[EmbeddedTree] = []
+    status = "supply_exhausted"
+
+    def pick_candidate(active: int, image: set[int]) -> Optional[int]:
+        partners = g._partners.get(active, set())
+        for _ in range(40):
+            w = int(rng.integers(0, n))
+            if w != active and w not in partners and w not in image:
+                return w
+        allowed = [
+            w
+            for w in range(n)
+            if w != active and w not in partners and w not in image
+        ]
+        if not allowed:
+            return None
+        return allowed[int(rng.integers(0, len(allowed)))]
+
+    halt = False
+    for tree in trees:
+        if halt:
+            break
+        if tree.n < 2:
+            raise ValueError("trees must have at least 2 vertices")
+        if max(len(a) for a in tree.adj) > 3:
+            raise ValueError("trees must have maximum degree 3")
+        order, parent = _connected_order(tree)
+        start_step = trace.steps + 1
+        root_image = int(rng.integers(0, n))
+        image = {order[0]: root_image}
+        image_set = {root_image}
+        trace.activations[root_image] += 1
+        tree_edges: list[tuple[int, int]] = []
+        complete = True
+        for v in order[1:]:
+            active = image[parent[v]]
+            found = False
+            while not found:
+                if trace.steps >= step_budget:
+                    status = "budget_exhausted"
+                    complete = False
+                    halt = True
+                    break
+                w = pick_candidate(active, image_set)
+                if w is None:
+                    status = "failed"
+                    trace.failed = True
+                    trace.failure_step = trace.steps
+                    complete = False
+                    halt = True
+                    break
+                hit = scalar_reveal(g, active, w)
+                trace.steps += 1
+                trace.rev[active] += 1
+                trace.rev[w] += 1
+                trace.rev_active[active] += 1
+                trace.rev_inactive[w] += 1
+                if trace.log is not None:
+                    trace.log.append((trace.steps, active, w, hit))
+                if hit:
+                    image[v] = w
+                    image_set.add(w)
+                    trace.activations[w] += 1
+                    tree_edges.append((active, w) if active < w else (w, active))
+                    found = True
+            if not complete:
+                break
+        if complete:
+            trace.spans.append((start_step, trace.steps))
+            embedded.append(
+                EmbeddedTree(
+                    code=ahu_code(tree),
+                    mapping=dict(image),
+                    edges=tuple(tree_edges),
+                )
+            )
+    return EmbedResult(n=n, p=g.p, status=status, embedded=embedded, trace=trace)
+
+
+def blockwise_materialize(g: LazyRandomGraph, block: int = 1 << 22) -> Graph:
+    """The earlier `materialize`: every pair rank hashed in blocks of
+    ``block`` ranks."""
+    npairs = g.n * (g.n - 1) // 2
+    blocks = [np.empty(0, dtype=np.int64)]
+    for start in range(0, npairs, block):
+        stop = min(start + block, npairs)
+        ranks = np.arange(start, stop, dtype=np.int64)
+        blocks.append(ranks[rngmod.pair_uniform_array(g._key, ranks) < g.p])
+    return Graph.from_ranks(g.n, np.concatenate(blocks))

@@ -29,6 +29,9 @@ def test_usage_errors_exit_1(tmp_path):
         ["nonsense"],
         ["tau-exact"],
         ["color", "--regime", "verysparse", "--n", "30", "--p", "0.01", "--seed", "1"],
+        ["embed", "--n", "50", "--p", "0.5", "--seed", "3", "--budget", "-5"],
+        ["embed", "--n", "50", "--p", "0.5", "--seed", "3", "--tree-order", "1"],
+        ["embed", "--n", "50", "--p", "0.5", "--seed", "3", "--tree-order", "0"],
     ]
     for argv in cases:
         with pytest.raises(SystemExit) as exc:
@@ -155,6 +158,43 @@ def test_embed_cli(capsys, tmp_path):
     payload = json.loads(open(report).read())
     assert payload["embedded_count"] == 2
     assert payload["steps"] == int(info["steps"])
+
+
+# The digests pin the JSON report and the stdout lines of one budgeted run
+# and of one run that ends "failed", so a change to the embedding's draws,
+# reveals or bookkeeping that alters seeded output fails here.
+EMBED_PINS = {
+    "budgeted": (
+        ["--n", "300", "--p", "0.5", "--seed", "7"],
+        0,
+        "59e68630d2e0ab59ca9452162e1d6c0292343ef7671c515dac87e05735a06e7a",
+        "9300e510d1b511d03ad2961116b213b7d9464fca855c73502c851586f0824a80",
+    ),
+    "failed": (
+        ["--n", "12", "--p", "0.1", "--seed", "2", "--budget", "10000"],
+        2,
+        "672fec90bb86623f5136902907c1f977b4411e3df653ebe61928a75202440bd5",
+        "88809136ebf15db9d4d0aeb7aa99f5cc5f4b64f6d92b12099ca2047058df73ce",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMBED_PINS))
+def test_embed_outputs_pinned(capsys, tmp_path, case):
+    flags, rc, report_digest, stdout_digest = EMBED_PINS[case]
+    report = str(tmp_path / "report.json")
+    assert main(["embed", *flags, "--report", report]) == rc
+    assert sha256(capsys.readouterr().out) == stdout_digest
+    assert sha256(open(report).read()) == report_digest
+
+
+def test_embed_zero_budget_runs_no_step(capsys):
+    # 0 is a budget, not "use the default eps n^2" (25 steps at n = 50)
+    argv = ["embed", "--n", "50", "--p", "0.5", "--seed", "3", "--budget", "0"]
+    assert main(argv) == 0
+    info = kv(lines(capsys))
+    assert info["status"] == "budget_exhausted"
+    assert info["steps"] == "0"
 
 
 # --- pack-paths ------------------------------------------------------------

@@ -304,6 +304,26 @@ def test_read_coloring_rejects_bad_edge_lines(tmp_path, body, message):
         read_coloring(str(file))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # cut after the label line of the first class
+        ("coloring 1\n3 1\nlabel a\n", "line 4: edge count is not an integer: ''"),
+        ("coloring 1\nthree 1\n", "line 2: vertex count is not an integer: 'three'"),
+        (
+            "coloring 1\n3 2\nlabel a\n1\n0 1\nlabel b\n-1\n",
+            "line 7: edge count is negative: '-1'",
+        ),
+    ],
+)
+def test_read_coloring_rejects_bad_counts(tmp_path, text, message):
+    file = tmp_path / "bad.txt"
+    file.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        read_coloring(str(file))
+    assert str(exc.value) == message
+
+
 # --- regime builders -------------------------------------------------------
 
 

@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import blockwise_materialize, scalar_greedy_embed
 from taulab import rng as rngmod
-from taulab.catalog import ahu_code, free_trees
+from taulab.catalog import ahu_code, free_trees, rooted_to_graph, sample_rooted_binary
 from taulab.embed import (
     LazyRandomGraph,
     diagnostics_check,
@@ -216,3 +218,146 @@ def test_embed_invariants_property(seed, p):
         for u, v in tree.edges:
             assert lazy.is_revealed(u, v)
             assert host.has_edge(u, v)
+
+
+# --- block draws against the scalar-draw oracle ----------------------------
+
+
+def plain(value):
+    """A generator state with its numpy arrays turned into lists."""
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
+def make_rng(kind: str, seed: int) -> np.random.Generator:
+    bits = {"philox": np.random.Philox, "pcg64": np.random.PCG64}[kind]
+    return np.random.Generator(bits(seed))
+
+
+# Two bad supply entries: the star is refused before any draw, the 4-cycle
+# passes the degree and connectivity checks, is embedded along a spanning
+# path and only then fails in ahu_code, with candidates of its own taken.
+BAD_TREES = {
+    "star": Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
+    "cycle": Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+}
+
+
+def make_supply(kind: str, orders: list[int], rng: np.random.Generator):
+    """A tree supply.  "shared" draws from the picker's own generator before
+    each tree, in 64-bit, 32-bit and byte-sized amounts; "star" and "cycle"
+    put that bad entry in the middle of the supply."""
+    if kind in BAD_TREES:
+        half = len(orders) // 2
+        return [path_tree(t) for t in orders[:half]] + [BAD_TREES[kind]] + [
+            path_tree(t) for t in orders[half:]
+        ]
+    if kind == "paths":
+        return [path_tree(t) for t in orders]
+
+    def shared():
+        for t in orders:
+            rng.random()
+            rng.integers(0, 7)
+            yield rooted_to_graph(sample_rooted_binary(t, rng))
+
+    return shared()
+
+
+def run_embed(embed, n, p, seed, supply, orders, budget, rng_kind, log):
+    lazy = LazyRandomGraph(n, p, seed)
+    rng = make_rng(rng_kind, seed)
+    try:
+        outcome = embed(lazy, make_supply(supply, orders, rng), budget, rng, log)
+    except ValueError as exc:
+        outcome = ("raised", str(exc))
+    return outcome, lazy._partners, plain(rng.bit_generator.state)
+
+
+@given(
+    n=st.integers(2, 80),
+    p=st.floats(0.0, 1.0, exclude_min=True),
+    seed=st.integers(0, 2**32 - 1),
+    supply=st.sampled_from(["paths", "shared", "star", "cycle"]),
+    orders=st.lists(st.integers(2, 12), min_size=1, max_size=8),
+    budget=st.one_of(st.just(0), st.integers(0, 30), st.integers(0, 3000)),
+    rng_kind=st.sampled_from(["philox", "pcg64"]),
+    log=st.booleans(),
+)
+@example(n=2, p=1.0, seed=3, supply="paths", orders=[3], budget=100,
+         rng_kind="philox", log=True)  # candidates run out: "failed"
+@example(n=30, p=0.5, seed=2, supply="shared", orders=[5, 6, 7], budget=10**4,
+         rng_kind="philox", log=True)  # every tree is embedded
+@settings(max_examples=300, deadline=None)
+def test_greedy_embed_matches_scalar_oracle(
+    n, p, seed, supply, orders, budget, rng_kind, log
+):
+    args = (n, p, seed, supply, orders, budget, rng_kind, log)
+    assert run_embed(greedy_embed, *args) == run_embed(scalar_greedy_embed, *args)
+
+
+class CountingRng:
+    """A generator that records the upper bound of every integers call."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self.highs: list[int] = []
+
+    @property
+    def bit_generator(self):
+        return self._rng.bit_generator
+
+    def integers(self, low, high, size=None):
+        self.highs.append(high)
+        return self._rng.integers(low, high, size=size)
+
+
+def test_fallback_pick_matches_scalar_oracle():
+    # p ~ 0 makes every reveal a miss, so the root's candidate pool shrinks
+    # until 40 draws in a row are rejected and the scan picks instead
+    n = 80
+    rng = CountingRng(make_rng("philox", 1))
+    lazy = LazyRandomGraph(n, 1e-9, 1)
+    res = greedy_embed(lazy, [path_tree(2)], 10**4, rng)
+    assert any(high != n for high in rng.highs)  # the scan drew a pick
+    assert res.status == "failed"
+    assert res.trace.steps == n - 1
+    want = run_embed(scalar_greedy_embed, n, 1e-9, 1, "paths", [2], 10**4,
+                     "philox", False)
+    assert (res, lazy._partners, plain(rng.bit_generator.state)) == want
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("star", "trees must have maximum degree 3"),
+        ("cycle", "input is not a tree (wrong edge count)"),
+    ],
+)
+def test_bad_tree_mid_supply_leaves_rng_where_scalar_draws_would(bad, message):
+    args = (40, 0.4, 5, bad, [6, 7, 8, 9], 10**4, "philox", False)
+    got = run_embed(greedy_embed, *args)
+    assert got[0] == ("raised", message)
+    assert got == run_embed(scalar_greedy_embed, *args)
+
+
+def test_revealed_partners_is_live():
+    g = LazyRandomGraph(6, 0.5, 0)
+    partners = g.revealed_partners(3)
+    assert partners == set()
+    g.reveal(1, 3)
+    g.reveal(3, 5)
+    assert partners == {1, 5}
+    assert g.revealed_partners(3) is partners
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 362, 363, 364, 600])
+def test_materialize_matches_blockwise_oracle(n):
+    # C(362, 2) = 65341 < 2**16 < C(363, 2) = 65703: 362 fits one block of
+    # 2**16 ranks, 363 and 364 spill into a second, 600 needs three
+    for p in (0.0, 0.3, 1.0):
+        lazy = LazyRandomGraph(n, p, 4)
+        assert materialize(lazy) == blockwise_materialize(lazy)

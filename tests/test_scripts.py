@@ -1,0 +1,37 @@
+"""The scripts run from a checkout, with taulab neither installed nor on
+PYTHONPATH."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name: str, *args: str, cwd) -> list[str]:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_embed_profile_runs(tmp_path):
+    out = run_script("embed_profile.py", "--sizes", "200", "400", cwd=tmp_path)
+    assert out[0].split()[-1] == "us/step"
+    assert [row.split()[0] for row in out[1:]] == ["200", "400"]
+    for row in out[1:]:
+        assert float(row.split()[-1]) > 0
+
+
+def test_regime_sweep_runs(tmp_path):
+    out = run_script("regime_sweep.py", "--seeds", "1", cwd=tmp_path)
+    assert [row.split()[0] for row in out[1:]] == ["dense", "sparse", "verysparse"]
+    assert all(row.split()[6] == "true" for row in out[1:])
