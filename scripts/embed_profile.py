@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 """Profile the lazy tree embedding as n grows: trees embedded, reveal
 budget consumed, the worst per-vertex reveal counters against their
-thresholds (1000 eps n for rev, 500 eps n for the active side), and the
-wall time of the embedding in all and per step.  The edge probability is
-40 ln n / n, capped at 1 (it passes 1 below n = 250).
+thresholds (1000 eps n for rev, 500 eps n for the active side), the wall
+time of the embedding and of materialising the host graph, and the
+embedding's time per step.  Pair outcomes are hashed a block at a time
+into a table the first time a reveal needs the block, and `materialize`
+hashes only the blocks no reveal touched, so the two times show where the
+table is paid for.  The edge probability is 40 ln n / n, capped at 1 (it
+passes 1 below n = 250).
 
 Runs from a checkout: python3 scripts/embed_profile.py --sizes 500 1000
 """
@@ -19,7 +23,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from taulab import rng as rngmod
 from taulab.bounds import dense_tree_order
 from taulab.catalog import iter_distinct_maxdeg3_trees
-from taulab.embed import LazyRandomGraph, diagnostics_check, greedy_embed
+from taulab.embed import (
+    LazyRandomGraph,
+    diagnostics_check,
+    greedy_embed,
+    materialize,
+)
 
 
 def one(n: int, seed: int, epsilon: float) -> None:
@@ -29,14 +38,16 @@ def one(n: int, seed: int, epsilon: float) -> None:
     trees = iter_distinct_maxdeg3_trees(t, rngmod.stream(seed, 2))
     start = time.perf_counter()
     result = greedy_embed(lazy, trees, int(epsilon * n * n), rngmod.stream(seed, 1))
-    elapsed = time.perf_counter() - start
+    embedded = time.perf_counter()
+    materialize(lazy)
+    embed_s, mat_s = embedded - start, time.perf_counter() - embedded
     steps = result.trace.steps
     diag = diagnostics_check(result.trace, epsilon, n)
     print(f"{n:>7} {p:>6.4f} {t:>3} {len(result.embedded):>6} {steps:>9} "
           f"{diag.max_rev:>8} {diag.rev_limit:>10.0f} "
           f"{diag.max_rev_active:>8} {diag.rev_active_limit:>10.0f} "
-          f"{str(diag.total_ok).lower():>5} {elapsed:>7.2f}s "
-          f"{1e6 * elapsed / max(steps, 1):>8.2f}")
+          f"{str(diag.total_ok).lower():>5} {1e3 * embed_s:>8.2f} {1e3 * mat_s:>8.2f} "
+          f"{1e6 * embed_s / max(steps, 1):>8.2f}")
 
 
 def main() -> None:
@@ -49,7 +60,7 @@ def main() -> None:
 
     print(f"{'n':>7} {'p':>6} {'t':>3} {'trees':>6} {'steps':>9} "
           f"{'maxrev':>8} {'limit':>10} {'maxrev+':>8} {'limit+':>10} "
-          f"{'ok':>5} {'time':>8} {'us/step':>8}")
+          f"{'ok':>5} {'embed_ms':>8} {'mat_ms':>8} {'us/step':>8}")
     for n in args.sizes:
         one(n, args.seed, args.epsilon)
 

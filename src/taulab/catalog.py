@@ -8,6 +8,14 @@ such a tree, and every such tree arises this way.  Sampling a uniform shape
 and deduplicating by canonical code therefore yields a stream of pairwise
 non-isomorphic max-degree-3 trees without enumerating anything.
 
+Shapes are ranked by one split rule: the shapes on t nodes are ordered by
+the size i of the left subtree, and then by the left and the right subtree's
+ranks, so a rank falls into the block of catalan(i) * catalan(t - 1 - i)
+shapes found by bisecting the cached cumulative block sizes.  The sampler
+unranks straight into the tree's pair ranks and sorted neighbour lists, in
+the same preorder, left-first numbering as `rooted_to_graph`, and hands each
+tree over with its code, so nothing downstream codes it again.
+
 Linear forests are disjoint unions of paths; a forest with k edges is exactly
 a partition of k into path lengths, so the family on k edges has p(k)
 members, counted by the pentagonal-number recurrence.
@@ -20,9 +28,10 @@ sorted multiset of path lengths.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Iterator, Optional, Sequence
 
 import networkx as nx
@@ -110,16 +119,58 @@ def enumerate_rooted_binary(t: int) -> Iterator[RootedBinaryTree]:
     return _iter_shapes(t)
 
 
+@lru_cache(maxsize=None)
+def _split_bounds(t: int) -> tuple[int, ...]:
+    """Cumulative counts of the shapes on t nodes whose left subtree has at
+    most 0, 1, ..., t - 1 nodes."""
+    return tuple(accumulate(catalan(i) * catalan(t - 1 - i) for i in range(t)))
+
+
+def _split(t: int, r: int) -> tuple[int, int, int]:
+    """(i, left rank, right rank) of the shape of rank r on t >= 1 nodes,
+    whose left subtree has i nodes."""
+    bounds = _split_bounds(t)
+    i = bisect_right(bounds, r)
+    if i == t:
+        raise AssertionError("rank out of range")
+    if i:
+        r -= bounds[i - 1]
+    left, right = divmod(r, catalan(t - 1 - i))
+    return i, left, right
+
+
 def _unrank_shape(t: int, r: int) -> Optional[RootedBinaryTree]:
     if t == 0:
         return None
-    for i in range(t):
-        w = catalan(i) * catalan(t - 1 - i)
-        if r < w:
-            cr = catalan(t - 1 - i)
-            return RootedBinaryTree(_unrank_shape(i, r // cr), _unrank_shape(t - 1 - i, r % cr))
-        r -= w
-    raise AssertionError("rank out of range")
+    i, left, right = _split(t, r)
+    return RootedBinaryTree(_unrank_shape(i, left), _unrank_shape(t - 1 - i, right))
+
+
+def _unrank_tree(t: int, r: int) -> Graph:
+    """`rooted_to_graph(_unrank_shape(t, r))` without the shape: the nodes are
+    numbered in preorder, left subtree first, so the subtree of a node k
+    with i nodes on its left holds k's left child at k + 1 and its right
+    child at k + 1 + i.  Each node's neighbours are its parent, its left
+    and its right child, which is their sorted order."""
+    adj: list[list[int]] = [[] for _ in range(t)]
+    stack = [(0, t, r)]  # (node, subtree size, subtree rank)
+    while stack:
+        k, size, rank = stack.pop()
+        i, left, right = _split(size, rank)
+        if i:
+            adj[k].append(k + 1)
+            adj[k + 1].append(k)
+            stack.append((k + 1, i, left))
+        if i < size - 1:
+            adj[k].append(k + 1 + i)
+            adj[k + 1 + i].append(k)
+            stack.append((k + 1 + i, size - 1 - i, right))
+    # the edge from c to its parent adj[c][0] < c has rank in
+    # [C(c, 2), C(c + 1, 2)), so the ranks increase with c
+    ranks = np.array(
+        [c * (c - 1) // 2 + adj[c][0] for c in range(1, t)], dtype=np.int64
+    )
+    return Graph.from_parts(t, ranks, tuple(map(tuple, adj)))
 
 
 def sample_rooted_binary(t: int, rng: np.random.Generator) -> RootedBinaryTree:
@@ -236,7 +287,18 @@ def free_trees(t: int) -> list[Graph]:
 
 def maxdeg3_trees(t: int) -> list[Graph]:
     """All unlabelled trees on t vertices with maximum degree <= 3."""
-    return _trees_up_to_degree(t, 3)
+    return [g for g, _ in _coded_maxdeg3_trees(t)]
+
+
+@lru_cache(maxsize=None)
+def _coded_maxdeg3_trees(t: int) -> tuple[tuple[Graph, CanonicalCode], ...]:
+    """The max-degree-3 trees on t vertices with their codes, enumerated once
+    per t; their rank arrays are read-only, since every caller shares them."""
+    out = []
+    for g in _trees_up_to_degree(t, 3):
+        g.ranks.setflags(write=False)
+        out.append((g, ahu_code(g)))
+    return tuple(out)
 
 
 def _trees_up_to_degree(t: int, max_degree: int) -> list[Graph]:
@@ -257,8 +319,9 @@ def _trees_up_to_degree(t: int, max_degree: int) -> list[Graph]:
 
 def iter_distinct_maxdeg3_trees(
     t: int, rng: Optional[np.random.Generator]
-) -> Iterator[Graph]:
-    """Stream of pairwise non-isomorphic max-degree-3 trees on t vertices.
+) -> Iterator[tuple[Graph, CanonicalCode]]:
+    """Stream of pairwise non-isomorphic max-degree-3 trees on t vertices,
+    each with its `ahu_code`.
 
     Small t yields the exhaustive list; larger t samples uniform rooted
     binary shapes deduplicated by canonical code, giving up once a patience
@@ -267,12 +330,13 @@ def iter_distinct_maxdeg3_trees(
     if t < 1:
         raise ValueError("t must be at least 1")
     if t <= _EXHAUSTIVE_TREE_CAP:
-        yield from maxdeg3_trees(t)
+        yield from _coded_maxdeg3_trees(t)
         return
+    shapes = catalan(t)
     seen: set[CanonicalCode] = set()
     misses = 0
     while True:
-        g = rooted_to_graph(sample_rooted_binary(t, rng))
+        g = _unrank_tree(t, rngmod.bigint_below(rng, shapes))
         code = ahu_code(g)
         if code in seen:
             misses += 1
@@ -281,7 +345,7 @@ def iter_distinct_maxdeg3_trees(
             continue
         seen.add(code)
         misses = 0
-        yield g
+        yield g, code
 
 
 def distinct_maxdeg3_trees(
@@ -293,7 +357,7 @@ def distinct_maxdeg3_trees(
         raise ValueError("want must be nonnegative")
     if t > _EXHAUSTIVE_TREE_CAP and rng is None:
         raise ValueError("sampling path needs an rng")
-    out = list(islice(iter_distinct_maxdeg3_trees(t, rng), want))
+    out = [g for g, _ in islice(iter_distinct_maxdeg3_trees(t, rng), want)]
     if len(out) < want:
         raise RuntimeError(
             f"only {len(out)} of {want} distinct max-degree-3 trees "

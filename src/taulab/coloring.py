@@ -5,15 +5,16 @@ never matter, so each class is a sorted int64 array of the pair ranks its
 edges have in the host (see `taulab.graph`).  Three builders produce the
 classes for the three random-graph regimes (embedded trees, linear forests
 packed into long paths, unions of small path components), each followed by a
-single leftover class absorbing everything unused: one `np.setdiff1d` against
-the host's ranks.  Constructing a `Coloring` checks with one sort that the
-classes cover the host disjointly.  `verify_distinct` then certifies
-pairwise non-isomorphism from scratch: classes of different edge counts are
-trivially non-isomorphic, and classes of equal size are compared by the
-multiset of their components' codes.  One rule, `connected_code`, codes
-every component on plain neighbour lists, for census and `tau_exact` too: a
-tree of any size gets its AHU string, any other component its exact
-certificate, which needs a small component.
+single leftover class absorbing everything unused: each used rank is found
+in the host's by binary search, and the leftover is what remains.
+Constructing a `Coloring` checks with one sort that the classes cover the
+host disjointly.  `verify_distinct` then certifies pairwise non-isomorphism
+from scratch: classes of different edge counts are trivially
+non-isomorphic, and classes of equal size are compared by the multiset of
+their components' codes.  One rule, `connected_code`, codes every component
+on plain neighbour lists, for census and `tau_exact` too: a tree of any
+size gets its AHU string, any other component its exact certificate, which
+needs a small component.
 
 `tau_exact` answers the inverse question for tiny graphs (at most 8 edges)
 by exhausting set partitions of the edge set, and `tau_matching` gives the
@@ -189,7 +190,8 @@ class Coloring:
             raise ValueError("one label per class required")
         if any(len(cls) == 0 for cls in self.classes):
             raise ValueError("empty colour class")
-        ranks = np.sort(_joined(self.classes))
+        ranks = _joined(self.classes)
+        ranks.sort(kind="stable")  # merges the classes' sorted runs
         if not np.array_equal(ranks, self.host.ranks):
             _check_edges(
                 ranks,
@@ -356,14 +358,20 @@ def _append_leftover(
     class, merging it into the largest existing class if it happens to be
     isomorphic to one (possible only on tiny inputs).  what names the class
     edges in error messages."""
-    used = np.sort(_joined(classes))
-    _check_edges(
-        used,
-        host,
-        f"{what} edge {{}} used twice",
-        f"{what} edge {{}} missing from host graph",
-    )
-    leftover = np.setdiff1d(host.ranks, used, assume_unique=True)
+    ranks = host.ranks
+    used = _joined(classes)
+    at = np.searchsorted(ranks, used)  # where each used rank sits in host
+    placed = bool((at < len(ranks)).all()) and np.array_equal(ranks[at], used)
+    if placed:
+        leftover = np.delete(ranks, at)
+        placed = len(leftover) == len(ranks) - len(used)  # else one repeats
+    if not placed:  # some rank repeats or is missing, so this raises
+        _check_edges(
+            np.sort(used),
+            host,
+            f"{what} edge {{}} used twice",
+            f"{what} edge {{}} missing from host graph",
+        )
     if not len(leftover):
         return
     collide = None

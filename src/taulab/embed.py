@@ -1,18 +1,22 @@
 """Greedy tree embedding into a lazily revealed random graph.
 
-The host graph is G(n, p), but no pair is decided until the process asks:
-``LazyRandomGraph.reveal(u, v)`` draws the pair's Bernoulli outcome from a
-stateless hash of (seed, pair), so outcomes depend only on the seed and the
-pair, never on the order or number of other reveals.  Each pair may be
-revealed at most once.
+The host graph is G(n, p), but no pair is revealed until the process asks:
+``LazyRandomGraph.reveal(u, v)`` reads the pair's Bernoulli outcome, which
+comes from a stateless hash of (seed, pair), so outcomes depend only on the
+seed and the pair, never on the order or number of other reveals.  Each
+pair may be revealed at most once.  The outcomes are hashed a block of 2^16
+pair ranks at a time, the first time a pair in the block is asked for, into
+a table of one byte per pair; `materialize` reads the blocks already hashed
+from it and hashes only the rest.
 
-The embedding walks a supply of trees.  A tree's vertices are taken in an
-order where each prefix is connected, so every new vertex has exactly one
-already-embedded neighbour; the image of that neighbour is the *active*
-vertex.  The process reveals pairs at the active vertex against uniformly
-random candidates (excluding already-revealed partners and the current
-tree's image) until an edge appears, then moves on.  Trees in progress when
-the step budget runs out, or when a candidate pool empties, are discarded.
+The embedding walks a supply of trees, each handed over with its canonical
+code.  A tree's vertices are taken in an order where each prefix is
+connected, so every new vertex has exactly one already-embedded neighbour;
+the image of that neighbour is the *active* vertex.  The process reveals
+pairs at the active vertex against uniformly random candidates (excluding
+already-revealed partners and the current tree's image) until an edge
+appears, then moves on.  Trees in progress when the step budget runs out,
+or when a candidate pool empties, are discarded.
 
 Bookkeeping mirrors the analysis:
 
@@ -29,7 +33,10 @@ gives the same values as 512 scalar calls) and replayed exactly: before
 the tree supply, the fallback pick or the caller next sees the generator,
 it is rewound to the block's start and only the values used are drawn
 again.  Seeded results and the generator's final state are therefore those
-of one scalar draw per candidate.
+of one scalar draw per candidate.  The common step, an accepted first
+candidate, runs inline in `greedy_embed`: it reads the candidate block and
+the outcome table through locals and counts the active vertex's reveals
+once per embedded edge.
 """
 
 from __future__ import annotations
@@ -41,12 +48,16 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import rng as rngmod
-from .catalog import CanonicalCode, ahu_code
-from .graph import Graph, pair_rank
+# ahu_code is not called here, since the supply hands each tree over with
+# its code, but it stays importable as embed.ahu_code, where
+# perfbench/run.py's tracer looks it up
+from .catalog import CanonicalCode, ahu_code  # noqa: F401
+from .graph import Graph
 
 _REJECTION_TRIES = 40
 _DRAW_BLOCK = 512  # a tree of order 34 takes about 310 candidate draws
-_MATERIALIZE_BLOCK = 1 << 16  # its uint64 temporaries stay in cache
+_OUTCOME_BITS = 16  # blocks of 2^16 pairs: the hash temporaries stay in cache
+_MAX_PAIRS = 1 << 30  # the outcome table takes one byte per pair
 
 REPORT_VERSION = 1
 
@@ -59,12 +70,32 @@ class LazyRandomGraph:
             raise ValueError("n must be positive")
         if not 0.0 <= p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
+        npairs = n * (n - 1) // 2
+        if npairs > _MAX_PAIRS:
+            raise ValueError(
+                f"n={n} has {npairs:,} vertex pairs, above the cap of "
+                f"{_MAX_PAIRS:,} pairs that one byte of outcome each allows"
+            )
         self.n = n
         self.p = p
         self.seed = seed
         self._key = rngmod.derive_key(seed, 0)
         # the revealed pairs, stored at both ends
         self._partners: dict[int, set[int]] = {}
+        # one bool (a byte) per pair rank, True for an edge, valid in the
+        # blocks of 2^16 ranks marked hashed; calloc'd, so a block takes
+        # memory only once it is hashed
+        self._table = np.zeros(npairs, dtype=np.bool_)
+        self._outcomes = memoryview(self._table)  # indexes to a Python bool
+        self._hashed = bytearray(-(-npairs // (1 << _OUTCOME_BITS)))
+
+    def _hash_block(self, b: int) -> None:
+        """Hash the outcomes of block b into the table."""
+        start = b << _OUTCOME_BITS
+        stop = min(start + (1 << _OUTCOME_BITS), len(self._table))
+        ranks = np.arange(start, stop, dtype=np.int64)
+        self._table[start:stop] = rngmod.pair_uniform_array(self._key, ranks) < self.p
+        self._hashed[b] = 1
 
     def is_revealed(self, u: int, v: int) -> bool:
         return v in self._partners.get(u, ())
@@ -78,7 +109,7 @@ class LazyRandomGraph:
         return partners
 
     def reveal(self, u: int, v: int) -> bool:
-        """Draw the pair's outcome; errors on self-pairs and repeats."""
+        """The pair's outcome; errors on self-pairs and repeats."""
         if u == v:
             raise ValueError("cannot reveal a self-pair")
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -95,21 +126,22 @@ class LazyRandomGraph:
             at_b = partners[b] = set()
         at_a.add(b)
         at_b.add(a)
-        return rngmod.pair_uniform(self._key, pair_rank(a, b)) < self.p
+        rank = b * (b - 1) // 2 + a
+        if not self._hashed[rank >> _OUTCOME_BITS]:
+            self._hash_block(rank >> _OUTCOME_BITS)
+        return self._outcomes[rank]
 
 
 def materialize(g: LazyRandomGraph) -> Graph:
-    """Evaluate every pair of g's outcome function into a concrete Graph.
+    """Every pair's outcome of g as a concrete Graph: the blocks reveals
+    have hashed are read from g's table, the others are hashed now.
 
-    Revealed pairs keep their outcomes because the same hash decides them.
+    Revealed pairs keep their outcomes because the same table decides them.
     """
-    npairs = g.n * (g.n - 1) // 2
-    blocks = [np.empty(0, dtype=np.int64)]
-    for start in range(0, npairs, _MATERIALIZE_BLOCK):
-        stop = min(start + _MATERIALIZE_BLOCK, npairs)
-        ranks = np.arange(start, stop, dtype=np.int64)
-        blocks.append(ranks[rngmod.pair_uniform_array(g._key, ranks) < g.p])
-    return Graph.from_ranks(g.n, np.concatenate(blocks))
+    for b, hashed in enumerate(g._hashed):
+        if not hashed:
+            g._hash_block(b)
+    return Graph.from_ranks(g.n, np.flatnonzero(g._table))
 
 
 @dataclass
@@ -167,36 +199,40 @@ class _CandidateDraws:
     """Candidate vertices ``int(rng.integers(0, n))``, drawn in blocks.
 
     numpy gives ``rng.integers(0, n, size=k)`` the same values as k scalar
-    calls, so a block is read ahead and handed out one value at a time.
-    `settle` rewinds rng to the block's start and redraws only the values
-    taken, which leaves rng exactly where the scalar calls would.  It must
-    run before anything else draws from rng.
+    calls, so a block is read ahead and handed out one value at a time:
+    ``block[taken]`` is the next candidate.  A caller that reads the block
+    through locals writes taken back before it calls a method.  `settle`
+    rewinds rng to the block's start and redraws only the values taken,
+    which leaves rng exactly where the scalar calls would.  It must run
+    before anything else draws from rng.
     """
 
     def __init__(self, rng: np.random.Generator, n: int):
         self._rng = rng
         self._n = n
-        self._block: list[int] = []
-        self._taken = 0
+        self.block: list[int] = []
+        self.taken = 0
         self._start: Optional[dict] = None  # rng's state before the block
 
+    def refill(self) -> list[int]:
+        """Read the next block ahead, with none of it taken."""
+        self._start = self._rng.bit_generator.state
+        self.block = self._rng.integers(0, self._n, size=_DRAW_BLOCK).tolist()
+        self.taken = 0
+        return self.block
+
     def take(self) -> int:
-        i = self._taken
-        self._taken = i + 1
-        try:
-            return self._block[i]
-        except IndexError:
-            self._start = self._rng.bit_generator.state
-            self._block = self._rng.integers(0, self._n, size=_DRAW_BLOCK).tolist()
-            self._taken = 1
-            return self._block[0]
+        if self.taken == len(self.block):
+            self.refill()
+        self.taken += 1
+        return self.block[self.taken - 1]
 
     def settle(self) -> None:
-        if self._taken < len(self._block):
+        if self.taken < len(self.block):
             self._rng.bit_generator.state = self._start
-            self._rng.integers(0, self._n, size=self._taken)
-        self._block = []
-        self._taken = 0
+            self._rng.integers(0, self._n, size=self.taken)
+        self.block = []
+        self.taken = 0
 
     def pick_after_rejection(
         self, active: int, partners: set[int], image: set[int]
@@ -220,7 +256,7 @@ class _CandidateDraws:
 
 def greedy_embed(
     g: LazyRandomGraph,
-    trees: Iterable[Graph],
+    trees: Iterable[tuple[Graph, CanonicalCode]],
     step_budget: int,
     rng: np.random.Generator,
     record_log: bool = False,
@@ -228,9 +264,12 @@ def greedy_embed(
     """Embed trees from the supply until the budget, the supply, or a
     candidate pool runs out.  One step = one revealed pair.
 
-    Whenever the supply, the fallback pick or the caller (on return or on an
-    exception) next sees rng, it is where one scalar ``rng.integers(0, n)``
-    per candidate would have left it, so the supply may draw from it too.
+    The supply yields (tree, code) pairs, code being the tree's `ahu_code`,
+    as `catalog.iter_distinct_maxdeg3_trees` does; the code is taken on
+    trust.  Whenever the supply, the fallback pick or the caller (on return
+    or on an exception) next sees rng, it is where one scalar
+    ``rng.integers(0, n)`` per candidate would have left it, so the supply
+    may draw from it too.
     """
     if step_budget < 0:
         raise ValueError("step_budget must be nonnegative")
@@ -249,11 +288,12 @@ def greedy_embed(
     embedded: list[EmbeddedTree] = []
     status = "supply_exhausted"
     draws = _CandidateDraws(rng, n)
-    take, reveal = draws.take, g.reveal
+    block, i = draws.block, draws.taken  # the candidates, read through locals
+    partners_of, outcomes, hashed = g._partners, g._outcomes, g._hashed
     steps = 0
     halt = False
     try:
-        for tree in trees:
+        for tree, code in trees:
             if halt:
                 break
             if tree.n < 2:
@@ -262,7 +302,12 @@ def greedy_embed(
                 raise ValueError("trees must have maximum degree 3")
             order, parent = _connected_order(tree)
             start_step = steps + 1
-            root_image = take()
+            try:
+                root_image = block[i]
+            except IndexError:
+                block, i = draws.refill(), 0
+                root_image = block[0]
+            i += 1
             image = {order[0]: root_image}
             image_set = {root_image}
             activations[root_image] += 1
@@ -273,22 +318,46 @@ def greedy_embed(
                     halt = True
                     break
                 active = image[parent[v]]
-                partners = g.revealed_partners(active)
+                partners = partners_of.get(active)
+                if partners is None:
+                    partners = partners_of[active] = set()
+                edge_start = steps
                 while True:
-                    w = take()
+                    try:
+                        w = block[i]
+                    except IndexError:
+                        block, i = draws.refill(), 0
+                        w = block[0]
+                    i += 1
                     if w == active or w in partners or w in image_set:
-                        w = draws.pick_after_rejection(active, partners, image_set)
+                        draws.taken = i
+                        try:
+                            w = draws.pick_after_rejection(active, partners, image_set)
+                        finally:
+                            block, i = draws.block, draws.taken
                         if w is None:
                             status = "failed"
                             trace.failed = True
                             trace.failure_step = steps
                             halt = True
                             break
-                    hit = reveal(active, w)
+                    # reveal (active, w): the test above is reveal's own
+                    # self-pair and repeat check, and both are in range
+                    partners.add(w)
+                    at_w = partners_of.get(w)
+                    if at_w is None:
+                        partners_of[w] = {active}
+                    else:
+                        at_w.add(active)
+                    if active < w:
+                        rank = w * (w - 1) // 2 + active
+                    else:
+                        rank = active * (active - 1) // 2 + w
+                    if not hashed[rank >> _OUTCOME_BITS]:
+                        g._hash_block(rank >> _OUTCOME_BITS)
+                    hit = outcomes[rank]
                     steps += 1
-                    rev[active] += 1
                     rev[w] += 1
-                    rev_active[active] += 1
                     rev_inactive[w] += 1
                     if log is not None:
                         log.append((steps, active, w, hit))
@@ -298,6 +367,9 @@ def greedy_embed(
                         status = "budget_exhausted"
                         halt = True
                         break
+                made = steps - edge_start  # reveals made while active was active
+                rev[active] += made
+                rev_active[active] += made
                 if halt:
                     break
                 image[v] = w
@@ -305,14 +377,19 @@ def greedy_embed(
                 activations[w] += 1
                 tree_edges.append((active, w) if active < w else (w, active))
             if not halt:
+                # an entry with a cycle passes the checks above and is walked
+                # along a spanning tree; it is refused here, after its draws
+                if tree.edge_count != tree.n - 1:
+                    raise ValueError("input is not a tree (wrong edge count)")
                 trace.spans.append((start_step, steps))
                 embedded.append(
-                    EmbeddedTree(
-                        code=ahu_code(tree), mapping=image, edges=tuple(tree_edges)
-                    )
+                    EmbeddedTree(code=code, mapping=image, edges=tuple(tree_edges))
                 )
+            draws.taken = i
             draws.settle()  # the supply may draw from rng too
+            block, i = draws.block, draws.taken
     finally:
+        draws.taken = i
         draws.settle()
     trace.steps = steps
     return EmbedResult(n=n, p=g.p, status=status, embedded=embedded, trace=trace)

@@ -46,9 +46,17 @@ def pair_rank(u: int, v: int) -> int:
     return v * (v - 1) // 2 + u
 
 
+_UNRANK_LIMIT = 1 << 52
+
+
 def _unrank_pairs(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of pair_rank, vectorised; exact for ranks below 2**52."""
+    """Inverse of pair_rank, vectorised; exact for ranks below 2**52, and
+    refuses larger ones."""
     r = ranks.astype(np.int64)
+    if len(r) and r.max() >= _UNRANK_LIMIT:
+        raise ValueError(
+            f"pair rank {int(r.max())} is beyond the exact unranking limit 2**52"
+        )
     v = ((1.0 + np.sqrt(1.0 + 8.0 * r.astype(np.float64))) / 2.0).astype(np.int64)
     # float sqrt can be off by one near triangular numbers
     v = np.where(r < v * (v - 1) // 2, v - 1, v)
@@ -119,6 +127,16 @@ class Graph:
             if ranks[0] < 0 or ranks[-1] >= n * (n - 1) // 2:
                 raise ValueError(f"pair rank out of range for n={n}")
         return Graph(n, ranks)
+
+    @staticmethod
+    def from_parts(
+        n: int, ranks: np.ndarray, adj: tuple[tuple[int, ...], ...]
+    ) -> "Graph":
+        """Graph from ranks and the matching sorted neighbour tuples, for a
+        caller that builds both at once; neither is checked."""
+        g = Graph(n, ranks)
+        g.__dict__["adj"] = adj  # the value the adj property would compute
+        return g
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -49,12 +49,20 @@ def pair_uniform(key: int, rank: int) -> float:
 
 
 def pair_uniform_array(key: int, ranks: np.ndarray) -> np.ndarray:
-    """Vectorised pair_uniform; bitwise identical to the scalar path."""
-    z = (np.uint64(key) + (ranks.astype(np.uint64) + np.uint64(1)) * np.uint64(_GAMMA))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)) * 2.0 ** -53
+    """Vectorised pair_uniform; bitwise identical to the scalar path.  The
+    steps work in place on one uint64 array, so a block of ranks costs one
+    temporary of its size besides the result."""
+    z = ranks.astype(np.uint64)
+    z += np.uint64(1)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(key)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    return z * 2.0 ** -53
 
 
 def bigint_below(rng: np.random.Generator, bound: int) -> int:

@@ -14,7 +14,12 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from taulab import rng as rngmod
-from taulab.catalog import ahu_code, rooted_to_graph, sample_rooted_binary
+from taulab.catalog import (
+    CanonicalCode,
+    ahu_code,
+    rooted_to_graph,
+    sample_rooted_binary,
+)
 from taulab.embed import (
     EmbeddedTree,
     EmbedResult,
@@ -232,6 +237,11 @@ def sampled_distinct_trees(t: int, want: int, rng) -> list[Graph]:
     return out
 
 
+def coded(trees: Iterable[Graph]) -> list[tuple[Graph, CanonicalCode]]:
+    """The trees as a supply for `greedy_embed`: each with its `ahu_code`."""
+    return [(g, ahu_code(g)) for g in trees]
+
+
 def scalar_reveal(g: LazyRandomGraph, u: int, v: int) -> bool:
     """The earlier `LazyRandomGraph.reveal`: both partner sets through
     setdefault, then the scalar hash of the pair's rank."""
@@ -249,13 +259,15 @@ def scalar_reveal(g: LazyRandomGraph, u: int, v: int) -> bool:
 
 def scalar_greedy_embed(
     g: LazyRandomGraph,
-    trees: Iterable[Graph],
+    trees: Iterable[tuple[Graph, CanonicalCode]],
     step_budget: int,
     rng: np.random.Generator,
     record_log: bool = False,
 ) -> EmbedResult:
     """The earlier `greedy_embed`: one scalar ``rng.integers`` call per
-    candidate and a rejection-then-scan pick at every step."""
+    candidate and a rejection-then-scan pick at every step.  It codes each
+    embedded tree itself, so a supplied code that is wrong shows as a
+    difference in the result."""
     if step_budget < 0:
         raise ValueError("step_budget must be nonnegative")
     n = g.n
@@ -286,7 +298,7 @@ def scalar_greedy_embed(
         return allowed[int(rng.integers(0, len(allowed)))]
 
     halt = False
-    for tree in trees:
+    for tree, _ in trees:
         if halt:
             break
         if tree.n < 2:

@@ -1,13 +1,18 @@
 import itertools
 
+import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_isomorphic, prufer_tree, relabel, sampled_distinct_trees
 from taulab import rng as rngmod
+from taulab import catalog
 from taulab.catalog import (
     LinearForest,
+    _unrank_shape,
+    _unrank_tree,
     ahu_code,
     catalan,
     distinct_maxdeg3_trees,
@@ -121,15 +126,73 @@ def test_distinct_maxdeg3_sampling_needs_rng():
 
 def test_iter_distinct_trees():
     # small t: the stream is the full exhaustive list
-    codes = [ahu_code(g) for g in iter_distinct_maxdeg3_trees(12, rngmod.stream(2, 2))]
+    codes = [ahu_code(g) for g, _ in iter_distinct_maxdeg3_trees(12, rngmod.stream(2, 2))]
     assert len(codes) == len(set(codes)) == len(maxdeg3_trees(12))
     # large t: sampled, deduplicated, and finite even when saturated
     it = iter_distinct_maxdeg3_trees(20, rngmod.stream(2, 3))
     seen = set()
     for _ in range(30):
-        code = ahu_code(next(it))
+        code = ahu_code(next(it)[0])
         assert code not in seen
         seen.add(code)
+
+
+def test_exhaustive_trees_enumerated_once(monkeypatch):
+    calls = []
+    enumerate_trees = nx.nonisomorphic_trees
+
+    def counting(t):
+        calls.append(t)
+        return enumerate_trees(t)
+
+    monkeypatch.setattr(catalog.nx, "nonisomorphic_trees", counting)
+    catalog._coded_maxdeg3_trees.cache_clear()
+    first = maxdeg3_trees(9)
+    assert calls == [9]
+    first.append(None)  # each caller gets a fresh list
+    second = maxdeg3_trees(9)
+    assert calls == [9]
+    assert second == first[:-1]
+    stream = list(iter_distinct_maxdeg3_trees(9, None))
+    assert calls == [9]
+    assert [g for g, _ in stream] == second
+    assert [code for _, code in stream] == [ahu_code(g) for g in second]
+    with pytest.raises(ValueError):
+        second[0].ranks[0] = 1  # the shared trees are read-only
+
+
+def assert_unranks_like_oracle(t: int, rank: int) -> None:
+    fast = _unrank_tree(t, rank)
+    oracle = rooted_to_graph(_unrank_shape(t, rank))
+    assert fast.n == oracle.n == t
+    assert fast.edges == oracle.edges
+    assert fast.ranks.dtype == np.int64
+    assert fast == oracle
+    # the neighbour lists handed over equal the CSR pass over the ranks
+    assert fast.adj == oracle.adj == Graph.from_ranks(t, fast.ranks).adj
+
+
+@pytest.mark.parametrize("t", range(1, 10))
+def test_unrank_tree_matches_shape_oracle_exhaustively(t):
+    for rank in range(catalan(t)):
+        assert_unranks_like_oracle(t, rank)
+
+
+@pytest.mark.parametrize("t", [17, 34, 48])
+def test_unrank_tree_matches_shape_oracle_sampled(t):
+    rng = rngmod.stream(t, 9)
+    ranks = [0, catalan(t) - 1] + [
+        rngmod.bigint_below(rng, catalan(t)) for _ in range(498)
+    ]
+    for rank in ranks:
+        assert_unranks_like_oracle(t, rank)
+
+
+def test_supply_hands_over_the_trees_code():
+    for g, code in itertools.islice(
+        iter_distinct_maxdeg3_trees(34, rngmod.stream(3, 2)), 20
+    ):
+        assert code == ahu_code(Graph.from_ranks(g.n, g.ranks))
 
 
 def test_ahu_code_relabelling_invariance():

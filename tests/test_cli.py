@@ -65,6 +65,18 @@ def test_construction_failure_exits_2(capsys, tmp_path):
     assert "census too small" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["embed", "--n", "46342", "--p", "0.5", "--seed", "1"],
+        ["color", "--regime", "dense", "--n", "46342", "--p", "0.5", "--seed", "1"],
+    ],
+)
+def test_dense_above_the_outcome_cap_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert "n=46342" in capsys.readouterr().err
+
+
 # --- gen / census ----------------------------------------------------------
 
 

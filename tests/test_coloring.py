@@ -3,12 +3,13 @@ import itertools
 import networkx as nx
 import numpy as np
 import pytest
-from conftest import brute_isomorphic, relabel
+from conftest import brute_isomorphic, coded, relabel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taulab import rng as rngmod
-from taulab.catalog import free_trees
+from taulab import coloring
+from taulab.catalog import CanonicalCode, free_trees
 from taulab.coloring import (
     CanonicalizationError,
     Coloring,
@@ -25,8 +26,24 @@ from taulab.coloring import (
     verysparse_box,
     write_coloring,
 )
-from taulab.embed import LazyRandomGraph, greedy_embed, materialize
-from taulab.graph import Graph, census, edge_tuples, gen_gnp, pair_ranks
+from taulab.embed import (
+    EmbeddedTree,
+    EmbedResult,
+    EmbedTrace,
+    LazyRandomGraph,
+    greedy_embed,
+    materialize,
+)
+from taulab.graph import (
+    Component,
+    ComponentCensus,
+    Graph,
+    census,
+    edge_tuples,
+    gen_gnp,
+    pair_ranks,
+)
+from taulab.pathpack import ForestPlacement, PackResult
 
 
 def ranked(*classes) -> tuple[np.ndarray, ...]:
@@ -330,7 +347,7 @@ def test_read_coloring_rejects_bad_counts(tmp_path, text, message):
 def test_dense_builder():
     supply = maxdeg3_trees(5) + maxdeg3_trees(6)
     lazy = LazyRandomGraph(60, 0.8, 23)
-    res = greedy_embed(lazy, supply, 10**5, rngmod.stream(23, 0))
+    res = greedy_embed(lazy, coded(supply), 10**5, rngmod.stream(23, 0))
     assert res.status == "supply_exhausted"
     host = materialize(lazy)
     col = build_dense_coloring(res, host)
@@ -343,7 +360,7 @@ def test_dense_builder():
 def test_dense_builder_rejects_repeated_shapes():
     lazy = LazyRandomGraph(30, 1.0, 29)
     res = greedy_embed(
-        lazy, [path_graph(5), path_graph(5)], 10**4, rngmod.stream(29, 0)
+        lazy, coded([path_graph(5), path_graph(5)]), 10**4, rngmod.stream(29, 0)
     )
     host = materialize(lazy)
     with pytest.raises(ValueError, match="repeat"):
@@ -352,7 +369,7 @@ def test_dense_builder_rejects_repeated_shapes():
 
 def test_dense_builder_checks_host_edges():
     lazy = LazyRandomGraph(30, 1.0, 29)
-    res = greedy_embed(lazy, [path_graph(5)], 10**4, rngmod.stream(29, 0))
+    res = greedy_embed(lazy, coded([path_graph(5)]), 10**4, rngmod.stream(29, 0))
     with pytest.raises(ValueError, match="missing"):
         build_dense_coloring(res, Graph.from_edges(30, []))
 
@@ -388,6 +405,65 @@ def test_sparse_builder_oversized_k():
     g = cycle_graph(24)
     col = build_sparse_coloring(g, 30, target_len=10, max_paths=5)
     assert col.labels == ("leftover",)
+
+
+# --- leftover checks -------------------------------------------------------
+
+
+def embedded_classes(host, edge_sets, monkeypatch):
+    trees = [
+        EmbeddedTree(code=CanonicalCode(b"%d" % i), mapping={}, edges=tuple(es))
+        for i, es in enumerate(edge_sets)
+    ]
+    trace = EmbedTrace(steps=0, rev=[], rev_active=[], rev_inactive=[], activations=[])
+    result = EmbedResult(
+        n=host.n, p=0.5, status="supply_exhausted", embedded=trees, trace=trace
+    )
+    return build_dense_coloring(result, host)
+
+
+def placed_classes(host, edge_sets, monkeypatch):
+    placements = [
+        ForestPlacement(i, 0, 0, (len(es),), tuple(es))
+        for i, es in enumerate(edge_sets)
+    ]
+    monkeypatch.setattr(
+        coloring,
+        "pack_forests",
+        lambda paths, forests: PackResult(placements, None, len(placements)),
+    )
+    return build_sparse_coloring(host, 3, target_len=4, max_paths=2)
+
+
+def census_classes(host, edge_sets, monkeypatch):
+    # single-edge path components; the box (2, 0) takes the first for one
+    # class and the next two for another
+    comps = tuple(Component(vertices=es[0], edges=tuple(es)) for es in edge_sets)
+    tally = ComponentCensus(counts={}, orders={}, paths={2: comps})
+    return build_verysparse_coloring(host, tally, 4, xi=(2, 0))
+
+
+@pytest.mark.parametrize(
+    "builder, what",
+    [
+        (embedded_classes, "embedded"),
+        (placed_classes, "placed"),
+        (census_classes, "census"),
+    ],
+)
+@pytest.mark.parametrize(
+    "edge_sets, message",
+    [
+        ([[(2, 3)], [(4, 5)], [(2, 3)]], "{} edge (2, 3) used twice"),
+        ([[(2, 3)], [(4, 5)], [(3, 7)]], "{} edge (3, 7) missing from host graph"),
+    ],
+)
+def test_builders_name_a_repeated_or_stray_edge(
+    builder, what, edge_sets, message, monkeypatch
+):
+    with pytest.raises(ValueError) as exc:
+        builder(cycle_graph(12), edge_sets, monkeypatch)
+    assert str(exc.value) == message.format(what)
 
 
 # --- very sparse builder ---------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import blockwise_materialize, scalar_greedy_embed
+from conftest import blockwise_materialize, coded, scalar_greedy_embed
+from taulab import embed
 from taulab import rng as rngmod
 from taulab.catalog import ahu_code, free_trees, rooted_to_graph, sample_rooted_binary
 from taulab.embed import (
@@ -63,7 +64,7 @@ def test_reveal_matches_materialize():
 def test_embed_p1_single_tree():
     t = 6
     lazy = LazyRandomGraph(30, 1.0, 1)
-    res = greedy_embed(lazy, [path_tree(t)], 10**6, rngmod.stream(1, 0))
+    res = greedy_embed(lazy, coded([path_tree(t)]), 10**6, rngmod.stream(1, 0))
     assert res.status == "supply_exhausted"
     assert len(res.embedded) == 1
     # with p = 1 every reveal is a hit: exactly t - 1 steps
@@ -79,16 +80,16 @@ def test_embed_rejects_bad_supply():
     lazy = LazyRandomGraph(30, 0.5, 1)
     star = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     with pytest.raises(ValueError):
-        greedy_embed(lazy, [star], 100, rngmod.stream(1, 0))
+        greedy_embed(lazy, coded([star]), 100, rngmod.stream(1, 0))
     single = Graph.from_edges(1, [])
     with pytest.raises(ValueError):
-        greedy_embed(lazy, [single], 100, rngmod.stream(1, 0))
+        greedy_embed(lazy, coded([single]), 100, rngmod.stream(1, 0))
 
 
 def test_counter_identities():
     lazy = LazyRandomGraph(60, 0.4, 3)
     trees = maxdeg3_trees(5) + maxdeg3_trees(6)
-    res = greedy_embed(lazy, trees, 10**6, rngmod.stream(3, 0))
+    res = greedy_embed(lazy, coded(trees), 10**6, rngmod.stream(3, 0))
     assert res.status == "supply_exhausted"
     tr = res.trace
     assert sum(tr.rev) == 2 * tr.steps
@@ -100,7 +101,7 @@ def test_counter_identities():
 
 def test_budget_exhaustion_discards_partial():
     lazy = LazyRandomGraph(50, 1.0, 2)
-    res = greedy_embed(lazy, [path_tree(10)], 4, rngmod.stream(2, 0))
+    res = greedy_embed(lazy, coded([path_tree(10)]), 4, rngmod.stream(2, 0))
     assert res.status == "budget_exhausted"
     assert res.embedded == []
     assert res.trace.steps == 4
@@ -110,7 +111,7 @@ def test_budget_exhaustion_discards_partial():
 def test_failure_when_candidates_run_out():
     n = 12
     lazy = LazyRandomGraph(n, 0.0, 5)
-    res = greedy_embed(lazy, [path_tree(2)], 10**6, rngmod.stream(5, 0))
+    res = greedy_embed(lazy, coded([path_tree(2)]), 10**6, rngmod.stream(5, 0))
     assert res.status == "failed"
     assert res.embedded == []
     assert res.trace.failed
@@ -123,7 +124,7 @@ def test_embed_deterministic():
     def run():
         lazy = LazyRandomGraph(80, 0.35, 7)
         return greedy_embed(
-            lazy, maxdeg3_trees(6), 10**5, rngmod.stream(7, 0)
+            lazy, coded(maxdeg3_trees(6)), 10**5, rngmod.stream(7, 0)
         )
 
     a, b = run(), run()
@@ -136,7 +137,7 @@ def test_embed_deterministic():
 def test_embedded_trees_live_in_host():
     supply = maxdeg3_trees(6)
     lazy = LazyRandomGraph(100, 0.3, 11)
-    res = greedy_embed(lazy, supply, 10**5, rngmod.stream(11, 0))
+    res = greedy_embed(lazy, coded(supply), 10**5, rngmod.stream(11, 0))
     assert res.status == "supply_exhausted"
     assert len(res.embedded) == len(supply)
     host = materialize(lazy)
@@ -160,7 +161,7 @@ def test_embedded_trees_live_in_host():
 def test_record_log():
     lazy = LazyRandomGraph(40, 0.5, 13)
     res = greedy_embed(
-        lazy, maxdeg3_trees(5), 10**4, rngmod.stream(13, 0), record_log=True
+        lazy, coded(maxdeg3_trees(5)), 10**4, rngmod.stream(13, 0), record_log=True
     )
     assert res.status == "supply_exhausted"
     assert res.trace.log is not None
@@ -169,14 +170,17 @@ def test_record_log():
     assert hits == sum(len(t.edges) for t in res.embedded)
     # without the flag no log is kept
     quiet = greedy_embed(
-        LazyRandomGraph(40, 0.5, 13), maxdeg3_trees(5), 10**4, rngmod.stream(13, 0)
+        LazyRandomGraph(40, 0.5, 13),
+        coded(maxdeg3_trees(5)),
+        10**4,
+        rngmod.stream(13, 0),
     )
     assert quiet.trace.log is None
 
 
 def test_diagnostics_thresholds():
     lazy = LazyRandomGraph(200, 0.2, 17)
-    res = greedy_embed(lazy, maxdeg3_trees(6), 3000, rngmod.stream(17, 0))
+    res = greedy_embed(lazy, coded(maxdeg3_trees(6)), 3000, rngmod.stream(17, 0))
     diag = diagnostics_check(res.trace, 0.01, 200)
     assert diag.rev_limit == 1000 * 0.01 * 200
     assert diag.rev_active_limit == 500 * 0.01 * 200
@@ -191,7 +195,7 @@ def test_diagnostics_thresholds():
 
 def test_report_round_trip(tmp_path):
     lazy = LazyRandomGraph(50, 0.4, 19)
-    res = greedy_embed(lazy, maxdeg3_trees(5), 500, rngmod.stream(19, 0))
+    res = greedy_embed(lazy, coded(maxdeg3_trees(5)), 500, rngmod.stream(19, 0))
     rep = embed_report(res)
     assert rep["status"] == res.status
     assert rep["embedded_count"] == len(res.embedded)
@@ -207,7 +211,7 @@ def test_report_round_trip(tmp_path):
 def test_embed_invariants_property(seed, p):
     lazy = LazyRandomGraph(30, p, seed)
     supply = maxdeg3_trees(4) + maxdeg3_trees(5)
-    res = greedy_embed(lazy, supply, 400, rngmod.stream(seed, 1))
+    res = greedy_embed(lazy, coded(supply), 400, rngmod.stream(seed, 1))
     tr = res.trace
     assert sum(tr.rev) == 2 * tr.steps
     assert tr.steps <= 400
@@ -238,31 +242,36 @@ def make_rng(kind: str, seed: int) -> np.random.Generator:
 
 
 # Two bad supply entries: the star is refused before any draw, the 4-cycle
-# passes the degree and connectivity checks, is embedded along a spanning
-# path and only then fails in ahu_code, with candidates of its own taken.
+# (handed over with the code of the 4-vertex path) passes the degree and
+# connectivity checks, is embedded along a spanning path and only then is
+# refused as not a tree, with candidates of its own taken.
 BAD_TREES = {
     "star": Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
     "cycle": Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
 }
+BAD_CODES = {"star": ahu_code(BAD_TREES["star"]), "cycle": ahu_code(path_tree(4))}
 
 
 def make_supply(kind: str, orders: list[int], rng: np.random.Generator):
-    """A tree supply.  "shared" draws from the picker's own generator before
-    each tree, in 64-bit, 32-bit and byte-sized amounts; "star" and "cycle"
-    put that bad entry in the middle of the supply."""
+    """A supply of (tree, code) pairs.  "shared" draws from the picker's own
+    generator before each tree, in 64-bit, 32-bit and byte-sized amounts;
+    "star" and "cycle" put that bad entry in the middle of the supply."""
     if kind in BAD_TREES:
         half = len(orders) // 2
-        return [path_tree(t) for t in orders[:half]] + [BAD_TREES[kind]] + [
-            path_tree(t) for t in orders[half:]
-        ]
+        return (
+            coded(path_tree(t) for t in orders[:half])
+            + [(BAD_TREES[kind], BAD_CODES[kind])]
+            + coded(path_tree(t) for t in orders[half:])
+        )
     if kind == "paths":
-        return [path_tree(t) for t in orders]
+        return coded(path_tree(t) for t in orders)
 
     def shared():
         for t in orders:
             rng.random()
             rng.integers(0, 7)
-            yield rooted_to_graph(sample_rooted_binary(t, rng))
+            tree = rooted_to_graph(sample_rooted_binary(t, rng))
+            yield tree, ahu_code(tree)
 
     return shared()
 
@@ -299,6 +308,14 @@ def test_greedy_embed_matches_scalar_oracle(
     assert run_embed(greedy_embed, *args) == run_embed(scalar_greedy_embed, *args)
 
 
+@pytest.mark.parametrize("n", [363, 700, 1500])
+@pytest.mark.parametrize("supply", ["paths", "shared"])
+def test_greedy_embed_matches_scalar_oracle_across_outcome_blocks(n, supply):
+    # above n = 362 the pairs span several outcome blocks of 2**16 ranks
+    args = (n, 0.2, n, supply, [12, 9, 14, 7, 11, 10], 2000, "philox", True)
+    assert run_embed(greedy_embed, *args) == run_embed(scalar_greedy_embed, *args)
+
+
 class CountingRng:
     """A generator that records the upper bound of every integers call."""
 
@@ -321,7 +338,7 @@ def test_fallback_pick_matches_scalar_oracle():
     n = 80
     rng = CountingRng(make_rng("philox", 1))
     lazy = LazyRandomGraph(n, 1e-9, 1)
-    res = greedy_embed(lazy, [path_tree(2)], 10**4, rng)
+    res = greedy_embed(lazy, coded([path_tree(2)]), 10**4, rng)
     assert any(high != n for high in rng.highs)  # the scan drew a pick
     assert res.status == "failed"
     assert res.trace.steps == n - 1
@@ -361,3 +378,36 @@ def test_materialize_matches_blockwise_oracle(n):
     for p in (0.0, 0.3, 1.0):
         lazy = LazyRandomGraph(n, p, 4)
         assert materialize(lazy) == blockwise_materialize(lazy)
+
+
+@pytest.mark.parametrize("n", [362, 363, 364])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_materialize_after_reveals_matches_blockwise_oracle(n, p):
+    # reveals in a shuffled order hash some blocks of the outcome table
+    # first; materialize must read those and hash the rest to the same graph
+    lazy = LazyRandomGraph(n, p, 6)
+    rng = np.random.default_rng(n)
+    pairs = [(int(u), int(v)) for u, v in rng.integers(0, n, size=(400, 2)) if u != v]
+    seen = {}
+    for u, v in pairs:
+        if not lazy.is_revealed(u, v):
+            seen[(u, v)] = lazy.reveal(u, v)
+    host = materialize(lazy)
+    assert host == blockwise_materialize(lazy)
+    assert all(host.has_edge(u, v) == hit for (u, v), hit in seen.items())
+    # a reveal after materialize reads the same table
+    u, v = next((u, v) for u in range(n) for v in range(u + 1, n)
+                if not lazy.is_revealed(u, v))
+    assert lazy.reveal(u, v) == host.has_edge(u, v)
+
+
+def test_lazy_graph_refuses_a_table_above_the_cap(monkeypatch):
+    # C(46341, 2) fits 2**30 bytes of outcome and C(46342, 2) does not; the
+    # refusal comes before the table is allocated
+    with pytest.raises(ValueError, match="n=46342 .* cap of 1,073,741,824 pairs"):
+        LazyRandomGraph(46342, 0.5, 0)
+    # the cap is inclusive: at a cap of 10 pairs, n = 5 fits and n = 6 not
+    monkeypatch.setattr(embed, "_MAX_PAIRS", 10)
+    assert LazyRandomGraph(5, 0.5, 0).n == 5
+    with pytest.raises(ValueError, match="n=6 "):
+        LazyRandomGraph(6, 0.5, 0)

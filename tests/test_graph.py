@@ -20,6 +20,7 @@ from taulab.graph import (
     Graph,
     _component_labels,
     _first_distinct_draws,
+    _unrank_pairs,
     census,
     components,
     edge_tuples,
@@ -106,6 +107,14 @@ def test_rank_edge_conversions():
     for bad in ([(1, 1)], [(2, 1)], [(-1, 2)]):
         with pytest.raises(ValueError):
             pair_ranks(bad)
+
+
+def test_unrank_pairs_refuses_ranks_beyond_exact_range():
+    top = 2**52 - 1
+    u, v = _unrank_pairs(np.array([top], dtype=np.int64))
+    assert pair_rank(int(u[0]), int(v[0])) == top
+    with pytest.raises(ValueError, match=r"2\*\*52"):
+        _unrank_pairs(np.array([5, 2**52], dtype=np.int64))
 
 
 @pytest.mark.parametrize("npairs, m", [(20, 15), (40, 40), (4_498_500, 4500)])
