@@ -11,10 +11,11 @@ Constructing a `Coloring` checks with one sort that the classes cover the
 host disjointly.  `verify_distinct` then certifies pairwise non-isomorphism
 from scratch: classes of different edge counts are trivially
 non-isomorphic, and classes of equal size are compared by the multiset of
-their components' codes.  One rule, `connected_code`, codes every component
-on plain neighbour lists, for census and `tau_exact` too: a tree of any
-size gets its AHU string, any other component its exact certificate, which
-needs a small component.
+their components' codes.  `class_signatures` computes those for a whole
+batch of classes in one labelling pass.  A path is coded by its order
+alone, as in the census; every other component goes through
+`connected_code` on its own neighbour lists, which gives a tree of any size
+its AHU string and anything else its exact certificate (small ones only).
 
 `tau_exact` answers the inverse question for tiny graphs (at most 8 edges)
 by exhausting set partitions of the edge set, and `tau_matching` gives the
@@ -24,22 +25,25 @@ closed form for a perfect obstruction-free case, a matching of m edges.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
+from itertools import chain, product
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .bounds import ell, theta_verysparse
-# ahu_code is not called here since class_signature codes trees through
-# tree_code, but it stays importable as coloring.ahu_code, where
-# perfbench/run.py's tracer looks it up
+# trees are coded through tree_code, so ahu_code is unused here; it stays
+# importable as coloring.ahu_code because perfbench/run.py's tracer rebinds it
 from .catalog import LinearForest, ahu_code, partitions, tree_code  # noqa: F401
 from .embed import EmbedResult
 from .graph import (
     ComponentCensus,
     Graph,
+    _component_labels,
+    _component_shapes,
+    _grouped,
+    _unrank_pairs,
     components,
     edge_tuples,
     pair_ranks,
@@ -286,37 +290,58 @@ def read_coloring(path: str) -> Coloring:
 # distinctness
 
 
-def _class_components(edges: Sequence[Edge]) -> list[list[list[int]]]:
-    """The connected components of an edge set, each as neighbour lists
-    over its own vertices renumbered 0.. in order of discovery."""
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    index: dict[int, int] = {}  # vertex -> its number in its component
-    out: list[list[list[int]]] = []
-    for start in adj:
-        if start in index:
-            continue
-        index[start] = 0
-        order = [start]
-        for x in order:  # breadth first; order grows while it is walked
-            for y in adj[x]:
-                if y not in index:
-                    index[y] = len(order)
-                    order.append(y)
-        out.append([[index[y] for y in adj[x]] for x in order])
-    return out
+@lru_cache(maxsize=None)
+def _path_code(order: int) -> bytes:
+    """`tree_code` of the path on order >= 2 vertices."""
+    adj = [[i - 1, i + 1] for i in range(order)]
+    adj[0], adj[-1] = [1], [order - 2]
+    return tree_code(adj)
+
+
+def class_signatures(
+    classes: Sequence[np.ndarray], n: int, max_vertices: int = 10
+) -> list:
+    """`class_signature` of every class, a rank array on vertices below n,
+    from one labelling pass over them all with vertex v of class c keyed
+    c * n + v.  Paths are coded by their order alone, every other component
+    by `connected_code`; a class with a component that cannot be coded gets
+    the CanonicalizationError of the first, by smallest vertex, instead."""
+    if not classes:
+        return []
+    tags = np.repeat(np.arange(len(classes)), [len(c) for c in classes])
+    us, vs = _unrank_pairs(_joined(classes))
+    both = np.concatenate((tags * n + us, tags * n + vs))
+    keys, ends = np.unique(both, return_inverse=True)
+    edges = ends.reshape(2, -1).T  # each edge's two endpoints, as key indices
+    labels = _component_labels(len(keys), edges[:, 0], edges[:, 1])
+    roots = np.flatnonzero(labels == np.arange(len(keys)))
+    order, path = _component_shapes(labels, edges, roots)
+    owner = keys[roots] // n  # class of each component
+    codes: list[list[bytes]] = [[] for _ in classes]
+    for c, size in zip(owner[path].tolist(), order[path].tolist()):
+        codes[c].append(_path_code(size))
+    failed: dict[int, CanonicalizationError] = {}
+    others = _grouped(edges, labels, roots[~path])
+    for c, comp in zip(owner[~path].tolist(), others):
+        if c not in failed:
+            try:
+                codes[c].append(connected_code(comp.local_adj(), max_vertices))
+            except CanonicalizationError as exc:
+                failed[c] = exc
+    return [failed.get(c) or tuple(sorted(cs)) for c, cs in enumerate(codes)]
 
 
 def class_signature(edges: Sequence[Edge], max_vertices: int = 10) -> tuple:
     """Isomorphism invariant of an edge set that is also complete: the
     sorted `connected_code` of its components, so equal signatures mean
-    isomorphic classes.  Tree components of any size are coded exactly;
-    every other component must have at most max_vertices vertices."""
-    return tuple(
-        sorted(connected_code(adj, max_vertices) for adj in _class_components(edges))
-    )
+    isomorphic classes.  A path is coded by its order, any other tree
+    exactly at any size; every other component must have at most
+    max_vertices vertices.  The one-class call of `class_signatures`."""
+    e = np.sort(np.array(edges, dtype=np.int64).reshape(-1, 2), axis=1)
+    (sig,) = class_signatures([pair_ranks(e)], int(e.max(initial=0)) + 1, max_vertices)
+    if isinstance(sig, CanonicalizationError):
+        raise sig
+    return sig
 
 
 def verify_distinct(
@@ -325,29 +350,27 @@ def verify_distinct(
     """Certify that all colour classes are pairwise non-isomorphic.
 
     Returns (True, None), or (False, (i, j)) naming the first two classes
-    found isomorphic.  Classes are grouped by edge count first, so
-    signatures are only computed inside groups of equal size; a class in
-    such a group with a component that is neither a tree nor of at most
-    max_vertices vertices raises VerifyError.
+    found isomorphic.  Every class that shares its edge count with another
+    is signed, all in one `class_signatures` call, and the classes are then
+    walked by ascending edge count and index; reaching one with a component
+    that is neither a tree nor of at most max_vertices vertices raises
+    VerifyError.
     """
+    classes = coloring.classes
     by_count: dict[int, list[int]] = {}
-    for i, cls in enumerate(coloring.classes):
+    for i, cls in enumerate(classes):
         by_count.setdefault(len(cls), []).append(i)
-    for count in sorted(by_count):
-        group = by_count[count]
-        if len(group) < 2:
-            continue
-        seen: dict[tuple, int] = {}
-        for i in group:
-            try:
-                sig = class_signature(edge_tuples(coloring.classes[i]), max_vertices)
-            except CanonicalizationError as exc:
-                raise VerifyError(
-                    f"class {i} ({count} edges) cannot be verified: {exc}"
-                ) from exc
-            if sig in seen:
-                return False, (seen[sig], i)
-            seen[sig] = i
+    signed = [i for c in sorted(by_count) if len(by_count[c]) > 1 for i in by_count[c]]
+    sigs = class_signatures([classes[i] for i in signed], coloring.host.n, max_vertices)
+    seen: dict[tuple, int] = {}  # classes of different sizes never match
+    for i, sig in zip(signed, sigs):
+        if isinstance(sig, CanonicalizationError):
+            raise VerifyError(
+                f"class {i} ({len(classes[i])} edges) cannot be verified: {sig}"
+            ) from sig
+        if sig in seen:
+            return False, (seen[sig], i)
+        seen[sig] = i
     return True, None
 
 
@@ -374,22 +397,18 @@ def _append_leftover(
         )
     if not len(leftover):
         return
-    collide = None
-    for i, cls in enumerate(classes):
-        if len(cls) != len(leftover):
-            continue
-        try:
-            if class_signature(edge_tuples(cls)) == class_signature(
-                edge_tuples(leftover)
-            ):
-                collide = i
-                break
-        except CanonicalizationError as exc:
+    same = [cls for cls in classes if len(cls) == len(leftover)]
+    left, *sigs = class_signatures([leftover, *same], host.n) if same else [None]
+    for sig in sigs:  # same-size classes in index order, up to the first match
+        bad = next((s for s in (sig, left) if isinstance(s, Exception)), None)
+        if bad is not None:
             raise VerifyError(
                 "leftover class matches an existing class in size "
                 "but neither can be canonicalised"
-            ) from exc
-    if collide is None:
+            ) from bad
+        if sig == left:
+            break
+    else:
         classes.append(leftover)
         labels.append("leftover")
         return
@@ -460,7 +479,10 @@ def build_sparse_coloring(
     # nowhere, and p(k) is far too large to materialise
     forests = (LinearForest(lengths) for lengths in partitions(k))
     packed = pack_forests(pack.paths, forests)
-    classes = [np.sort(pair_ranks(pl.edges)) for pl in packed.placements]
+    flat = chain.from_iterable(e for pl in packed.placements for e in pl.edges)
+    ranks = pair_ranks(np.fromiter(flat, dtype=np.int64).reshape(-1, 2))
+    ends = np.cumsum([len(pl.edges) for pl in packed.placements], dtype=np.int64)
+    classes = [np.sort(cls) for cls in np.split(ranks, ends)[:-1]]
     labels = ["forest:" + ",".join(map(str, pl.lengths)) for pl in packed.placements]
     _append_leftover(g, classes, labels, "placed")
     return Coloring(host=g, classes=tuple(classes), labels=tuple(labels))
@@ -596,33 +618,24 @@ def tau_matching(m: int) -> int:
 
 def tau_exact(g: Graph, max_edges: int = 8) -> int:
     """Maximum number of pairwise non-isomorphic parts over all partitions
-    of g's edge set, by exhaustive search over set partitions."""
+    of g's edge set, by exhaustive search over set partitions.  The
+    signatures of all 2^m - 1 nonempty edge subsets come from one
+    `class_signatures` call before the search starts."""
     m = g.edge_count
     if m > max_edges:
         raise ValueError(f"tau_exact is limited to {max_edges} edges, got {m}")
     if m == 0:
         return 0
-    edge_list = g.edges
-
-    sig_memo: dict[int, tuple] = {}
-
-    def subset_sig(mask: int) -> tuple:
-        got = sig_memo.get(mask)
-        if got is None:
-            edges = [edge_list[i] for i in range(m) if mask >> i & 1]
-            got = class_signature(edges, max_vertices=2 * max_edges)
-            sig_memo[mask] = got
-        return got
-
-    # how many isomorphism types of each size exist among subsets of g:
-    # a partition using more parts of one size than that is dead on arrival
-    types_by_size = [0] * (m + 1)
-    by_size: list[set] = [set() for _ in range(m + 1)]
-    for mask in range(1, 1 << m):
-        by_size[mask.bit_count()].add(subset_sig(mask))
-    for s in range(1, m + 1):
-        types_by_size[s] = len(by_size[s])
-
+    # nonempty subsets by mask, signed in one call; mask 0 takes the one-class
+    # call, the only signing that perfbench/run.py's tracer counts
+    masks = np.arange(1, 1 << m)
+    rows, cols = np.nonzero(masks[:, None] >> np.arange(m) & 1)
+    subsets = np.split(g.ranks[cols], np.cumsum(np.bincount(rows)))[:-1]
+    sigs = [class_signature(())]
+    sigs += class_signatures(subsets, g.n, max_vertices=2 * max_edges)
+    for sig in sigs:
+        if isinstance(sig, CanonicalizationError):
+            raise sig
     best = 0
 
     def rec(i: int, parts: list[int]) -> None:
@@ -630,11 +643,7 @@ def tau_exact(g: Graph, max_edges: int = 8) -> int:
         if len(parts) + (m - i) <= best:
             return
         if i == m:
-            sizes = Counter(mask.bit_count() for mask in parts)
-            if any(c > types_by_size[s] for s, c in sizes.items()):
-                return
-            sigs = [subset_sig(mask) for mask in parts]
-            if len(set(sigs)) == len(sigs):
+            if len({sigs[mask] for mask in parts}) == len(parts):
                 best = len(parts)
             return
         bit = 1 << i

@@ -21,7 +21,8 @@ edges by label; `census` reads each component's order, edge count and
 maximum degree off the same labels with `bincount`, so isolated vertices and
 paths, by far the most common components of a very sparse graph, are
 classified by their order alone; every other component is coded on its own
-neighbour lists by `coloring.connected_code`, the rule verification uses.
+neighbour lists by `coloring.connected_code`.  Verification runs the same
+pass and path rule over a batch of colour classes (`coloring.class_signatures`).
 """
 
 from __future__ import annotations
@@ -267,6 +268,19 @@ def _component_labels(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
             parent = jumped
 
 
+def _component_shapes(labels: np.ndarray, edges: np.ndarray, roots: np.ndarray):
+    """(order, path) of the components with these roots, given the (m, 2)
+    edge array: each one's vertex count, and whether it is a path (a tree of
+    maximum degree at most 2, isolated vertices included), which its order
+    alone determines."""
+    nv = len(labels)
+    order = np.bincount(labels, minlength=nv)[roots]
+    size = np.bincount(labels[edges[:, 0]], minlength=nv)[roots]
+    max_degree = np.zeros(nv, dtype=np.int64)
+    np.maximum.at(max_degree, labels, np.bincount(edges.ravel(), minlength=nv))
+    return order, (size == order - 1) & (max_degree[roots] <= 2)
+
+
 def _labelled(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(edges, labels, roots): the edges as a lexicographically sorted
     (m, 2) array, each vertex's component label, and the ascending roots."""
@@ -281,6 +295,8 @@ def _grouped(
 ) -> list[Component]:
     """The components whose smallest vertex is in roots (ascending), in that
     order, with sorted vertices and lexicographically sorted edges."""
+    if not len(roots):
+        return []
     verts = np.argsort(labels, kind="stable")
     by_edge = np.argsort(labels[edges[:, 0]], kind="stable")
     vlab, elab = labels[verts], labels[edges[by_edge, 0]]
@@ -362,11 +378,7 @@ def census(g: Graph) -> ComponentCensus:
     other component is coded on its own.
     """
     edges, labels, roots = _labelled(g)
-    comp_order = np.bincount(labels, minlength=g.n)[roots]
-    comp_size = np.bincount(labels[edges[:, 0]], minlength=g.n)[roots]
-    max_degree = np.zeros(g.n, dtype=np.int64)
-    np.maximum.at(max_degree, labels, np.bincount(edges.ravel(), minlength=g.n))
-    is_path = (comp_size == comp_order - 1) & (max_degree[roots] <= 2)
+    comp_order, is_path = _component_shapes(labels, edges, roots)
     counts: dict = {}
     orders: dict = {}
 

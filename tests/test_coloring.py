@@ -1,14 +1,16 @@
 import itertools
+import math
 
 import networkx as nx
 import numpy as np
 import pytest
-from conftest import brute_isomorphic, coded, relabel
+from conftest import brute_isomorphic, coded, oracle_signature, relabel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taulab import bounds as bnd
+from taulab import cli, coloring
 from taulab import rng as rngmod
-from taulab import coloring
 from taulab.catalog import CanonicalCode, free_trees
 from taulab.coloring import (
     CanonicalizationError,
@@ -19,6 +21,7 @@ from taulab.coloring import (
     build_verysparse_coloring,
     canonical_form,
     class_signature,
+    class_signatures,
     read_coloring,
     tau_exact,
     tau_matching,
@@ -174,6 +177,117 @@ def test_class_signature_agrees_with_networkx(seed, kind, partner):
     assert same == nx.is_isomorphic(_nx_graph(a), _nx_graph(b))
 
 
+# shapes for the batched signature test; "big cycle" has more vertices than
+# the default cap, so its class cannot be signed
+_PART_KINDS = ["path", "cycle", "star", "k4", "tree", "gnp", "big cycle"]
+
+
+def _part_edges(kind: str, size: int, rng) -> list[tuple[int, int]]:
+    """A connected-ish part on vertices 0..: size bounds its order."""
+    if kind == "path":
+        return [(i, i + 1) for i in range(size - 1)]
+    if kind == "cycle":
+        return [(i, (i + 1) % max(3, size)) for i in range(max(3, size))]
+    if kind == "star":
+        return [(0, i) for i in range(1, min(size, 7))]
+    if kind == "k4":
+        return list(itertools.combinations(range(4), 2))
+    if kind == "tree":  # up to 25 vertices, above the cap
+        return [(int(rng.integers(0, i)), i) for i in range(1, size)]
+    if kind == "gnp":
+        pairs = list(itertools.combinations(range(min(size, 7)), 2))
+        return [e for e in pairs if rng.random() < 0.5]
+    return [(i, (i + 1) % (11 + size % 4)) for i in range(11 + size % 4)]
+
+
+_POOL = 80  # vertex ids shared by every class of a batch
+
+
+def _batch_class(parts, seed: int) -> list[tuple[int, int]]:
+    """One class: its parts laid on disjoint vertices of a seeded
+    permutation of the shared pool."""
+    rng = rngmod.stream(seed, 0)
+    perm = rng.permutation(_POOL).tolist()
+    edges, base = set(), 0
+    for kind, size in parts:
+        part = _part_edges(kind, size, rng)
+        for u, v in part:
+            a, b = perm[base + u], perm[base + v]
+            edges.add((min(a, b), max(a, b)))
+        base += 1 + max((max(e) for e in part), default=0)
+    return sorted(edges)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(
+                st.tuples(st.sampled_from(_PART_KINDS), st.integers(2, 25)),
+                min_size=1,
+                max_size=3,
+            ),
+            st.integers(0, 2**31),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_class_signatures_match_the_oracle(batch):
+    classes = [_batch_class(parts, seed) for parts, seed in batch]
+    got = class_signatures(
+        [np.sort(pair_ranks(cls)) for cls in classes], _POOL
+    )
+    assert len(got) == len(classes)
+    for cls, sig in zip(classes, got):
+        try:
+            want = oracle_signature(cls)
+        except CanonicalizationError as exc:
+            # only this class fails, with the oracle's message
+            assert isinstance(sig, CanonicalizationError)
+            assert str(sig) == str(exc)
+            with pytest.raises(CanonicalizationError, match=str(exc)):
+                class_signature(cls)
+        else:
+            assert sig == want
+            assert class_signature(cls) == want
+
+
+def test_class_signatures_code_paths_by_order():
+    # a path on 300 vertices takes the AHU string of its order
+    long_path = [(i, i + 1) for i in range(299)]
+    (sig,) = class_signatures([pair_ranks(long_path)], 300)
+    assert sig == oracle_signature(long_path)
+    # classes on the same host vertices stay apart
+    a = [(0, 1), (1, 2)]
+    b = [(0, 3), (1, 2), (2, 3)]
+    sa, sb = class_signatures([np.sort(pair_ranks(a)), np.sort(pair_ranks(b))], 4)
+    assert sa == oracle_signature(a) and sb == oracle_signature(b)
+
+
+def _dense_spec(n: int, seed: int) -> cli.TrialSpec:
+    return cli.TrialSpec(0, seed, "dense", n, 40 * math.log(n) / n, None, 0.01, 0.05)
+
+
+@pytest.mark.parametrize("regime", ["sparse", "dense"])
+def test_pipeline_signatures_match_the_oracle(regime):
+    if regime == "sparse":
+        n = 2000
+        g = gen_gnp(n, 30 / n, 7)
+        col = build_sparse_coloring(g, bnd.sparse_k(n), p=30 / n)
+    else:
+        n = 400
+        col, _, _ = cli._REGIMES["dense"](_dense_spec(n, 7))
+    assert col.num_classes > 20
+    for cls, sig in zip(col.classes, class_signatures(col.classes, n)):
+        try:
+            want = oracle_signature(edge_tuples(cls))
+        except CanonicalizationError as exc:
+            assert str(sig) == str(exc)  # the leftover, one big cyclic part
+        else:
+            assert sig == want
+
+
 # --- colourings and verification ------------------------------------------
 
 
@@ -264,6 +378,37 @@ def test_verify_raises_when_uncheckable():
     # a larger cap resolves the group (and finds the collision)
     ok, pair = verify_distinct(col, max_vertices=12)
     assert not ok and pair == (0, 1)
+
+
+def _uncheckable_groups(order: str) -> Coloring:
+    """Three 12-edge classes: two isomorphic paths and a 12-cycle, which the
+    default cap cannot code; order places the cycle first or last."""
+    p1 = [(i, i + 1) for i in range(12)]
+    p2 = [(20 + i, 21 + i) for i in range(12)]
+    ring = [tuple(sorted((40 + i, 40 + (i + 1) % 12))) for i in range(12)]
+    classes = (p1, p2, ring) if order == "pair first" else (ring, p1, p2)
+    g = Graph.from_edges(60, p1 + p2 + ring)
+    return Coloring(host=g, classes=ranked(*classes), labels=("a", "b", "c"))
+
+
+def test_verify_returns_a_pair_found_before_an_uncheckable_class():
+    assert verify_distinct(_uncheckable_groups("pair first")) == (False, (0, 1))
+    # across groups: the pair has fewer edges, the uncheckable class more
+    pair = [(0, 1)], [(2, 3)]
+    ring = [tuple(sorted((10 + i, 10 + (i + 1) % 12))) for i in range(12)]
+    twin = [(30 + i, 31 + i) for i in range(12)]
+    g = Graph.from_edges(50, [e for cls in (*pair, ring, twin) for e in cls])
+    col = Coloring(host=g, classes=ranked(*pair, ring, twin), labels=tuple("abcd"))
+    assert verify_distinct(col) == (False, (0, 1))
+
+
+def test_verify_raises_at_the_first_uncheckable_class():
+    with pytest.raises(VerifyError) as exc:
+        verify_distinct(_uncheckable_groups("cycle first"))
+    assert str(exc.value) == (
+        "class 0 (12 edges) cannot be verified: "
+        "component has 12 vertices, canonical form capped at 10"
+    )
 
 
 def test_verify_mixed_class_with_large_tree():
@@ -599,3 +744,45 @@ def test_tau_exact_bounds_property(seed):
     tau = tau_exact(g)
     # splitting into parts of pairwise distinct sizes always works
     assert tau_matching(m) <= tau <= m
+
+
+def oracle_tau(g: Graph) -> int:
+    """Exact tau by every set partition of the edges, each part signed by
+    the oracle signature."""
+    edges = g.edges
+    m = len(edges)
+    memo: dict[int, tuple] = {}
+
+    def sig(mask: int) -> tuple:
+        if mask not in memo:
+            memo[mask] = oracle_signature(
+                [edges[i] for i in range(m) if mask >> i & 1], max_vertices=16
+            )
+        return memo[mask]
+
+    best = 0
+
+    def rec(i: int, parts: list[int]) -> None:
+        nonlocal best
+        if i == m:
+            if len({sig(mask) for mask in parts}) == len(parts):
+                best = max(best, len(parts))
+            return
+        for j in range(len(parts)):
+            parts[j] |= 1 << i
+            rec(i + 1, parts)
+            parts[j] &= ~(1 << i)
+        rec(i + 1, parts + [1 << i])
+
+    rec(0, [])
+    return best
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tau_exact_matches_oracle_signatures(seed):
+    rng = rngmod.stream(seed, 3)
+    nv = int(rng.integers(5, 10))
+    pairs = list(itertools.combinations(range(nv), 2))
+    pick = rng.choice(len(pairs), size=8, replace=False)
+    g = Graph.from_edges(nv, [pairs[i] for i in pick])
+    assert tau_exact(g) == oracle_tau(g)
