@@ -16,6 +16,8 @@ batch of classes in one labelling pass.  A path is coded by its order
 alone, as in the census; every other component goes through
 `connected_code` on its own neighbour lists, which gives a tree of any size
 its AHU string and anything else its exact certificate (small ones only).
+`class_signature` gives a single small class the same bytes in plain
+Python, without numpy's fixed cost per call.
 
 `tau_exact` answers the inverse question for tiny graphs (at most 8 edges)
 by exhausting set partitions of the edge set, and `tau_matching` gives the
@@ -331,17 +333,37 @@ def class_signatures(
     return [failed.get(c) or tuple(sorted(cs)) for c, cs in enumerate(codes)]
 
 
+def _class_components(edges: Sequence[Edge]) -> list[list[list[int]]]:
+    """The connected components of an edge set, each as neighbour lists
+    over its own vertices renumbered 0.. in order of discovery."""
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    index: dict[int, int] = {}  # vertex -> its number in its component
+    out: list[list[list[int]]] = []
+    for start in adj:
+        if start in index:
+            continue
+        index[start] = 0
+        order = [start]
+        for x in order:  # breadth first; order grows while it is walked
+            for y in adj[x]:
+                if y not in index:
+                    index[y] = len(order)
+                    order.append(y)
+        out.append([[index[y] for y in adj[x]] for x in order])
+    return out
+
+
 def class_signature(edges: Sequence[Edge], max_vertices: int = 10) -> tuple:
     """Isomorphism invariant of an edge set that is also complete: the
     sorted `connected_code` of its components, so equal signatures mean
-    isomorphic classes.  A path is coded by its order, any other tree
-    exactly at any size; every other component must have at most
-    max_vertices vertices.  The one-class call of `class_signatures`."""
-    e = np.sort(np.array(edges, dtype=np.int64).reshape(-1, 2), axis=1)
-    (sig,) = class_signatures([pair_ranks(e)], int(e.max(initial=0)) + 1, max_vertices)
-    if isinstance(sig, CanonicalizationError):
-        raise sig
-    return sig
+    isomorphic classes.  Tree components of any size are coded exactly;
+    every other component must have at most max_vertices vertices."""
+    return tuple(
+        sorted(connected_code(adj, max_vertices) for adj in _class_components(edges))
+    )
 
 
 def verify_distinct(
@@ -619,23 +641,21 @@ def tau_matching(m: int) -> int:
 def tau_exact(g: Graph, max_edges: int = 8) -> int:
     """Maximum number of pairwise non-isomorphic parts over all partitions
     of g's edge set, by exhaustive search over set partitions.  The
-    signatures of all 2^m - 1 nonempty edge subsets come from one
-    `class_signatures` call before the search starts."""
+    signature of every nonempty edge subset is taken before the search
+    starts, one `class_signature` call each."""
     m = g.edge_count
     if m > max_edges:
         raise ValueError(f"tau_exact is limited to {max_edges} edges, got {m}")
     if m == 0:
         return 0
-    # nonempty subsets by mask, signed in one call; mask 0 takes the one-class
-    # call, the only signing that perfbench/run.py's tracer counts
-    masks = np.arange(1, 1 << m)
-    rows, cols = np.nonzero(masks[:, None] >> np.arange(m) & 1)
-    subsets = np.split(g.ranks[cols], np.cumsum(np.bincount(rows)))[:-1]
-    sigs = [class_signature(())]
-    sigs += class_signatures(subsets, g.n, max_vertices=2 * max_edges)
-    for sig in sigs:
-        if isinstance(sig, CanonicalizationError):
-            raise sig
+    edges = g.edges
+    sigs = [()]  # by mask; the empty subset is never a part
+    sigs += [
+        class_signature(
+            [e for i, e in enumerate(edges) if mask >> i & 1], max_vertices=2 * max_edges
+        )
+        for mask in range(1, 1 << m)
+    ]
     best = 0
 
     def rec(i: int, parts: list[int]) -> None:

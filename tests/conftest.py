@@ -20,7 +20,6 @@ from taulab.catalog import (
     rooted_to_graph,
     sample_rooted_binary,
 )
-from taulab.coloring import connected_code
 from taulab.embed import (
     EmbeddedTree,
     EmbedResult,
@@ -369,36 +368,3 @@ def blockwise_materialize(g: LazyRandomGraph, block: int = 1 << 22) -> Graph:
         ranks = np.arange(start, stop, dtype=np.int64)
         blocks.append(ranks[rngmod.pair_uniform_array(g._key, ranks) < g.p])
     return Graph.from_ranks(g.n, np.concatenate(blocks))
-
-
-def class_components(edges: Sequence[tuple[int, int]]) -> list[list[list[int]]]:
-    """The earlier `coloring._class_components`: the connected components of
-    an edge set by breadth-first search from a dict of neighbour lists,
-    each as neighbour lists over its vertices renumbered 0.. in order of
-    discovery."""
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    index: dict[int, int] = {}
-    out: list[list[list[int]]] = []
-    for start in adj:
-        if start in index:
-            continue
-        index[start] = 0
-        order = [start]
-        for x in order:
-            for y in adj[x]:
-                if y not in index:
-                    index[y] = len(order)
-                    order.append(y)
-        out.append([[index[y] for y in adj[x]] for x in order])
-    return out
-
-
-def oracle_signature(edges: Sequence[tuple[int, int]], max_vertices: int = 10) -> tuple:
-    """The earlier `coloring.class_signature`: every component, paths too,
-    coded on its own by `connected_code`, the codes sorted."""
-    return tuple(
-        sorted(connected_code(adj, max_vertices) for adj in class_components(edges))
-    )
