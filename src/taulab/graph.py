@@ -6,14 +6,17 @@ u < v, is kept as its colexicographic pair rank C(v, 2) + u, and a graph's
 edge set is one strictly increasing int64 array of those ranks.  Samplers
 and the colouring builders work on rank arrays directly: `has_edge` is a
 binary search, set differences and cover checks are array operations, and
-adjacency tuples are built from the ranks only when a caller asks for them.
+adjacency is built from the ranks only when a caller asks for it: `csr`
+sorts both orientations of every edge once into offsets and targets, and
+`adj` reads its neighbour tuples off them.
 `Graph.from_edges` still takes Python (u, v) pairs and validates each one.
 
 The G(n, p) sampler is deterministic for a fixed seed: it either draws one
 Bernoulli per pair (vectorised, small or dense inputs) or draws the edge
 count from a binomial and then a uniform random subset of pair ranks
 (sparse inputs), which yields the same distribution without touching all
-~n^2/2 pairs.
+~n^2/2 pairs; repeated rank draws are found by one plain sort of packed
+(draw, position) keys.  An input expecting more than 2^25 edges is refused.
 
 Components come from one vectorised labelling pass over the edge arrays
 (root hooking plus pointer jumping).  `components` groups the vertices and
@@ -40,6 +43,8 @@ from . import rng as rngmod
 # instead of one Bernoulli draw per pair.
 _PAIR_BLOCK = 1 << 22
 _RANK_SAMPLING_DENSITY = 0.05
+# The most edges gen_gnp may expect: 8 bytes of ranks each, and more to sample
+_MAX_EXPECTED_EDGES = 1 << 25
 
 
 def pair_rank(u: int, v: int) -> int:
@@ -148,14 +153,22 @@ class Graph:
         return hash((self.n, self.ranks.tobytes()))
 
     @cached_property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbour tuple of every vertex, from one CSR pass."""
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(offsets, targets): the neighbours of vertex v, ascending, are
+        targets[offsets[v]:offsets[v + 1]]."""
         n = self.n
         us, vs = _unrank_pairs(self.ranks)
         # both orientations as source * n + target, sorted: CSR order
         arcs = np.sort(np.concatenate((us * n + vs, vs * n + us)))
-        flat = (arcs % n).tolist()
-        bounds = [0] + np.cumsum(np.bincount(arcs // n, minlength=n)).tolist()
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(arcs // n, minlength=n), out=offsets[1:])
+        return offsets, arcs % n
+
+    @cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbour tuple of every vertex, read off `csr`."""
+        offsets, targets = self.csr
+        flat, bounds = targets.tolist(), offsets.tolist()
         return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @property
@@ -188,6 +201,9 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     npairs = n * (n - 1) // 2
+    if npairs * p > _MAX_EXPECTED_EDGES:
+        raise ValueError(f"G(n={n}, p={p}) expects {npairs * p:,.0f} edges, "
+                         f"above the cap of {_MAX_EXPECTED_EDGES:,} edges")
     gen = rngmod.stream(seed, 0)
     if npairs == 0 or p == 0.0:
         return Graph.from_ranks(n, np.empty(0, dtype=np.int64))
@@ -205,13 +221,25 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
 
 def _first_distinct_draws(gen: np.random.Generator, npairs: int, m: int) -> np.ndarray:
     """The first m distinct values, sorted, of uniform draws below npairs,
-    drawn in batches of a little more than the number still missing."""
+    drawn in batches of a little more than the number still missing.  The
+    first key of each run in one plain sort of the keys (draw << b) |
+    position, b the bit length of the batch size, holds that draw's first
+    position; keys wider than 63 bits fall back to a stable `np.unique`."""
     picked = np.empty(0, dtype=np.int64)
     while len(picked) < m:
         need = m - len(picked)
-        batch = gen.integers(0, npairs, size=need + max(16, need // 8))
-        _, first = np.unique(batch, return_index=True)
-        fresh = batch[np.sort(first)]
+        size = need + max(16, need // 8)
+        batch = gen.integers(0, npairs, size=size)
+        b = size.bit_length()
+        if npairs.bit_length() + b > 63:
+            _, first = np.unique(batch, return_index=True)
+        else:
+            keys = np.sort((batch << b) | np.arange(size))
+            run_start = np.concatenate(([True], np.diff(keys >> b) != 0))
+            first = keys[run_start] & ((1 << b) - 1)
+        keep = np.zeros(size, dtype=bool)
+        keep[first] = True
+        fresh = batch[keep]
         fresh = fresh[~np.isin(fresh, picked)]
         picked = np.concatenate((picked, fresh[:need]))
     return np.sort(picked)

@@ -9,6 +9,9 @@ restarts from the lowest-index vertex of U.  A path is harvested the moment
 its length reaches the target, its edges leave the residual graph, and the
 sweep state is rebuilt from scratch.  There is no rollback: a sweep that
 ends with U empty and no harvest proves no further path will be found.
+Each vertex keeps its residual neighbours, sliced out of the graph's CSR
+arrays on its first visit; a harvest deletes the path's edges from both
+endpoints, so a sweep only asks whether a neighbour is still in U.
 
 Forests are then placed along the harvested paths, first fit in path order:
 a sub-path of length x consumes x + 1 consecutive path vertices, so a forest
@@ -19,6 +22,7 @@ vertex, so each class really is the disjoint union its label promises.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -38,13 +42,16 @@ class PathPack:
 
 
 def _sweep(
-    adj: Sequence[Sequence[int]],
-    n: int,
-    used: set[tuple[int, int]],
+    residual: list[Optional[array]],
+    offsets: list[int],
+    targets: array,
     target_len: int,
-) -> Optional[list[int]]:
+) -> Optional[tuple[list[int], list[int]]]:
     """One DFS sweep over the residual graph; returns a path of exactly
-    target_len edges or None if the sweep exhausts U without one."""
+    target_len edges and the scan pointers (path[j + 1] is at index
+    ptr[path[j]] - 1 of residual[path[j]]), or None if the sweep exhausts U
+    without one."""
+    n = len(residual)
     in_u = bytearray(b"\x01") * n
     ptr = [0] * n
     path: list[int] = []
@@ -59,30 +66,21 @@ def _sweep(
             in_u[v] = 0
             path.append(v)
         v = path[-1]
-        advanced = False
-        neighbours = adj[v]
-        i = ptr[v]
-        while i < len(neighbours):
-            w = neighbours[i]
+        neighbours = residual[v]
+        if neighbours is None:
+            neighbours = residual[v] = targets[offsets[v]:offsets[v + 1]]
+        i, end = ptr[v], len(neighbours)
+        while i < end and not in_u[neighbours[i]]:
             i += 1
-            if not in_u[w]:
-                continue
-            e = (v, w) if v < w else (w, v)
-            if e in used:
-                continue
-            ptr[v] = i
-            in_u[w] = 0
-            path.append(w)
-            advanced = True
-            break
-        else:
-            ptr[v] = i
-        if advanced:
-            if len(path) - 1 == target_len:
-                return path
-        else:
-            # dead end: endpoint goes to W (never back to U)
+        if i == end:  # dead end: endpoint goes to W (never back to U)
             path.pop()
+            continue
+        w = neighbours[i]
+        ptr[v] = i + 1
+        in_u[w] = 0
+        path.append(w)
+        if len(path) > target_len:
+            return path, ptr
 
 
 def dfs_path_pack(g: Graph, target_len: int, max_paths: int) -> PathPack:
@@ -92,18 +90,31 @@ def dfs_path_pack(g: Graph, target_len: int, max_paths: int) -> PathPack:
         raise ValueError("target_len must be at least 1")
     if max_paths < 0:
         raise ValueError("max_paths must be nonnegative")
+    offsets, targets = g.csr
+    # array slices, unlike lists, are not tracked by the garbage collector
+    bounds, targets = offsets.tolist(), array("q", targets.tobytes())
+    residual: list[Optional[array]] = [None] * g.n
     used: set[tuple[int, int]] = set()
     paths: list[tuple[int, ...]] = []
     while len(paths) < max_paths:
-        found = _sweep(g.adj, g.n, used, target_len)
+        found = _sweep(residual, bounds, targets, target_len)
         if found is None:
             break
-        assert len(set(found)) == len(found)
-        for a, b in zip(found, found[1:]):
+        path, ptr = found
+        assert len(set(path)) == len(path)
+        for a, b in zip(path, path[1:]):
             e = (a, b) if a < b else (b, a)
             assert e not in used
             used.add(e)
-        paths.append(tuple(found))
+            # forward deletions first: each leaves the other path vertices'
+            # scan pointers valid, which a reverse removal could shift
+            del residual[a][ptr[a] - 1]
+        for a, b in zip(path, path[1:]):
+            back = residual[b]
+            if back is None:  # the path's last vertex is never scanned
+                back = residual[b] = targets[bounds[b]:bounds[b + 1]]
+            back.remove(a)
+        paths.append(tuple(path))
     return PathPack(n=g.n, target_len=target_len, paths=paths, used_edges=used)
 
 

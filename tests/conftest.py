@@ -368,3 +368,66 @@ def blockwise_materialize(g: LazyRandomGraph, block: int = 1 << 22) -> Graph:
         ranks = np.arange(start, stop, dtype=np.int64)
         blocks.append(ranks[rngmod.pair_uniform_array(g._key, ranks) < g.p])
     return Graph.from_ranks(g.n, np.concatenate(blocks))
+
+
+def _scalar_sweep(
+    adj: Sequence[Sequence[int]],
+    n: int,
+    used: set[tuple[int, int]],
+    target_len: int,
+) -> Optional[list[int]]:
+    """The earlier DFS sweep: scans the full neighbour tuples and skips the
+    edges already harvested through the used set."""
+    in_u = bytearray(b"\x01") * n
+    ptr = [0] * n
+    path: list[int] = []
+    start_scan = 0
+    while True:
+        if not path:
+            while start_scan < n and not in_u[start_scan]:
+                start_scan += 1
+            if start_scan == n:
+                return None
+            v = start_scan
+            in_u[v] = 0
+            path.append(v)
+        v = path[-1]
+        advanced = False
+        neighbours = adj[v]
+        i = ptr[v]
+        while i < len(neighbours):
+            w = neighbours[i]
+            i += 1
+            if not in_u[w]:
+                continue
+            e = (v, w) if v < w else (w, v)
+            if e in used:
+                continue
+            ptr[v] = i
+            in_u[w] = 0
+            path.append(w)
+            advanced = True
+            break
+        else:
+            ptr[v] = i
+        if advanced:
+            if len(path) - 1 == target_len:
+                return path
+        else:
+            path.pop()
+
+
+def scalar_dfs_path_pack(
+    g: Graph, target_len: int, max_paths: int
+) -> tuple[list[tuple[int, ...]], set[tuple[int, int]]]:
+    """The earlier `dfs_path_pack` on `Graph.adj`: (paths, used_edges)."""
+    used: set[tuple[int, int]] = set()
+    paths: list[tuple[int, ...]] = []
+    while len(paths) < max_paths:
+        found = _scalar_sweep(g.adj, g.n, used, target_len)
+        if found is None:
+            break
+        for a, b in zip(found, found[1:]):
+            used.add((a, b) if a < b else (b, a))
+        paths.append(tuple(found))
+    return paths, used

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from taulab import graph
 from taulab.cli import CSV_COLUMNS, main, trial_seed
 from taulab.coloring import read_coloring
 from taulab.graph import Graph, write_edgelist
@@ -75,6 +76,26 @@ def test_construction_failure_exits_2(capsys, tmp_path):
 def test_dense_above_the_outcome_cap_exits_2(capsys, argv):
     assert main(argv) == 2
     assert "n=46342" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--n", "1000", "--p-over-n", "30", "--seed", "1", "--out", "g.edges"],
+        ["color", "--regime", "sparse", "--n", "1000", "--p-over-n", "30", "--seed", "1"],
+        ["color", "--regime", "verysparse", "--n", "10000", "--p-exponent", "1.3",
+         "--k", "4", "--seed", "1", "--proceed"],
+        ["experiment", "--regime", "sparse", "--n", "1000", "--p-over-n", "30",
+         "--trials", "2", "--seed", "1", "--out", "e.csv"],
+    ],
+)
+def test_sampling_above_the_edge_cap_exits_2(capsys, monkeypatch, tmp_path, argv):
+    # the cap is lowered so that the refusal is tested without a large graph
+    monkeypatch.setattr(graph, "_MAX_EXPECTED_EDGES", 100)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert "edges, above the cap of 100 edges" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 # --- gen / census ----------------------------------------------------------

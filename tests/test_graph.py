@@ -14,6 +14,7 @@ from conftest import (
     component_census,
     first_distinct_draws,
 )
+from taulab import graph
 from taulab import rng as rngmod
 from taulab.catalog import CanonicalCode
 from taulab.graph import (
@@ -117,14 +118,48 @@ def test_unrank_pairs_refuses_ranks_beyond_exact_range():
         _unrank_pairs(np.array([5, 2**52], dtype=np.int64))
 
 
-@pytest.mark.parametrize("npairs, m", [(20, 15), (40, 40), (4_498_500, 4500)])
+@pytest.mark.parametrize(
+    "npairs, m",
+    [
+        (20, 15),
+        (40, 40),
+        (4_498_500, 4500),
+        (199_990_000, 300_000),
+        (2**50 - 1, 5000),
+        (2**50, 5000),
+        (2**52 - 1, 5000),
+    ],
+)
 @pytest.mark.parametrize("seed", range(4))
 def test_first_distinct_draws_matches_loop(seed, npairs, m):
     # small npairs repeat draws often enough to need several batches; the
-    # large case is the G(3000, 3/3000) rank-sampling branch, whose first
-    # batch repeats a few ranks
+    # 4,498,500 case is the G(3000, 3/3000) rank-sampling branch, whose
+    # first batch repeats a few ranks, and 199,990,000 is G(20000, 30/20000).
+    # A batch of 5000 + 625 draws takes 13 position bits, so the packed sort
+    # keys fill exactly 63 bits below 2**50 and the last two cases take the
+    # np.unique side
     got = _first_distinct_draws(rngmod.stream(seed, 0), npairs, m)
     assert got.tolist() == first_distinct_draws(rngmod.stream(seed, 0), npairs, m)
+
+
+class FixedDraws:
+    """Stands in for a Generator whose integers() hands out given values."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def integers(self, low, high, size):
+        out, self.values = self.values[:size], self.values[size:]
+        return np.array(out, dtype=np.int64)
+
+
+def test_first_distinct_draws_tells_apart_draws_beyond_the_key_width():
+    # a batch of 19 takes 5 position bits, so 5 and 5 + 2**59 agree in the
+    # 59 bits a packed key would keep of them; np.unique must tell them apart
+    batch = [5, 5 + 2**59, 5, 7] + [5] * 15
+    got = _first_distinct_draws(FixedDraws(batch), 2**60, 3)
+    assert got.tolist() == first_distinct_draws(FixedDraws(batch), 2**60, 3)
+    assert got.tolist() == [5, 7, 5 + 2**59]
 
 
 def test_gen_gnp_extremes():
@@ -132,6 +167,18 @@ def test_gen_gnp_extremes():
     assert full.edge_count == 6
     empty = gen_gnp(5, 0.0, 0)
     assert empty.edge_count == 0
+
+
+def test_gen_gnp_refuses_an_edge_count_above_the_cap(monkeypatch):
+    # the cap is on the expected edge count C(n, 2) p and inclusive; at a
+    # cap of 90 edges, G(10, 2) expects exactly 90 and G(11, 2) 110
+    monkeypatch.setattr(graph, "_MAX_EXPECTED_EDGES", 90)
+    assert gen_gnp(10, 1.0, 0).edge_count == 45
+    assert gen_gnp(20, 90 / 190, 0).n == 20
+    with pytest.raises(ValueError, match=r"G\(n=20, p=0\.5\) expects 95 edges.* cap of 90"):
+        gen_gnp(20, 0.5, 0)
+    with pytest.raises(ValueError, match=r"n=100000"):
+        gen_gnp(100_000, 30 / 100_000, 0)
 
 
 def test_gen_gnp_edge_count_concentrates():

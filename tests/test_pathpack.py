@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import prufer_tree, relabel, scalar_dfs_path_pack
 from taulab.catalog import LinearForest
 from taulab.graph import Graph, gen_gnp
 from taulab.pathpack import dfs_path_pack, pack_forests
@@ -71,6 +73,64 @@ def test_pack_invariants_property(seed, p):
     g = gen_gnp(30, p, seed)
     pack = dfs_path_pack(g, 4, 50)
     check_pack(g, pack)
+
+
+def assert_matches_oracle(g: Graph, target_len: int, max_paths: int) -> None:
+    pack = dfs_path_pack(g, target_len, max_paths)
+    paths, used = scalar_dfs_path_pack(g, target_len, max_paths)
+    assert pack.paths == paths
+    assert pack.used_edges == used
+    check_pack(g, pack)
+
+
+@given(
+    st.integers(1, 60),
+    st.floats(0.0, 0.5),
+    st.integers(0, 2**31),
+    st.integers(1, 6),
+    st.integers(0, 40),
+)
+@settings(max_examples=150, deadline=None)
+def test_residual_lists_match_scalar_dfs(n, p, seed, target_len, max_paths):
+    assert_matches_oracle(gen_gnp(n, p, seed), target_len, max_paths)
+
+
+def star_graph(leaves: int) -> Graph:
+    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def disjoint_paths(orders) -> Graph:
+    edges, base = [], 0
+    for order in orders:
+        edges += [(base + i, base + i + 1) for i in range(order - 1)]
+        base += order
+    return Graph.from_edges(base, edges)
+
+
+@pytest.mark.parametrize("target_len", range(1, 7))
+def test_backtracking_shapes_match_scalar_dfs(target_len):
+    # stars dead-end at every leaf, random trees backtrack at every branch,
+    # and disjoint paths exhaust one component before the next starts
+    rng = np.random.default_rng(target_len)
+    shapes = [star_graph(9), star_graph(1), disjoint_paths([3, 7, 2, 12, 5])]
+    for _ in range(20):
+        tree = prufer_tree(rng.integers(0, 14, size=12).tolist())
+        shapes += [tree, relabel(tree, rng.permutation(14).tolist())]
+    for g in shapes:
+        assert_matches_oracle(g, target_len, 50)
+
+
+def test_no_paths_asked_or_none_long_enough():
+    g = gen_gnp(30, 0.2, 3)
+    for target_len, max_paths in [(3, 0), (31, 10)]:
+        pack = dfs_path_pack(g, target_len, max_paths)
+        assert pack.paths == [] and pack.used_edges == set()
+        assert_matches_oracle(g, target_len, max_paths)
+
+
+def test_sparse_host_matches_scalar_dfs():
+    n = 2000
+    assert_matches_oracle(gen_gnp(n, 30 / n, 5), 100, 1000)
 
 
 def test_forest_layout_on_one_path():

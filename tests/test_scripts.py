@@ -31,6 +31,16 @@ def test_embed_profile_runs(tmp_path):
         assert all(float(x) > 0 for x in row.split()[-3:])
 
 
+def test_sparse_profile_runs(tmp_path):
+    out = run_script("sparse_profile.py", "--sizes", "500", "2000", "--seeds", "2",
+                     cwd=tmp_path)
+    stages = ["gen_ms", "csr_ms", "dfs_ms", "pack_ms", "leftover_ms", "verify_ms"]
+    assert out[0].split() == ["n", "k", "classes", *stages]
+    assert [row.split()[0] for row in out[1:]] == ["500", "2000"]
+    for row in out[1:]:
+        assert all(float(x) > 0 for x in row.split()[1:])
+
+
 def test_regime_sweep_runs(tmp_path):
     out = run_script("regime_sweep.py", "--seeds", "1", cwd=tmp_path)
     assert [row.split()[0] for row in out[1:]] == ["dense", "sparse", "verysparse"]
