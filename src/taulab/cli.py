@@ -19,7 +19,7 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional, Sequence
 
@@ -157,13 +157,21 @@ def _census_upper_F(path_counts: dict[int, int], n: int, p: float, k: int) -> fl
     return bnd.upper_F(A, B, n, p, k, m=float(n) * n * p)
 
 
+def _embed(n: int, p: float, seed: int, epsilon: float,
+           t: Optional[int] = None, budget: Optional[int] = None):
+    """(lazy graph, result) of the seeded greedy embedding of order-t trees
+    (default dense_tree_order(n)) in budget steps (default epsilon * n^2)."""
+    if t is None:
+        t = bnd.dense_tree_order(n)
+    if budget is None:
+        budget = int(epsilon * n * n)
+    lazy = LazyRandomGraph(n, p, seed)
+    trees = iter_distinct_maxdeg3_trees(t, rngmod.stream(seed, 2))
+    return lazy, greedy_embed(lazy, trees, budget, rngmod.stream(seed, 1))
+
+
 def _dense_coloring(spec: TrialSpec) -> tuple[Coloring, bool, float]:
-    t = bnd.dense_tree_order(spec.n)
-    lazy = LazyRandomGraph(spec.n, spec.p, spec.seed)
-    picker = rngmod.stream(spec.seed, 1)
-    trees = iter_distinct_maxdeg3_trees(t, rngmod.stream(spec.seed, 2))
-    budget = int(spec.epsilon * spec.n * spec.n)
-    result = greedy_embed(lazy, trees, budget, picker)
+    lazy, result = _embed(spec.n, spec.p, spec.seed, spec.epsilon)
     host = materialize(lazy)
     coloring = build_dense_coloring(result, host)
     diag = diagnostics_check(result.trace, spec.epsilon, spec.n)
@@ -269,14 +277,9 @@ def _cmd_embed(args) -> int:
         args.parser.error("--budget must be nonnegative")
     if args.tree_order is not None and args.tree_order < 2:
         args.parser.error("--tree-order must be at least 2")
-    n = args.n
-    t = args.tree_order if args.tree_order is not None else bnd.dense_tree_order(n)
-    lazy = LazyRandomGraph(n, p, args.seed)
-    picker = rngmod.stream(args.seed, 1)
-    trees = iter_distinct_maxdeg3_trees(t, rngmod.stream(args.seed, 2))
-    budget = args.budget if args.budget is not None else int(args.epsilon * n * n)
-    result = greedy_embed(lazy, trees, budget, picker)
-    diag = diagnostics_check(result.trace, args.epsilon, n)
+    _, result = _embed(args.n, p, args.seed, args.epsilon,
+                       args.tree_order, args.budget)
+    diag = diagnostics_check(result.trace, args.epsilon, args.n)
     print(f"status {result.status}")
     print(f"embedded {len(result.embedded)}")
     print(f"steps {result.trace.steps}")
@@ -303,14 +306,16 @@ def _cmd_pack_paths(args) -> int:
     return 0
 
 
-def _cmd_color(args) -> int:
-    p = _resolve_p(args.parser, args)
+def _trial_spec(args, p: float) -> Optional[TrialSpec]:
+    """Trial 0 of the run the color or experiment flags describe, or None
+    when the density lies outside the very sparse window and --proceed is
+    not given; the verysparse regime without --k is a usage error."""
     if args.regime == "verysparse":
         if args.k is None:
             args.parser.error("--k is required for the verysparse regime")
         if not _check_window(args.n, p, args.k, args.proceed):
-            return 1
-    spec = TrialSpec(
+            return None
+    return TrialSpec(
         trial=0,
         seed=args.seed,
         regime=args.regime,
@@ -320,6 +325,12 @@ def _cmd_color(args) -> int:
         epsilon=args.epsilon,
         c_path=args.c_path,
     )
+
+
+def _cmd_color(args) -> int:
+    spec = _trial_spec(args, _resolve_p(args.parser, args))
+    if spec is None:
+        return 1
     coloring, ok, upper = _REGIMES[args.regime](spec)
     print(f"classes {coloring.num_classes}")
     print(f"upper_bound {upper!r}")
@@ -375,22 +386,11 @@ def _cmd_experiment(args) -> int:
         args.parser.error("--trials must be at least 1")
     if args.trials > _SEED_STRIDE:
         args.parser.error(f"--trials above {_SEED_STRIDE} repeats trial seeds")
-    if args.regime == "verysparse":
-        if args.k is None:
-            args.parser.error("--k is required for the verysparse regime")
-        if not _check_window(args.n, p, args.k, args.proceed):
-            return 1
+    base = _trial_spec(args, p)
+    if base is None:
+        return 1
     specs = [
-        TrialSpec(
-            trial=i,
-            seed=trial_seed(args.seed, i),
-            regime=args.regime,
-            n=args.n,
-            p=p,
-            k=args.k,
-            epsilon=args.epsilon,
-            c_path=args.c_path,
-        )
+        replace(base, trial=i, seed=trial_seed(args.seed, i))
         for i in range(args.trials)
     ]
     if args.jobs > 1:

@@ -42,6 +42,7 @@ from .embed import EmbedResult
 from .graph import (
     ComponentCensus,
     Graph,
+    _checked_ranks,
     _component_labels,
     _component_shapes,
     _grouped,
@@ -49,6 +50,7 @@ from .graph import (
     components,
     edge_tuples,
     pair_ranks,
+    parse_count,
     parse_edge_line,
 )
 from .pathpack import dfs_path_pack, pack_forests
@@ -239,51 +241,45 @@ def write_coloring(coloring: Coloring, path: str) -> None:
             fh.writelines(f"{u} {v}\n" for u, v in edge_tuples(cls))
 
 
-def _count_field(text: str, what: str, lineno: int) -> int:
-    """A nonnegative integer field of a colouring file, or a ValueError
-    that names the field and its line."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(
-            f"line {lineno}: {what} is not an integer: {text!r}"
-        ) from None
-    if value < 0:
-        raise ValueError(f"line {lineno}: {what} is negative: {text!r}")
-    return value
-
-
 def read_coloring(path: str) -> Coloring:
+    """Read the format written by write_coloring.  Counts are read by
+    `parse_count` and edge lines by `parse_edge_line`; all the file's
+    edges are then checked and ranked once, together, by the routine behind
+    `Graph.from_edges`, and the classes and the host share those ranks."""
     with open(path, "r", encoding="ascii") as fh:
-        magic = fh.readline().rstrip("\n")
+
+        def line() -> str:
+            return fh.readline().rstrip("\n")
+
+        magic = line()
         if magic != _COLORING_MAGIC:
             raise ValueError(f"unsupported colouring header: {magic!r}")
-        header = fh.readline().split()
+        header = line().split()
         if len(header) != 2:
             raise ValueError("expected '<n> <classes>' on line 2")
-        n = _count_field(header[0], "vertex count", 2)
-        num = _count_field(header[1], "class count", 2)
+        n = parse_count(header[0], "vertex count", 2)
+        num = parse_count(header[1], "class count", 2)
         lineno = 2  # lines read so far
-        classes: list[list[Edge]] = []
+        edges: list[Edge] = []
+        ends: list[int] = []
         labels: list[str] = []
         for _ in range(num):
-            tag = fh.readline().rstrip("\n")
+            tag = line()
             if not tag.startswith("label "):
                 raise ValueError(
                     f"line {lineno + 1}: expected a label line, got {tag!r}"
                 )
             labels.append(tag[len("label "):])
-            count = _count_field(fh.readline().rstrip("\n"), "edge count", lineno + 2)
-            classes.append(
-                [parse_edge_line(fh.readline().rstrip("\n")) for _ in range(count)]
-            )
+            count = parse_count(line(), "edge count", lineno + 2)
+            edges.extend(parse_edge_line(line()) for _ in range(count))
+            ends.append(len(edges))
             lineno += 2 + count
         if fh.readline() != "":
             raise ValueError("trailing data after colouring")
-    host = Graph.from_edges(n, [e for cls in classes for e in cls])
+    ranks = _checked_ranks(n, edges)
     return Coloring(
-        host=host,
-        classes=tuple(np.sort(pair_ranks(cls)) for cls in classes),
+        host=Graph(n, np.sort(ranks)),
+        classes=tuple(np.sort(cls) for cls in np.split(ranks, ends)[:-1]),
         labels=tuple(labels),
     )
 
@@ -510,25 +506,6 @@ def build_sparse_coloring(
     return Coloring(host=g, classes=tuple(classes), labels=tuple(labels))
 
 
-@dataclass(frozen=True)
-class CensusVector:
-    """How many path components of each order a class takes: counts[i] is
-    the number of paths on (i + 2) vertices."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.counts:
-            raise ValueError("empty census vector")
-        if any(c < 0 for c in self.counts):
-            raise ValueError("negative count in census vector")
-        if all(c == 0 for c in self.counts):
-            raise ValueError("all-zero census vector")
-
-    def label(self) -> str:
-        return "vector:" + ",".join(map(str, self.counts))
-
-
 def verysparse_box(
     g: Graph,
     tally: ComponentCensus,
@@ -612,7 +589,6 @@ def build_verysparse_coloring(
     for counts in product(*(range(x + 1) for x in xi)):
         if all(c == 0 for c in counts):
             continue
-        vector = CensusVector(counts)
         edges: list[Edge] = []
         for i, c in enumerate(counts):
             take = pools[i][cursors[i] : cursors[i] + c]
@@ -621,7 +597,7 @@ def build_verysparse_coloring(
             for comp in take:
                 edges.extend(comp.edges)
         classes.append(np.sort(pair_ranks(edges)))
-        labels.append(vector.label())
+        labels.append("vector:" + ",".join(map(str, counts)))
     _append_leftover(g, classes, labels, "census")
     return Coloring(host=g, classes=tuple(classes), labels=tuple(labels))
 

@@ -9,7 +9,9 @@ binary search, set differences and cover checks are array operations, and
 adjacency is built from the ranks only when a caller asks for it: `csr`
 sorts both orientations of every edge once into offsets and targets, and
 `adj` reads its neighbour tuples off them.
-`Graph.from_edges` still takes Python (u, v) pairs and validates each one.
+Pairs from outside the program, the (u, v) pairs given to `Graph.from_edges`
+and the edges of a colouring file, are checked and ranked in one place,
+`_checked_ranks`.
 
 The G(n, p) sampler is deterministic for a fixed seed: it either draws one
 Bernoulli per pair (vectorised, small or dense inputs) or draws the edge
@@ -93,6 +95,27 @@ def edge_tuples(ranks: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(zip(us.tolist(), vs.tolist()))
 
 
+def _checked_ranks(n: int, edges: Iterable[tuple[int, int]]) -> np.ndarray:
+    """Pair ranks, in input order, of (u, v) pairs from outside the program,
+    in either orientation: the one place such pairs are checked.  Raises
+    ValueError on the first self-loop, out-of-range or repeated pair."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    seen: dict[int, None] = {}  # insertion ordered
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if u > v:
+            u, v = v, u
+        rank = v * (v - 1) // 2 + u
+        if rank in seen:
+            raise ValueError(f"duplicate edge {(u, v)}")
+        seen[rank] = None
+    return np.fromiter(seen, dtype=np.int64, count=len(seen))
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph on vertices 0..n-1; ranks holds the pair rank
@@ -103,22 +126,9 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Graph from (u, v) pairs in either orientation, each validated."""
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        seen: set[int] = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u > v:
-                u, v = v, u
-            rank = v * (v - 1) // 2 + u
-            if rank in seen:
-                raise ValueError(f"duplicate edge {(u, v)}")
-            seen.add(rank)
-        return Graph(n, np.array(sorted(seen), dtype=np.int64))
+        """Graph from (u, v) pairs in either orientation, checked by
+        `_checked_ranks`."""
+        return Graph(n, np.sort(_checked_ranks(n, edges)))
 
     @staticmethod
     def from_ranks(n: int, ranks: np.ndarray) -> "Graph":
@@ -444,25 +454,36 @@ def write_edgelist(g: Graph, path: str) -> None:
 
 
 def read_edgelist(path: str) -> Graph:
-    """Read the format written by write_edgelist.  The format checks are
-    made here; Graph.from_edges rejects out-of-range and repeated edges."""
+    """Read the format written by write_edgelist.  The header counts are
+    read by parse_count and each line by parse_edge_line;
+    Graph.from_edges rejects out-of-range and repeated edges."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError("empty edge-list file")
     head = lines[0].split()
     if len(head) != 2:
-        raise ValueError(f"malformed header line: {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise ValueError(f"malformed header line: {lines[0]!r}") from exc
-    if n < 0 or m < 0:
-        raise ValueError(f"malformed header line: {lines[0]!r}")
+        raise ValueError(f"line 1: expected '<n> <m>', got {lines[0]!r}")
+    n = parse_count(head[0], "vertex count", 1)
+    m = parse_count(head[1], "edge count", 1)
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != m:
         raise ValueError(f"header promises {m} edges, found {len(body)}")
     return Graph.from_edges(n, [parse_edge_line(ln) for ln in body])
+
+
+def parse_count(text: str, what: str, lineno: int) -> int:
+    """A nonnegative integer field of the edge-list and colouring formats,
+    or a ValueError that names the field and its line."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(
+            f"line {lineno}: {what} is not an integer: {text!r}"
+        ) from None
+    if value < 0:
+        raise ValueError(f"line {lineno}: {what} is negative: {text!r}")
+    return value
 
 
 def parse_edge_line(ln: str) -> tuple[int, int]:

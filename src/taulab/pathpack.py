@@ -32,13 +32,16 @@ from .graph import Graph
 
 @dataclass
 class PathPack:
-    """Harvested vertex-paths (each of exactly target_len edges) and the set
-    of host edges they consumed."""
+    """Harvested vertex-paths, each of exactly target_len edges."""
 
     n: int
     target_len: int
     paths: list[tuple[int, ...]]
-    used_edges: set[tuple[int, int]]
+
+    @property
+    def used_edges(self) -> set[tuple[int, int]]:
+        """The host edges the paths consumed, as (u, v) pairs with u < v."""
+        return {(min(e), max(e)) for p in self.paths for e in zip(p, p[1:])}
 
 
 def _sweep(
@@ -94,7 +97,6 @@ def dfs_path_pack(g: Graph, target_len: int, max_paths: int) -> PathPack:
     # array slices, unlike lists, are not tracked by the garbage collector
     bounds, targets = offsets.tolist(), array("q", targets.tobytes())
     residual: list[Optional[array]] = [None] * g.n
-    used: set[tuple[int, int]] = set()
     paths: list[tuple[int, ...]] = []
     while len(paths) < max_paths:
         found = _sweep(residual, bounds, targets, target_len)
@@ -102,10 +104,7 @@ def dfs_path_pack(g: Graph, target_len: int, max_paths: int) -> PathPack:
             break
         path, ptr = found
         assert len(set(path)) == len(path)
-        for a, b in zip(path, path[1:]):
-            e = (a, b) if a < b else (b, a)
-            assert e not in used
-            used.add(e)
+        for a in path[:-1]:
             # forward deletions first: each leaves the other path vertices'
             # scan pointers valid, which a reverse removal could shift
             del residual[a][ptr[a] - 1]
@@ -113,9 +112,9 @@ def dfs_path_pack(g: Graph, target_len: int, max_paths: int) -> PathPack:
             back = residual[b]
             if back is None:  # the path's last vertex is never scanned
                 back = residual[b] = targets[bounds[b]:bounds[b + 1]]
-            back.remove(a)
+            back.remove(a)  # raises if an earlier path took the edge
         paths.append(tuple(path))
-    return PathPack(n=g.n, target_len=target_len, paths=paths, used_edges=used)
+    return PathPack(n=g.n, target_len=target_len, paths=paths)
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,13 @@ def test_missing_file_exits_2(capsys, tmp_path):
     assert "taulab:" in capsys.readouterr().err
 
 
+def test_vertex_id_beyond_int64_exits_2(capsys, tmp_path):
+    f = tmp_path / "huge.edges"
+    f.write_text("3 1\n0 99999999999999999999\n")
+    assert main(["census", "--in", str(f)]) == 2
+    assert "out of range" in capsys.readouterr().err
+
+
 def test_construction_failure_exits_2(capsys, tmp_path):
     # inside the density window but far too few path components for a box
     rc = main(

@@ -483,6 +483,26 @@ def test_read_coloring_rejects_bad_counts(tmp_path, text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (
+            "label a\n1\n0 99999999999999999999\n",
+            "edge (0, 99999999999999999999) out of range for n=3",
+        ),
+        # each class is well formed; the repeat is across the two
+        ("label a\n2\n0 1\n1 2\nlabel b\n1\n0 1\n", "duplicate edge (0, 1)"),
+    ],
+)
+def test_read_coloring_checks_every_edge_once(tmp_path, body, message):
+    file = tmp_path / "bad.txt"
+    classes = body.count("label ")
+    file.write_text(f"coloring 1\n3 {classes}\n" + body)
+    with pytest.raises(ValueError) as exc:
+        read_coloring(str(file))
+    assert str(exc.value) == message
+
+
 # --- regime builders -------------------------------------------------------
 
 

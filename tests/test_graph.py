@@ -393,6 +393,7 @@ def test_edgelist_empty_graph(tmp_path):
         "3 2\n0 1\n0 1\n",
         "3 2\n0 1\n",
         "3 1\n0 1\n1 2\n",
+        "3 1\n0 99999999999999999999\n",
     ],
 )
 def test_edgelist_rejects_malformed(tmp_path, text):
@@ -400,3 +401,27 @@ def test_edgelist_rejects_malformed(tmp_path, text):
     f.write_text(text)
     with pytest.raises(ValueError):
         read_edgelist(str(f))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("nonsense\n", "line 1: expected '<n> <m>', got 'nonsense'"),
+        ("3 1 4\n", "line 1: expected '<n> <m>', got '3 1 4'"),
+        ("x 0\n", "line 1: vertex count is not an integer: 'x'"),
+        ("3 1.5\n", "line 1: edge count is not an integer: '1.5'"),
+        ("-3 0\n", "line 1: vertex count is negative: '-3'"),
+        ("3 -1\n", "line 1: edge count is negative: '-1'"),
+        # a vertex id far beyond int64 is named, not overflowed
+        (
+            "3 1\n0 99999999999999999999\n",
+            "edge (0, 99999999999999999999) out of range for n=3",
+        ),
+    ],
+)
+def test_edgelist_error_messages(tmp_path, text, message):
+    f = tmp_path / "bad.edges"
+    f.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        read_edgelist(str(f))
+    assert str(exc.value) == message

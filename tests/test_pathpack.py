@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import prufer_tree, relabel, scalar_dfs_path_pack
 from taulab.catalog import LinearForest
 from taulab.graph import Graph, gen_gnp
+from taulab import pathpack
 from taulab.pathpack import dfs_path_pack, pack_forests
 
 
@@ -58,6 +59,24 @@ def test_small_components_yield_nothing():
     pack = dfs_path_pack(g, 5, 10)
     assert pack.paths == []
     assert pack.used_edges == set()
+
+
+def test_reused_edge_is_refused(monkeypatch):
+    # after the real first sweep harvests (0, 1), a sweep that hands back the
+    # same edge from vertex 1 finds vertex 1 gone from vertex 0's residual
+    real = pathpack._sweep
+    calls = []
+
+    def sweep(residual, offsets, targets, target_len):
+        calls.append(None)
+        if len(calls) == 1:
+            return real(residual, offsets, targets, target_len)
+        return [1, 0], [0, 1, 0, 0]  # ptr[1] = 1: residual[1] is [2]
+
+    monkeypatch.setattr(pathpack, "_sweep", sweep)
+    with pytest.raises(ValueError, match="not in array"):
+        dfs_path_pack(path_graph(4), 1, 2)
+    assert len(calls) == 2
 
 
 def test_input_validation():
