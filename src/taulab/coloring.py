@@ -16,6 +16,12 @@ batch of classes in one labelling pass.  A path is coded by its order
 alone, as in the census; every other component goes through
 `connected_code` on its own neighbour lists, which gives a tree of any size
 its AHU string and anything else its exact certificate (small ones only).
+That certificate is the least adjacency bitstring over the leaves of an
+individualisation-refinement search, which branches on one vertex per twin
+class of a cell (u and v are twins when N(u) - {v} == N(v) - {u}).  Swapping
+twins is an automorphism, so a skipped twin's subtree holds the same
+bitstrings and the bytes are those of the full search.  A complete
+multipartite graph is searched only across its parts of equal size.
 `class_signature` gives a single small class the same bytes in plain
 Python, without numpy's fixed cost per call.
 
@@ -91,11 +97,23 @@ def _refine(n: int, adj: Sequence[Sequence[int]], colors: tuple[int, ...]) -> tu
 def _canonical_bits(n: int, adj: Sequence[Sequence[int]]) -> int:
     """Minimum adjacency bitstring over all discrete refinements reached by
     individualisation; exact but exponential in the worst case, hence the
-    leaf budget."""
+    leaf budget.
+
+    A cell is branched on once per twin class: v is skipped when an earlier
+    vertex u of the cell has N(u) - {v} == N(v) - {u}.  Swapping such twins
+    is an automorphism that fixes every individualised vertex (each sits in
+    a singleton cell), and refinement does not look at labels, so it maps
+    v's subtree onto u's leaf for leaf with equal bitstrings: the minimum,
+    and every certificate byte, is what the full search gives."""
     best: Optional[int] = None
     leaves = 0
 
     adj_sets = [set(a) for a in adj]
+    # being twins is an equivalence relation; twin[v] is the least of v's class
+    twin = [
+        next(u for u in range(v + 1) if adj_sets[u] - {v} == adj_sets[v] - {u})
+        for v in range(n)
+    ]
 
     def encode(colors: tuple[int, ...]) -> int:
         pos = [0] * n
@@ -111,17 +129,13 @@ def _canonical_bits(n: int, adj: Sequence[Sequence[int]]) -> int:
                 shift += 1
         return bits
 
-    def rec(colors: tuple[int, ...]) -> None:
-        nonlocal best, leaves
-        colors = _refine(n, adj, colors)
+    stack = [(0,) * n]  # colourings still to refine, walked depth first
+    while stack:
+        colors = _refine(n, adj, stack.pop())
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(colors):
             cells.setdefault(c, []).append(v)
-        split = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                split = cells[c]
-                break
+        split = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
         if split is None:
             leaves += 1
             if leaves > _LEAF_LIMIT:
@@ -129,14 +143,14 @@ def _canonical_bits(n: int, adj: Sequence[Sequence[int]]) -> int:
             bits = encode(colors)
             if best is None or bits < best:
                 best = bits
-            return
-        mark = n
+            continue
+        branched = set()  # twin classes of the cell already branched on
         for v in split:
-            branched = list(colors)
-            branched[v] = mark
-            rec(tuple(branched))
-
-    rec((0,) * n)
+            if twin[v] not in branched:
+                branched.add(twin[v])
+                child = list(colors)
+                child[v] = n
+                stack.append(tuple(child))
     assert best is not None
     return best
 
@@ -650,5 +664,7 @@ def tau_exact(g: Graph, max_edges: int = 8) -> int:
         parts.append(bit)
         rec(i + 1, parts)
         parts.pop()
+
     rec(0, [])
+    del rec  # rec refers to itself; dropping the name frees it without the GC
     return best

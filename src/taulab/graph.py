@@ -98,7 +98,9 @@ def edge_tuples(ranks: np.ndarray) -> tuple[tuple[int, int], ...]:
 def _checked_ranks(n: int, edges: Iterable[tuple[int, int]]) -> np.ndarray:
     """Pair ranks, in input order, of (u, v) pairs from outside the program,
     in either orientation: the one place such pairs are checked.  Raises
-    ValueError on the first self-loop, out-of-range or repeated pair."""
+    ValueError on the first self-loop, out-of-range or repeated pair; a pair
+    is out of range when a vertex is not below n or its rank does not fit
+    in an int64."""
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     seen: dict[int, None] = {}  # insertion ordered
@@ -110,6 +112,8 @@ def _checked_ranks(n: int, edges: Iterable[tuple[int, int]]) -> np.ndarray:
         if u > v:
             u, v = v, u
         rank = v * (v - 1) // 2 + u
+        if rank >> 63:
+            raise ValueError(f"edge {(u, v)} out of range: pair rank above 2^63 - 1")
         if rank in seen:
             raise ValueError(f"duplicate edge {(u, v)}")
         seen[rank] = None

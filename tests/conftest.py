@@ -20,6 +20,7 @@ from taulab.catalog import (
     rooted_to_graph,
     sample_rooted_binary,
 )
+from taulab.coloring import _LEAF_LIMIT, CanonicalizationError, _refine
 from taulab.embed import (
     EmbeddedTree,
     EmbedResult,
@@ -431,3 +432,59 @@ def scalar_dfs_path_pack(
             used.add((a, b) if a < b else (b, a))
         paths.append(tuple(found))
     return paths, used
+
+
+def unpruned_canonical_bits(
+    n: int, adj: Sequence[Sequence[int]], leaf_limit: int = _LEAF_LIMIT
+) -> int:
+    """The earlier `coloring._canonical_bits`: the minimum adjacency
+    bitstring over every leaf of the individualisation-refinement tree,
+    branching on every vertex of the first non-singleton cell and pruning
+    nothing; raises CanonicalizationError past leaf_limit leaves."""
+    best: Optional[int] = None
+    leaves = 0
+
+    adj_sets = [set(a) for a in adj]
+
+    def encode(colors: tuple[int, ...]) -> int:
+        pos = [0] * n
+        for v in range(n):
+            pos[colors[v]] = v
+        bits = 0
+        shift = 0
+        for i in range(n):
+            vi = pos[i]
+            for j in range(i + 1, n):
+                if pos[j] in adj_sets[vi]:
+                    bits |= 1 << shift
+                shift += 1
+        return bits
+
+    def rec(colors: tuple[int, ...]) -> None:
+        nonlocal best, leaves
+        colors = _refine(n, adj, colors)
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        split = None
+        for c in sorted(cells):
+            if len(cells[c]) > 1:
+                split = cells[c]
+                break
+        if split is None:
+            leaves += 1
+            if leaves > leaf_limit:
+                raise CanonicalizationError("graph too symmetric to canonicalise")
+            bits = encode(colors)
+            if best is None or bits < best:
+                best = bits
+            return
+        mark = n
+        for v in split:
+            branched = list(colors)
+            branched[v] = mark
+            rec(tuple(branched))
+
+    rec((0,) * n)
+    assert best is not None
+    return best

@@ -52,6 +52,14 @@ def test_vertex_id_beyond_int64_exits_2(capsys, tmp_path):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_pair_rank_beyond_int64_exits_2(capsys, tmp_path):
+    # both ids fit the header's n, but the pair's rank passes 2^63
+    f = tmp_path / "wide.edges"
+    f.write_text("10000000000 1\n0 9999999999\n")
+    assert main(["census", "--in", str(f)]) == 2
+    assert "edge (0, 9999999999) out of range" in capsys.readouterr().err
+
+
 def test_construction_failure_exits_2(capsys, tmp_path):
     # inside the density window but far too few path components for a box
     rc = main(

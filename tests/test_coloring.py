@@ -1,11 +1,12 @@
 import itertools
 import math
+import time
 
 import networkx as nx
 import numpy as np
 import pytest
-from conftest import brute_isomorphic, coded, relabel
-from hypothesis import given, settings
+from conftest import brute_isomorphic, coded, relabel, unpruned_canonical_bits
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from taulab import bounds as bnd
@@ -104,6 +105,128 @@ def test_canonical_size_cap():
     with pytest.raises(CanonicalizationError):
         canonical_form(cycle_graph(11))
     assert canonical_form(cycle_graph(11), max_vertices=11) == b"G{C11}"
+
+
+def complete_multipartite(*parts: int) -> Graph:
+    side = [i for i, size in enumerate(parts) for _ in range(size)]
+    pairs = itertools.combinations(range(len(side)), 2)
+    return Graph.from_edges(len(side), [(u, v) for u, v in pairs if side[u] != side[v]])
+
+
+def test_canonical_twin_heavy_shapes_pinned():
+    # K_{1,9} has 9! leaves and exhausted the leaf budget before the search
+    # branched once per twin class
+    assert canonical_form(complete_multipartite(1, 9)) == b"G{B10:1fe01}"
+    seconds = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        cert = canonical_form(complete_multipartite(2, 8))
+        seconds.append(time.perf_counter() - t0)
+        assert cert == b"G{B10:1a442080ff01}"  # the unpruned search's bytes
+    assert min(seconds) < 0.1
+
+
+def test_canonical_leaf_budget_still_fires(monkeypatch):
+    petersen = Graph.from_edges(10, nx.edges(nx.petersen_graph()))
+    cert = canonical_form(petersen)  # twin-free, so it is searched leaf by leaf
+    monkeypatch.setattr(coloring, "_LEAF_LIMIT", 2)
+    with pytest.raises(CanonicalizationError, match="too symmetric"):
+        canonical_form(petersen)
+    # a twin-heavy graph has a single leaf left, inside any budget
+    assert canonical_form(complete_multipartite(2, 8)) == b"G{B10:1a442080ff01}"
+    monkeypatch.undo()
+    assert canonical_form(petersen) == cert
+
+
+@st.composite
+def small_graphs(draw, max_n: int = 10):
+    """(n, edges) on at most max_n vertices, shuffled: G(n, p); a blow-up of
+    a graph on at most 5 vertices, each vertex into a class of true twins (a
+    clique) or false twins (an independent set); a complete multipartite
+    graph; a star; a random regular graph on 6 or more vertices; a random or
+    complete bipartite graph; or the disjoint union of two G(n, p)."""
+    kinds = ["gnp", "blow-up", "multipartite", "star", "regular", "bipartite", "disconnected"]
+    kind = draw(st.sampled_from(kinds))
+    rng = rngmod.stream(draw(st.integers(0, 2**31)), 0)
+
+    def gnp(nv: int) -> list[tuple[int, int]]:
+        p = rng.random()
+        return [e for e in itertools.combinations(range(nv), 2) if rng.random() < p]
+
+    if kind == "gnp":
+        n = draw(st.integers(1, max_n))
+        edges = gnp(n)
+    elif kind == "disconnected":
+        a = draw(st.integers(1, max_n - 1))
+        n = draw(st.integers(a + 1, max_n))
+        edges = gnp(a) + [(u + a, v + a) for u, v in gnp(n - a)]
+    elif kind == "regular":  # of degree 3 to n - 3, which refinement cannot split
+        n = draw(st.integers(6, max_n))
+        d = draw(st.integers(3, n - 3))
+        d += d * n % 2  # n d must be even
+        seed = int(rng.integers(2**31))
+        edges = list(nx.random_regular_graph(d, n, seed=seed).edges)
+    elif kind == "star":
+        n = draw(st.integers(2, max_n))
+        edges = [(0, v) for v in range(1, n)]
+    else:
+        classes = draw(st.lists(st.integers(1, 5), min_size=2, max_size=5))
+        owner = [c for c, size in enumerate(classes) for _ in range(size)][:max_n]
+        n = len(owner)
+        base = set(gnp(len(classes)))
+        clique = [rng.random() < 0.5 for _ in classes]
+        p = 1.0 if rng.random() < 0.3 else rng.random()
+
+        def joined(a: int, b: int) -> bool:  # are vertices of classes a, b adjacent
+            if kind == "blow-up":
+                return clique[a] if a == b else (min(a, b), max(a, b)) in base
+            if kind == "multipartite":
+                return a != b
+            # bipartite: the even classes form one side, the odd ones the other
+            return a % 2 != b % 2 and rng.random() < p
+
+        pairs = itertools.combinations(range(n), 2)
+        edges = [(u, v) for u, v in pairs if joined(owner[u], owner[v])]
+    perm = rng.permutation(n).tolist()
+    return n, sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges)
+
+
+@given(small_graphs())
+@settings(max_examples=150, deadline=None)
+def test_canonical_bits_match_the_unpruned_search(graph):
+    n, edges = graph
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    got = coloring._canonical_bits(n, adj)
+    try:
+        # a small budget keeps the oracle quick; it refuses K_{3,3,3} and the like
+        want = unpruned_canonical_bits(n, adj, leaf_limit=720)
+    except CanonicalizationError:
+        event("oracle refused")
+        return
+    assert got == want
+
+
+@given(small_graphs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_canonical_form_agrees_with_networkx(graph, data):
+    n, edges = graph
+    g = Graph.from_edges(n, edges)
+    perm = data.draw(st.permutations(range(n)))
+    assert canonical_form(relabel(g, perm)) == canonical_form(g)
+    present = set(edges)
+    free = [e for e in itertools.combinations(range(n), 2) if e not in present]
+    if not edges or not free:
+        return
+    moved = list(edges)
+    moved[data.draw(st.integers(0, len(edges) - 1))] = data.draw(st.sampled_from(free))
+    same = canonical_form(Graph.from_edges(n, moved)) == canonical_form(g)
+    x, y = nx.empty_graph(n), nx.empty_graph(n)
+    x.add_edges_from(edges)
+    y.add_edges_from(moved)
+    assert same == nx.is_isomorphic(x, y)
 
 
 def test_class_signature_handles_large_forests():

@@ -118,6 +118,15 @@ def test_unrank_pairs_refuses_ranks_beyond_exact_range():
         _unrank_pairs(np.array([5, 2**52], dtype=np.int64))
 
 
+def test_from_edges_refuses_ranks_beyond_int64():
+    n = 2**32 + 1
+    # C(2^32, 2) + 2^31 - 1 is the largest int64; one more does not fit
+    top = Graph.from_edges(n, [(2**31 - 1, 2**32)])
+    assert top.ranks.tolist() == [2**63 - 1]
+    with pytest.raises(ValueError, match=r"edge \(2147483648, 4294967296\) out of range"):
+        Graph.from_edges(n, [(2**32, 2**31)])
+
+
 @pytest.mark.parametrize(
     "npairs, m",
     [

@@ -45,3 +45,14 @@ def test_regime_sweep_runs(tmp_path):
     out = run_script("regime_sweep.py", "--seeds", "1", cwd=tmp_path)
     assert [row.split()[0] for row in out[1:]] == ["dense", "sparse", "verysparse"]
     assert all(row.split()[6] == "true" for row in out[1:])
+
+
+def test_exact_profile_runs(tmp_path):
+    out = run_script("exact_profile.py", "--decks", "1", cwd=tmp_path)
+    assert out[0].split() == ["shape", "n", "canonical_ms"]
+    rows = [row.split() for row in out[1:-1]]
+    assert len(rows) == 21  # the part-size shapes of 4 to 9 vertices
+    assert rows[0][:2] == ["2,2", "4"] and rows[-1][:2] == ["3,2,2,2", "9"]
+    assert all(float(row[2]) > 0 for row in rows)
+    label, value = out[-1].split()
+    assert label == "tau_exact_ms" and float(value) > 0
