@@ -7,7 +7,6 @@ matching counting bounds.  Everything randomised is seeded and reproducible.
 """
 
 from .bounds import (
-    RegimeParams,
     claim_check,
     dense_tree_order,
     ell,
@@ -68,7 +67,6 @@ __all__ = [
     "Graph",
     "LazyRandomGraph",
     "LinearForest",
-    "RegimeParams",
     "ahu_code",
     "build_dense_coloring",
     "build_sparse_coloring",

@@ -1,11 +1,10 @@
 """Closed-form bounds and regime arithmetic.
 
 Everything here is deterministic number crunching: the dense-regime upper
-bound p*n^2/f(n) with f(n) = ln n / (2 ln ln n), the count of isomorphism
-types available to small classes, the very sparse regime's class-size scale
-theta and box widths xi, the closed-form upper bound on the class-count
-optimisation, concentration inequalities, and a small exact solver for the
-toy version of that optimisation.
+bound p*n^2/f(n) with f(n) = ln n / (2 ln ln n), the construction sizes, the
+very sparse regime's class-size scale theta and box widths xi, the
+closed-form upper bound on the class-count optimisation, a Chernoff tail
+bound, and a small exact solver for the toy version of that optimisation.
 
 The very sparse regime is driven by ell(k), the least integer with
 ell^2 + ell >= 2k: a forest with k edges and at most ell(k) - 1 components
@@ -18,27 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-# Constants of the strict analysis regime.  Desk-scale runs default to the
-# larger DESK_EPSILON because strict epsilon * n^2 steps would be a no-op at
-# n in the thousands.
-STRICT_EPSILON = 1.0 / 10_000
-STRICT_C = 4.0 / STRICT_EPSILON
+# default --epsilon: the analysis's 1/10,000 embeds almost nothing at desk-scale n
 DESK_EPSILON = 0.01
-
-
-def dense_threshold_log(n: int, c: float = STRICT_C) -> float:
-    """Density threshold c * ln(n) / n for the dense regime."""
-    return c * math.log(n) / n
-
-
-def dense_threshold_log_sq(n: int, c: float = STRICT_C) -> float:
-    """Alternative threshold c * ln(n)^2 / n; both variants are exposed and
-    neither is silently preferred."""
-    return c * math.log(n) ** 2 / n
 
 
 def f_dense(n: int) -> float:
@@ -54,14 +38,6 @@ def upper_dense(n: int, p: float) -> float:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     return p * n * n / f_dense(n)
-
-
-def alpha_small_bound(f: int) -> int:
-    """Exact count bound sum_{i=1..f} C(C(2i, 2), i) on partitions into at
-    most f classes of at most f edges each."""
-    if f < 1:
-        raise ValueError("f must be at least 1")
-    return sum(math.comb(math.comb(2 * i, 2), i) for i in range(1, f + 1))
 
 
 def dense_tree_order(n: int) -> int:
@@ -176,56 +152,6 @@ def chernoff(mu: float, delta: float) -> tuple[float, float]:
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     return math.exp(-mu * delta * delta / 3.0), math.exp(-mu * delta * delta / 2.0)
-
-
-def chernoff_heavy(R: float, mu: float) -> float:
-    """Bound 2^-R on Pr(X >= R), valid for R >= 2 e mu."""
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    if R < 2.0 * math.e * mu:
-        raise ValueError("chernoff_heavy needs R >= 2 e mu")
-    return 2.0**-R
-
-
-@dataclass(frozen=True)
-class RegimeParams:
-    """Bundle of run parameters with the derived quantities attached."""
-
-    n: int
-    p: float
-    k: Optional[int] = None
-    epsilon: float = DESK_EPSILON
-    c_path: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if not 0.0 < self.c_path < 1.0:
-            raise ValueError("c_path must lie in (0, 1)")
-
-    @property
-    def C(self) -> float:
-        return 4.0 / self.epsilon
-
-    @property
-    def ell(self) -> Optional[int]:
-        return None if self.k is None else ell(self.k)
-
-    @property
-    def f(self) -> Optional[float]:
-        return f_dense(self.n) if self.n >= 16 else None
-
-    @property
-    def t(self) -> int:
-        return dense_tree_order(self.n)
-
-    @property
-    def step_budget(self) -> int:
-        return int(self.epsilon * self.n * self.n)
 
 
 @dataclass(frozen=True)

@@ -83,40 +83,16 @@ class CanonicalCode:
         return self.data.decode("ascii")
 
 
-_MEMO_SIZE_LIMIT = 10
-
-
-@lru_cache(maxsize=None)
-def _shapes(t: int) -> tuple:
-    if t == 0:
-        return (None,)
-    out = []
-    for i in range(t):
-        for left in _shapes(i):
-            for right in _shapes(t - 1 - i):
-                out.append(RootedBinaryTree(left, right))
-    return tuple(out)
-
-
-def _iter_shapes(t: int) -> Iterator[Optional[RootedBinaryTree]]:
-    if t <= _MEMO_SIZE_LIMIT:
-        yield from _shapes(t)
-        return
-    for i in range(t):
-        for left in _iter_shapes(i):
-            for right in _iter_shapes(t - 1 - i):
-                yield RootedBinaryTree(left, right)
-
-
 def enumerate_rooted_binary(t: int) -> Iterator[RootedBinaryTree]:
-    """All catalan(t) rooted binary shapes on t nodes, t <= 16."""
+    """All catalan(t) rooted binary shapes on t nodes, t <= 16, in rank
+    order."""
     if t < 1:
         raise ValueError("t must be at least 1")
     if t > _ENUMERATION_CAP:
         raise ValueError(
             f"enumeration refused for t={t} > {_ENUMERATION_CAP}; sample instead"
         )
-    return _iter_shapes(t)
+    return (_unrank_shape(t, r) for r in range(catalan(t)))
 
 
 @lru_cache(maxsize=None)

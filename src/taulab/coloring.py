@@ -22,11 +22,14 @@ class of a cell (u and v are twins when N(u) - {v} == N(v) - {u}).  Swapping
 twins is an automorphism, so a skipped twin's subtree holds the same
 bitstrings and the bytes are those of the full search.  A complete
 multipartite graph is searched only across its parts of equal size.
-`class_signature` gives a single small class the same bytes in plain
-Python, without numpy's fixed cost per call.
+`class_signatures` is the only routine that signs an edge set:
+`class_signature` signs one class given as (u, v) pairs through it, and
+`canonical_form` is a graph's class signature plus one K1 per isolated
+vertex.
 
-`tau_exact` answers the inverse question for tiny graphs (at most 8 edges)
-by exhausting set partitions of the edge set, and `tau_matching` gives the
+`tau_exact` answers the inverse question for tiny graphs (8 edges by
+default, 12 at most) by signing every edge subset in one batch and then
+exhausting set partitions of the edge set, and `tau_matching` gives the
 closed form for a perfect obstruction-free case, a matching of m edges.
 """
 
@@ -41,10 +44,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import ell, theta_verysparse
-# trees are coded through tree_code, so ahu_code is unused here; it stays
-# importable as coloring.ahu_code because perfbench/run.py's tracer rebinds it
+# ahu_code and components are unused here; they stay importable as
+# coloring.ahu_code and coloring.components for perfbench/run.py's tracer
 from .catalog import LinearForest, ahu_code, partitions, tree_code  # noqa: F401
 from .embed import EmbedResult
+from .graph import components  # noqa: F401
 from .graph import (
     ComponentCensus,
     Graph,
@@ -53,7 +57,6 @@ from .graph import (
     _component_shapes,
     _grouped,
     _unrank_pairs,
-    components,
     edge_tuples,
     pair_ranks,
     parse_count,
@@ -155,43 +158,37 @@ def _canonical_bits(n: int, adj: Sequence[Sequence[int]]) -> int:
     return best
 
 
-def _connected_cert(adj: Sequence[Sequence[int]], cap: int) -> bytes:
-    """Exact certificate of the connected graph on 0..n-1 with these
-    neighbour lists, n <= cap."""
-    n = len(adj)
-    if n > cap:
-        raise CanonicalizationError(
-            f"component has {n} vertices, canonical form capped at {cap}"
-        )
-    degrees = sorted(map(len, adj))
-    # two shapes common enough to special-case: complete graphs and cycles
-    if degrees[0] == n - 1:
-        return b"K%d" % n
-    if n >= 3 and degrees[0] == 2 and degrees[-1] == 2:
-        return b"C%d" % n
-    bits = _canonical_bits(n, adj)
-    return b"B%d:%x" % (n, bits)
-
-
 def connected_code(adj: Sequence[Sequence[int]], max_vertices: int) -> bytes:
     """Code of the connected graph on 0..n-1 with these neighbour lists:
     equal codes exactly when isomorphic.  A tree of any size gets its AHU
     string (starting with "(" or "["), anything else its exact certificate
     (starting with "K", "C" or "B"), which needs n <= max_vertices."""
-    if sum(map(len, adj)) == 2 * (len(adj) - 1):
+    n = len(adj)
+    if sum(map(len, adj)) == 2 * (n - 1):
         return tree_code(adj)
-    return _connected_cert(adj, max_vertices)
+    if n > max_vertices:
+        raise CanonicalizationError(
+            f"component has {n} vertices, canonical form capped at {max_vertices}"
+        )
+    degrees = sorted(map(len, adj))
+    # two shapes common enough to special-case: complete graphs and cycles
+    if degrees[0] == n - 1:
+        return b"K%d" % n
+    if degrees[0] == 2 and degrees[-1] == 2:
+        return b"C%d" % n
+    return b"B%d:%x" % (n, _canonical_bits(n, adj))
 
 
 def canonical_form(g: Graph, max_vertices: int = 10) -> bytes:
-    """Canonical certificate for a small graph: equal bytes iff isomorphic.
-    Isolated vertices contribute K1 certificates, so graphs on the same
-    vertex count compare exactly.  Each connected component must have at
-    most max_vertices vertices."""
-    certs = [
-        _connected_cert(comp.local_adj(), max_vertices) for comp in components(g)
-    ]
-    return b"G{" + b"|".join(sorted(certs)) + b"}"
+    """Canonical certificate of a graph: equal bytes iff isomorphic.  The
+    `class_signature` of its edges, with one K1 per isolated vertex so that
+    graphs on the same vertex count compare exactly, sorted inside G{...}.
+    Tree components of any size get their AHU string; every other
+    component must have at most max_vertices vertices."""
+    us, vs = _unrank_pairs(g.ranks)
+    isolated = [b"K1"] * (g.n - len(np.union1d(us, vs)))
+    certs = sorted((*class_signature(g.edges, max_vertices), *isolated))
+    return b"G{" + b"|".join(certs) + b"}"
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +310,13 @@ def _path_code(order: int) -> bytes:
 def class_signatures(
     classes: Sequence[np.ndarray], n: int, max_vertices: int = 10
 ) -> list:
-    """`class_signature` of every class, a rank array on vertices below n,
-    from one labelling pass over them all with vertex v of class c keyed
-    c * n + v.  Paths are coded by their order alone, every other component
-    by `connected_code`; a class with a component that cannot be coded gets
-    the CanonicalizationError of the first, by smallest vertex, instead."""
+    """Signature of every class, a rank array on vertices below n: the
+    sorted codes of its components, so equal signatures mean isomorphic
+    classes.  One labelling pass covers them all, with vertex v of class c
+    keyed c * n + v.  Paths are coded by their order alone, every other
+    component by `connected_code`; a class with a component that cannot be
+    coded gets the CanonicalizationError of the first, by smallest vertex,
+    instead."""
     if not classes:
         return []
     tags = np.repeat(np.arange(len(classes)), [len(c) for c in classes])
@@ -343,37 +342,15 @@ def class_signatures(
     return [failed.get(c) or tuple(sorted(cs)) for c, cs in enumerate(codes)]
 
 
-def _class_components(edges: Sequence[Edge]) -> list[list[list[int]]]:
-    """The connected components of an edge set, each as neighbour lists
-    over its own vertices renumbered 0.. in order of discovery."""
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    index: dict[int, int] = {}  # vertex -> its number in its component
-    out: list[list[list[int]]] = []
-    for start in adj:
-        if start in index:
-            continue
-        index[start] = 0
-        order = [start]
-        for x in order:  # breadth first; order grows while it is walked
-            for y in adj[x]:
-                if y not in index:
-                    index[y] = len(order)
-                    order.append(y)
-        out.append([[index[y] for y in adj[x]] for x in order])
-    return out
-
-
 def class_signature(edges: Sequence[Edge], max_vertices: int = 10) -> tuple:
-    """Isomorphism invariant of an edge set that is also complete: the
-    sorted `connected_code` of its components, so equal signatures mean
-    isomorphic classes.  Tree components of any size are coded exactly;
-    every other component must have at most max_vertices vertices."""
-    return tuple(
-        sorted(connected_code(adj, max_vertices) for adj in _class_components(edges))
-    )
+    """`class_signatures` of the one class with these (u, v) edges,
+    0 <= u < v: the sorted `connected_code` of its components.  Raises the
+    class's CanonicalizationError if a component cannot be coded."""
+    n = 1 + max((v for _, v in edges), default=0)
+    (sig,) = class_signatures([pair_ranks(edges)], n, max_vertices)
+    if isinstance(sig, CanonicalizationError):
+        raise sig
+    return sig
 
 
 def verify_distinct(
@@ -630,22 +607,27 @@ def tau_matching(m: int) -> int:
 
 def tau_exact(g: Graph, max_edges: int = 8) -> int:
     """Maximum number of pairwise non-isomorphic parts over all partitions
-    of g's edge set, by exhaustive search over set partitions.  The
-    signature of every nonempty edge subset is taken before the search
-    starts, one `class_signature` call each."""
+    of g's edge set, by exhaustive search over set partitions.  Every edge
+    subset is signed before the search starts, all 2^m of them in one
+    `class_signatures` call.  max_edges above 12 is refused: the search
+    would not finish, and the batch holds 2^m rank arrays at once."""
+    if max_edges > 12:
+        raise ValueError(f"tau_exact is limited to max_edges <= 12, got {max_edges}")
     m = g.edge_count
     if m > max_edges:
         raise ValueError(f"tau_exact is limited to {max_edges} edges, got {m}")
     if m == 0:
         return 0
-    edges = g.edges
-    sigs = [()]  # by mask; the empty subset is never a part
-    sigs += [
-        class_signature(
-            [e for i, e in enumerate(edges) if mask >> i & 1], max_vertices=2 * max_edges
-        )
-        for mask in range(1, 1 << m)
-    ]
+    # row mask of `member` holds the edges of subset mask; mask 0 is never a part
+    member = (np.arange(1 << m)[:, None] >> np.arange(m) & 1).astype(bool)
+    subsets = np.split(
+        np.broadcast_to(g.ranks, member.shape)[member],
+        np.cumsum(member.sum(axis=1))[:-1],
+    )
+    sigs = class_signatures(subsets, g.n, max_vertices=2 * max_edges)
+    failed = next((s for s in sigs if isinstance(s, CanonicalizationError)), None)
+    if failed is not None:
+        raise failed
     best = 0
 
     def rec(i: int, parts: list[int]) -> None:

@@ -20,7 +20,7 @@ from taulab.catalog import (
     rooted_to_graph,
     sample_rooted_binary,
 )
-from taulab.coloring import _LEAF_LIMIT, CanonicalizationError, _refine
+from taulab.coloring import _LEAF_LIMIT, CanonicalizationError, _refine, connected_code
 from taulab.embed import (
     EmbeddedTree,
     EmbedResult,
@@ -203,6 +203,19 @@ def bfs_components(g: Graph) -> list[Component]:
         )
         out.append(Component(vertices=tuple(verts), edges=edges))
     return out
+
+
+def bfs_class_signature(edges: Sequence[tuple[int, int]], max_vertices: int = 10) -> tuple:
+    """Signature of an edge set with its components found by `bfs_components`:
+    the sorted `connected_code` of each component with edges."""
+    n = 1 + max((v for _, v in edges), default=0)
+    return tuple(
+        sorted(
+            connected_code(comp.local_adj(), max_vertices)
+            for comp in bfs_components(Graph.from_edges(n, edges))
+            if comp.edges
+        )
+    )
 
 
 def component_census(g: Graph) -> tuple[dict, dict, dict]:

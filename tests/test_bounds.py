@@ -8,17 +8,9 @@ from hypothesis import strategies as st
 
 from taulab import rng as rngmod
 from taulab.bounds import (
-    DESK_EPSILON,
-    STRICT_C,
-    STRICT_EPSILON,
-    RegimeParams,
-    alpha_small_bound,
     chernoff,
-    chernoff_heavy,
     claim_check,
     claim_check_range,
-    dense_threshold_log,
-    dense_threshold_log_sq,
     dense_tree_order,
     ell,
     f_dense,
@@ -153,21 +145,6 @@ def test_dense_formulas():
     assert upper_dense(n, 0.1) == pytest.approx(0.1 * n * n / f_dense(n))
     with pytest.raises(ValueError):
         upper_dense(100, 1.5)
-    assert dense_threshold_log(100, 40.0) == pytest.approx(
-        40.0 * math.log(100) / 100
-    )
-    assert dense_threshold_log_sq(100, 40.0) == pytest.approx(
-        40.0 * math.log(100) ** 2 / 100
-    )
-    assert STRICT_C == 4.0 / STRICT_EPSILON
-
-
-def test_alpha_small_bound():
-    assert alpha_small_bound(1) == 1
-    assert alpha_small_bound(2) == 16
-    assert alpha_small_bound(3) == 16 + math.comb(15, 3)
-    with pytest.raises(ValueError):
-        alpha_small_bound(0)
 
 
 def test_construction_sizes():
@@ -188,29 +165,6 @@ def test_chernoff():
     for bad in (0.0, 1.0, -0.5):
         with pytest.raises(ValueError):
             chernoff(1.0, bad)
-    assert chernoff_heavy(10.0, 0.1) == 2.0**-10
-    with pytest.raises(ValueError):
-        chernoff_heavy(1.0, 1.0)  # below 2 e mu
-
-
-def test_regime_params():
-    params = RegimeParams(n=3000, p=0.1, k=5, epsilon=0.01)
-    assert params.C == 400.0
-    assert params.ell == ell(5)
-    assert params.f == f_dense(3000)
-    assert params.t == dense_tree_order(3000)
-    assert params.step_budget == int(0.01 * 3000 * 3000)
-    assert RegimeParams(n=4, p=0.5).f is None
-    assert RegimeParams(n=4, p=0.5).ell is None
-    assert RegimeParams(n=100, p=0.5).epsilon == DESK_EPSILON
-    for bad in (
-        dict(n=1, p=0.5),
-        dict(n=10, p=1.5),
-        dict(n=10, p=0.5, epsilon=0.0),
-        dict(n=10, p=0.5, c_path=1.0),
-    ):
-        with pytest.raises(ValueError):
-            RegimeParams(**bad)
 
 
 # --- toy optimisation ------------------------------------------------------

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -157,6 +158,16 @@ def test_tau_exact_cap(capsys, tmp_path):
     capsys.readouterr()
     assert main(["tau-exact", "--in", f, "--max-edges", "9"]) == 0
     assert lines(capsys) == ["4"]
+
+
+def test_tau_exact_ceiling_fails_fast(capsys, tmp_path):
+    # 20 edges would sign 2^20 subsets and then search without end
+    f = str(tmp_path / "c20.edges")
+    write_edgelist(Graph.from_edges(20, [(i, (i + 1) % 20) for i in range(20)]), f)
+    t0 = time.perf_counter()
+    assert main(["tau-exact", "--in", f, "--max-edges", "13"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "max_edges <= 12" in capsys.readouterr().err
 
 
 # --- bounds ----------------------------------------------------------------

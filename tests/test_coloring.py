@@ -5,7 +5,14 @@ import time
 import networkx as nx
 import numpy as np
 import pytest
-from conftest import brute_isomorphic, coded, relabel, unpruned_canonical_bits
+from conftest import (
+    bfs_class_signature,
+    brute_isomorphic,
+    coded,
+    prufer_tree,
+    relabel,
+    unpruned_canonical_bits,
+)
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -78,11 +85,15 @@ def test_canonical_special_shapes():
     k5 = Graph.from_edges(5, list(itertools.combinations(range(5), 2)))
     assert canonical_form(k5) == b"G{K5}"
     assert canonical_form(cycle_graph(6)) == b"G{C6}"
+    # a tree component gets its AHU string
     single = Graph.from_edges(2, [(0, 1)])
-    assert canonical_form(single) == b"G{K2}"
+    assert canonical_form(single) == b"G{[()()]}"
     # an isolated vertex shows up as its own K1 component
     padded = Graph.from_edges(3, [(0, 1)])
-    assert canonical_form(padded) == b"G{K1|K2}"
+    assert canonical_form(padded) == b"G{K1|[()()]}"
+    assert canonical_form(Graph.from_edges(0, [])) == b"G{}"
+    assert canonical_form(Graph.from_edges(3, [])) == b"G{K1|K1|K1}"
+    assert class_signature([]) == ()
 
 
 def test_canonical_relabelling_invariance():
@@ -107,6 +118,38 @@ def test_canonical_size_cap():
     assert canonical_form(cycle_graph(11), max_vertices=11) == b"G{C11}"
 
 
+@given(st.integers(0, 2**31))
+@settings(max_examples=100, deadline=None)
+def test_canonical_form_on_forests_beyond_the_cap(seed):
+    # trees get their AHU string at any size, so the cap of 10 binds none
+    rng = rngmod.stream(seed, 0)
+    sizes = [int(rng.integers(11, 21)), *rng.integers(2, 6, int(rng.integers(0, 4))).tolist()]
+    isolated = int(rng.integers(0, 3))
+
+    def prufer(size: int) -> list[int]:
+        return rng.integers(0, size, size - 2).tolist()
+
+    def forest(seqs) -> Graph:
+        edges, base = [], 0
+        for seq in seqs:
+            edges += [(base + u, base + v) for u, v in prufer_tree(seq).edges]
+            base += len(seq) + 2
+        return Graph.from_edges(base + isolated, edges)
+
+    seqs = [prufer(size) for size in sizes]
+    a = forest(seqs)
+    assert canonical_form(a) == canonical_form(relabel(a, rng.permutation(a.n).tolist()))
+    # b keeps a's large tree half the time, so both outcomes occur
+    big = seqs[0] if rng.random() < 0.5 else prufer(sizes[0])
+    b = forest([big, *(prufer(size) for size in sizes[1:])])
+    x, y = nx.empty_graph(a.n), nx.empty_graph(b.n)
+    x.add_edges_from(a.edges)
+    y.add_edges_from(b.edges)
+    same = canonical_form(a) == canonical_form(b)
+    event(f"isomorphic: {same}")
+    assert same == nx.is_isomorphic(x, y)
+
+
 def complete_multipartite(*parts: int) -> Graph:
     side = [i for i, size in enumerate(parts) for _ in range(size)]
     pairs = itertools.combinations(range(len(side)), 2)
@@ -115,8 +158,8 @@ def complete_multipartite(*parts: int) -> Graph:
 
 def test_canonical_twin_heavy_shapes_pinned():
     # K_{1,9} has 9! leaves and exhausted the leaf budget before the search
-    # branched once per twin class
-    assert canonical_form(complete_multipartite(1, 9)) == b"G{B10:1fe01}"
+    # branched once per twin class (canonical_form codes it as a tree)
+    assert coloring._canonical_bits(10, complete_multipartite(1, 9).adj) == 0x1fe01
     seconds = []
     for _ in range(3):
         t0 = time.perf_counter()
@@ -364,9 +407,9 @@ def test_class_signatures_match_class_signature(batch):
     assert len(got) == len(classes)
     for cls, sig in zip(classes, got):
         try:
-            want = class_signature(cls)
+            want = bfs_class_signature(cls)
         except CanonicalizationError as exc:
-            # only this class fails, with the one-class call's message
+            # only this class fails, with the oracle's message
             assert isinstance(sig, CanonicalizationError)
             assert str(sig) == str(exc)
         else:
@@ -377,12 +420,12 @@ def test_class_signatures_code_paths_by_order():
     # a path on 300 vertices takes the AHU string of its order
     long_path = [(i, i + 1) for i in range(299)]
     (sig,) = class_signatures([pair_ranks(long_path)], 300)
-    assert sig == class_signature(long_path)
+    assert sig == bfs_class_signature(long_path)
     # classes on the same host vertices stay apart
     a = [(0, 1), (1, 2)]
     b = [(0, 3), (1, 2), (2, 3)]
     sa, sb = class_signatures([np.sort(pair_ranks(a)), np.sort(pair_ranks(b))], 4)
-    assert sa == class_signature(a) and sb == class_signature(b)
+    assert sa == bfs_class_signature(a) and sb == bfs_class_signature(b)
 
 
 def _dense_spec(n: int, seed: int) -> cli.TrialSpec:
@@ -401,7 +444,7 @@ def test_pipeline_signatures_match_class_signature(regime):
     assert col.num_classes > 20
     for cls, sig in zip(col.classes, class_signatures(col.classes, n)):
         try:
-            want = class_signature(edge_tuples(cls))
+            want = bfs_class_signature(edge_tuples(cls))
         except CanonicalizationError as exc:
             assert str(sig) == str(exc)  # the leftover, one big cyclic part
         else:
@@ -872,6 +915,8 @@ def test_tau_exact_edge_cap():
     # C9 splits into sizes 1+2+2+4 with the two 2-edge parts non-isomorphic
     # (adjacent pair vs disjoint pair); five parts would repeat a small shape
     assert tau_exact(cycle_graph(9), max_edges=9) == 4
+    with pytest.raises(ValueError, match="max_edges <= 12"):
+        tau_exact(path_graph(3), max_edges=13)
 
 
 @given(st.integers(0, 2**31))
@@ -888,14 +933,14 @@ def test_tau_exact_bounds_property(seed):
 
 def oracle_tau(g: Graph) -> int:
     """Exact tau by every set partition of the edges, unpruned, each part
-    signed by `class_signature`."""
+    signed by `bfs_class_signature`."""
     edges = g.edges
     m = len(edges)
     memo: dict[int, tuple] = {}
 
     def sig(mask: int) -> tuple:
         if mask not in memo:
-            memo[mask] = class_signature(
+            memo[mask] = bfs_class_signature(
                 [edges[i] for i in range(m) if mask >> i & 1], max_vertices=16
             )
         return memo[mask]
