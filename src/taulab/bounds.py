@@ -114,17 +114,13 @@ def xi(i: int, n: int, p: float, c_i: float, k: int) -> float:
     return c_i * float(n) ** i * p ** (i - 1) / theta_verysparse(n, p, k) - 1.0
 
 
-def upper_F(
-    A: Sequence[float], B: float, n: int, p: float, k: int, m: float
-) -> float:
+def upper_F(A: Sequence[float], B: float, n: int, p: float, k: int) -> float:
     """Closed-form bound on the class-count optimisation for ell(k) >= 3:
 
         (B + 2 sum_i r_i A_i + l^2 s^l (np)^(-(l-1)(l-2)/2)) / (2 s)
 
     with r_i = (np)^(l-1-i) and s = n^((l^2-l+2)/(2l)) p^((l-1)/2).  A has
-    one budget per order index i = 1..l-2.  m is the common box bound of the
-    underlying problem; it does not enter the displayed formula and is kept
-    for interface symmetry with the solver.
+    one budget per order index i = 1..l-2.
     """
     lv = ell(k)
     if lv < 3:
@@ -133,8 +129,6 @@ def upper_F(
         raise ValueError(f"need exactly ell-2={lv - 2} budgets, got {len(A)}")
     if B < 0 or any(a < 0 for a in A):
         raise ValueError("budgets must be nonnegative")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
     if p <= 0.0:
         raise ValueError("p must be positive")
     npd = n * p

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from . import bounds as bnd
 from . import rng as rngmod
-from .catalog import CanonicalCode, iter_distinct_maxdeg3_trees
+from .catalog import iter_distinct_maxdeg3_trees
 from .coloring import (
     Coloring,
     build_dense_coloring,
@@ -84,12 +84,6 @@ def _resolve_p(parser: argparse.ArgumentParser, args: argparse.Namespace) -> flo
     if not 0.0 < p < 1.0:
         parser.error(f"edge probability {p} outside (0, 1)")
     return p
-
-
-def _code_text(code) -> str:
-    if isinstance(code, CanonicalCode):
-        return code.text()
-    return code.decode("ascii")
 
 
 def _check_window(n: int, p: float, k: int, proceed: bool) -> bool:
@@ -154,7 +148,7 @@ def _census_upper_F(path_counts: dict[int, int], n: int, p: float, k: int) -> fl
     L = bnd.ell(k)
     A = [float(path_counts.get(i + 1, 0)) for i in range(1, L - 1)]
     B = float(path_counts.get(L, 0))
-    return bnd.upper_F(A, B, n, p, k, m=float(n) * n * p)
+    return bnd.upper_F(A, B, n, p, k)
 
 
 def _embed(n: int, p: float, seed: int, epsilon: float,
@@ -257,7 +251,7 @@ def _cmd_census(args) -> int:
             "components": sum(c.counts.values()),
             "distinct_types": len(c.counts),
             "path_counts": {str(k): v for k, v in sorted(c.path_counts.items())},
-            "vertices_in_components": c.total_vertices(),
+            "vertices_in_components": g.n,
         }
         print(json.dumps(payload, sort_keys=True))
         return 0
@@ -265,9 +259,9 @@ def _cmd_census(args) -> int:
     print(f"distinct_types {len(c.counts)}")
     for order, cnt in sorted(c.path_counts.items()):
         print(f"paths_order_{order} {cnt}")
-    top = sorted(c.counts.items(), key=lambda kv: (-kv[1], _code_text(kv[0])))
+    top = sorted(c.counts.items(), key=lambda kv: (-kv[1], kv[0]))
     for code, cnt in top[:10]:
-        print(f"type {cnt} {_code_text(code)}")
+        print(f"type {cnt} {code.decode('ascii')}")
     return 0
 
 
@@ -334,12 +328,11 @@ def _cmd_color(args) -> int:
     coloring, ok, upper = _REGIMES[args.regime](spec)
     print(f"classes {coloring.num_classes}")
     print(f"upper_bound {upper!r}")
-    if args.verify:
-        distinct, pair = verify_distinct(coloring)
-        print(f"verify_distinct {'true' if distinct else 'false'}")
-        if not distinct:
-            print(f"isomorphic_pair {pair[0]} {pair[1]}")
-            return 2
+    distinct, pair = verify_distinct(coloring)
+    print(f"verify_distinct {'true' if distinct else 'false'}")
+    if not distinct:
+        print(f"isomorphic_pair {pair[0]} {pair[1]}")
+        return 2
     if args.out:
         write_coloring(coloring, args.out)
     return 0 if ok else 2
@@ -476,7 +469,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--epsilon", type=float, default=bnd.DESK_EPSILON)
     sp.add_argument("--c-path", type=float, default=0.05)
     sp.add_argument("--out", default=None, help="write the colouring here")
-    sp.add_argument("--no-verify", dest="verify", action="store_false")
     sp.add_argument("--proceed", action="store_true")
 
     sp = new("tau-exact", _cmd_tau_exact, help="exact tau of a small graph")

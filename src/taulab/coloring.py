@@ -301,9 +301,8 @@ def read_coloring(path: str) -> Coloring:
 
 @lru_cache(maxsize=None)
 def _path_code(order: int) -> bytes:
-    """`tree_code` of the path on order >= 2 vertices."""
-    adj = [[i - 1, i + 1] for i in range(order)]
-    adj[0], adj[-1] = [1], [order - 2]
+    """`tree_code` of the path on order >= 1 vertices."""
+    adj = [[j for j in (i - 1, i + 1) if 0 <= j < order] for i in range(order)]
     return tree_code(adj)
 
 
@@ -564,8 +563,9 @@ def build_verysparse_coloring(
     xi: Optional[Sequence[int]] = None,
 ) -> Coloring:
     """One colour class per nonzero census vector in the clamped box, each a
-    union of small path components taken from tally, the census of g, plus
-    the leftover class."""
+    union of small path components, plus the leftover class.  A class takes
+    the next unused rows of tally.paths (tally is the census of g), whose
+    rows are the edge ranks of one path each, and sorts their ranks."""
     xi, observed, _ = verysparse_box(g, tally, k, safety=safety, p=p, xi=xi)
     if all(x == 0 for x in xi):
         raise RuntimeError(
@@ -573,21 +573,21 @@ def build_verysparse_coloring(
             f"(observed path counts {observed})"
         )
     L = ell(k)
-    pools = [tally.paths.get(order, ()) for order in range(2, L + 1)]
+    no_paths = np.empty((0, 1), dtype=np.int64)
+    pools = [tally.paths.get(order, no_paths) for order in range(2, L + 1)]
     cursors = [0] * (L - 1)
     classes: list[np.ndarray] = []
     labels: list[str] = []
     for counts in product(*(range(x + 1) for x in xi)):
         if all(c == 0 for c in counts):
             continue
-        edges: list[Edge] = []
+        takes = []
         for i, c in enumerate(counts):
             take = pools[i][cursors[i] : cursors[i] + c]
             assert len(take) == c, "supply clamp failed"
             cursors[i] += c
-            for comp in take:
-                edges.extend(comp.edges)
-        classes.append(np.sort(pair_ranks(edges)))
+            takes.append(take.ravel())
+        classes.append(np.sort(_joined(takes)))
         labels.append("vector:" + ",".join(map(str, counts)))
     _append_leftover(g, classes, labels, "census")
     return Coloring(host=g, classes=tuple(classes), labels=tuple(labels))

@@ -100,14 +100,6 @@ class LazyRandomGraph:
     def is_revealed(self, u: int, v: int) -> bool:
         return v in self._partners.get(u, ())
 
-    def revealed_partners(self, v: int) -> set[int]:
-        """The live set of v's revealed partners, made on first ask: later
-        reveals at v add to it, so a caller may keep it but not change it."""
-        partners = self._partners.get(v)
-        if partners is None:
-            partners = self._partners[v] = set()
-        return partners
-
     def reveal(self, u: int, v: int) -> bool:
         """The pair's outcome; errors on self-pairs and repeats."""
         if u == v:

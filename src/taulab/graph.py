@@ -25,9 +25,12 @@ Components come from one vectorised labelling pass over the edge arrays
 edges by label; `census` reads each component's order, edge count and
 maximum degree off the same labels with `bincount`, so isolated vertices and
 paths, by far the most common components of a very sparse graph, are
-classified by their order alone; every other component is coded on its own
-neighbour lists by `coloring.connected_code`.  Verification runs the same
-pass and path rule over a batch of colour classes (`coloring.class_signatures`).
+classified by their order alone and never become `Component` objects: the
+census hands out the paths of each order as an array with one row of edge
+ranks per path, laid out by one stable sort.  Every other component is coded
+on its own neighbour lists by `coloring.connected_code`.  Verification runs
+the same pass and path rule over a batch of colour classes
+(`coloring.class_signatures`).
 """
 
 from __future__ import annotations
@@ -367,40 +370,35 @@ def components(g: Graph) -> list[Component]:
 class ComponentCensus:
     """Classification of a graph's components by canonical code.
 
-    counts maps each component's canonical code to its multiplicity and
-    orders maps the same codes to the component order.  paths holds the
-    path components (order >= 2) of each order, in order of their smallest
-    vertex.
+    counts maps each component's code (bytes) to its multiplicity.  paths[k]
+    is a (count, k - 1) int64 array for each order k >= 2 that has path
+    components: one row per path on k vertices, in order of its smallest
+    vertex, holding that path's edge ranks in lexicographic edge order.
     """
 
-    counts: dict
-    orders: dict
-    paths: dict[int, tuple[Component, ...]]
+    counts: dict[bytes, int]
+    paths: dict[int, np.ndarray]
 
     @property
     def path_counts(self) -> dict[int, int]:
         """Number of path components of each order (order >= 2)."""
-        return {order: len(comps) for order, comps in self.paths.items()}
-
-    def total_vertices(self) -> int:
-        return sum(self.orders[c] * k for c, k in self.counts.items())
+        return {order: len(rows) for order, rows in self.paths.items()}
 
 
 _EXACT_CENSUS_CAP = 12
 
 
-def _component_code(comp: Component):
-    """Census code of a component: the AHU `CanonicalCode` of a tree,
-    b"G{cert}" for any other component of at most 12 vertices, where cert
-    is its exact certificate (`coloring.connected_code` both times), and a
-    coarse b"L..." code above that."""
-    # imported here to avoid a cycle: catalog and coloring build on Graph
-    from .catalog import CanonicalCode
+def _component_code(comp: Component) -> bytes:
+    """Census code of a component: a tree's AHU string, b"G{cert}" for any
+    other component of at most 12 vertices, where cert is its exact
+    certificate (`coloring.connected_code` both times), and a coarse
+    b"L..." code above that."""
+    # imported here: coloring builds on Graph, so it imports this module
     from .coloring import connected_code
 
     adj = comp.local_adj()
     if comp.is_tree():
-        return CanonicalCode(connected_code(adj, _EXACT_CENSUS_CAP))
+        return connected_code(adj, _EXACT_CENSUS_CAP)
     if comp.order <= _EXACT_CENSUS_CAP:
         return b"G{" + connected_code(adj, _EXACT_CENSUS_CAP) + b"}"
     # too large to classify exactly; the coarse code is isomorphism-invariant
@@ -416,37 +414,35 @@ def census(g: Graph) -> ComponentCensus:
 
     One labelling pass gives each component's order, edge count and maximum
     degree.  Isolated vertices and paths are determined up to isomorphism
-    by their order, so one representative of each order is coded; every
-    other component is coded on its own.
+    by their order, so each order is coded once (`coloring._path_code`),
+    and one stable sort of the path edges by (order, smallest vertex) lays
+    out the rows of `paths`; every other component is coded on its own.
     """
+    from .coloring import _path_code  # see _component_code
+
     edges, labels, roots = _labelled(g)
-    comp_order, is_path = _component_shapes(labels, edges, roots)
-    counts: dict = {}
-    orders: dict = {}
-
-    def tally(rep: Component, multiplicity: int) -> None:
-        code = _component_code(rep)
-        counts[code] = counts.get(code, 0) + multiplicity
-        orders[code] = rep.order
-
-    isolated = int(np.count_nonzero(comp_order == 1))
-    if isolated:
-        tally(Component(vertices=(0,), edges=()), isolated)
-    paths: dict[int, list[Component]] = {}
-    big = comp_order >= 2
-    grouped = _grouped(edges, labels, roots[big])
-    for comp, path in zip(grouped, is_path[big].tolist()):
-        if path:
-            paths.setdefault(comp.order, []).append(comp)
-        else:
-            tally(comp, 1)
-    for comps in paths.values():
-        tally(comps[0], len(comps))
-    return ComponentCensus(
-        counts=counts,
-        orders=orders,
-        paths={k: tuple(comps) for k, comps in sorted(paths.items())},
-    )
+    order, path = _component_shapes(labels, edges, roots)
+    kinds, sizes = np.unique(order[path], return_counts=True)
+    counts = {_path_code(k): c for k, c in zip(kinds.tolist(), sizes.tolist())}
+    for comp in _grouped(edges, labels, roots[~path]):
+        code = _component_code(comp)
+        counts[code] = counts.get(code, 0) + 1
+    # the order of each path at its root, 0 elsewhere; isolated vertices
+    # own no edge
+    path_order = np.zeros(g.n, dtype=np.int64)
+    path_order[roots[path]] = order[path]
+    lead = labels[edges[:, 0]]
+    edge_order = path_order[lead]
+    on_path = np.flatnonzero(edge_order)
+    keys = edge_order[on_path] * g.n + lead[on_path]
+    ranks = pair_ranks(edges[on_path[np.argsort(keys, kind="stable")]])
+    ends = np.cumsum(sizes * (kinds - 1))
+    paths = {
+        k: rows.reshape(-1, k - 1)
+        for k, rows in zip(kinds.tolist(), np.split(ranks, ends[:-1]))
+        if k >= 2
+    }
+    return ComponentCensus(counts=counts, paths=paths)
 
 
 def write_edgelist(g: Graph, path: str) -> None:

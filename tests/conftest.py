@@ -28,7 +28,7 @@ from taulab.embed import (
     LazyRandomGraph,
     _connected_order,
 )
-from taulab.graph import Component, Graph, _component_code, pair_rank
+from taulab.graph import Component, Graph, _component_code, pair_rank, pair_ranks
 
 
 @dataclass(frozen=True)
@@ -218,20 +218,20 @@ def bfs_class_signature(edges: Sequence[tuple[int, int]], max_vertices: int = 10
     )
 
 
-def component_census(g: Graph) -> tuple[dict, dict, dict]:
-    """(counts, orders, paths) with every component coded on its own;
-    paths maps each order to its path components in smallest-vertex order."""
+def component_census(g: Graph) -> tuple[dict, dict]:
+    """(counts, paths) with every component found by `bfs_components` and
+    coded on its own; paths maps each order k >= 2 to a (count, k - 1)
+    array whose rows are the `pair_ranks` of its path components' edges, in
+    smallest-vertex order."""
     counts: dict = {}
-    orders: dict = {}
     paths: dict = {}
     for comp in bfs_components(g):
         code = _component_code(comp)
         counts[code] = counts.get(code, 0) + 1
-        orders[code] = comp.order
         degrees = Counter(v for e in comp.edges for v in e)
         if comp.is_tree() and comp.order >= 2 and max(degrees.values()) <= 2:
-            paths.setdefault(comp.order, []).append(comp)
-    return counts, orders, {k: tuple(v) for k, v in paths.items()}
+            paths.setdefault(comp.order, []).append(pair_ranks(comp.edges))
+    return counts, {k: np.array(rows) for k, rows in sorted(paths.items())}
 
 
 def sampled_distinct_trees(t: int, want: int, rng) -> list[Graph]:

@@ -265,7 +265,7 @@ def test_06_verysparse_pipeline():
 
             budgets = [float(tally.path_counts.get(2, 0))]
             quad = float(tally.path_counts.get(3, 0))
-            cap = bnd.upper_F(budgets, quad, n, p, k, m=float(n) * n * p)
+            cap = bnd.upper_F(budgets, quad, n, p, k)
             assert coloring.num_classes <= cap, (
                 seed,
                 coloring.num_classes,
@@ -365,5 +365,5 @@ def test_08_budgeted_optimum():
         B = float(n) ** 3 * p * p
         for m in (20, 60, 150, int(n * n * p)):
             opt = bnd.toy_lagrange_opt(A1, B, m)
-            cap = bnd.upper_F([A1], B, n, p, 4, m=float(m))
+            cap = bnd.upper_F([A1], B, n, p, 4)
             assert opt.value <= cap, (m, opt.value, cap)

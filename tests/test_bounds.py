@@ -299,26 +299,24 @@ def test_upper_F_formula():
         + 2.0 * (npd ** (l - 2) * A[0])
         + l * l * s**l * npd ** (-(l - 1) * (l - 2) / 2.0)
     ) / (2.0 * s)
-    assert upper_F(A, B, n, p, k, m=npd * n) == pytest.approx(want, rel=1e-12)
+    assert upper_F(A, B, n, p, k) == pytest.approx(want, rel=1e-12)
 
 
 def test_upper_F_monotone_in_budgets():
     n, p, k = 10**5, 2e-7, 4
-    base = upper_F([10.0], 5.0, n, p, k, m=100.0)
-    assert upper_F([10.0], 6.0, n, p, k, m=100.0) > base
-    assert upper_F([12.0], 5.0, n, p, k, m=100.0) > base
+    base = upper_F([10.0], 5.0, n, p, k)
+    assert upper_F([10.0], 6.0, n, p, k) > base
+    assert upper_F([12.0], 5.0, n, p, k) > base
 
 
 def test_upper_F_validation():
     with pytest.raises(ValueError):
-        upper_F([1.0], 1.0, 100, 1e-3, 3, m=1.0)  # ell(3) = 2
+        upper_F([1.0], 1.0, 100, 1e-3, 3)  # ell(3) = 2
     with pytest.raises(ValueError):
-        upper_F([1.0, 2.0], 1.0, 100, 1e-3, 4, m=1.0)
+        upper_F([1.0, 2.0], 1.0, 100, 1e-3, 4)
     with pytest.raises(ValueError):
-        upper_F([-1.0], 1.0, 100, 1e-3, 4, m=1.0)
+        upper_F([-1.0], 1.0, 100, 1e-3, 4)
     with pytest.raises(ValueError):
-        upper_F([1.0], -1.0, 100, 1e-3, 4, m=1.0)
+        upper_F([1.0], -1.0, 100, 1e-3, 4)
     with pytest.raises(ValueError):
-        upper_F([1.0], 1.0, 100, 0.0, 4, m=1.0)
-    with pytest.raises(ValueError):
-        upper_F([1.0], 1.0, 100, 1e-3, 4, m=-1.0)
+        upper_F([1.0], 1.0, 100, 0.0, 4)

@@ -34,6 +34,8 @@ def test_usage_errors_exit_1(tmp_path):
         ["embed", "--n", "50", "--p", "0.5", "--seed", "3", "--budget", "-5"],
         ["embed", "--n", "50", "--p", "0.5", "--seed", "3", "--tree-order", "1"],
         ["embed", "--n", "50", "--p", "0.5", "--seed", "3", "--tree-order", "0"],
+        ["color", "--regime", "sparse", "--n", "50", "--p-over-n", "3", "--seed", "1",
+         "--no-verify"],
     ]
     for argv in cases:
         with pytest.raises(SystemExit) as exc:

@@ -1,12 +1,14 @@
 import itertools
 import math
 import time
+from collections import Counter
 
 import networkx as nx
 import numpy as np
 import pytest
 from conftest import (
     bfs_class_signature,
+    bfs_components,
     brute_isomorphic,
     coded,
     prufer_tree,
@@ -46,7 +48,6 @@ from taulab.embed import (
     materialize,
 )
 from taulab.graph import (
-    Component,
     ComponentCensus,
     Graph,
     census,
@@ -764,10 +765,10 @@ def placed_classes(host, edge_sets, monkeypatch):
 
 
 def census_classes(host, edge_sets, monkeypatch):
-    # single-edge path components; the box (2, 0) takes the first for one
-    # class and the next two for another
-    comps = tuple(Component(vertices=es[0], edges=tuple(es)) for es in edge_sets)
-    tally = ComponentCensus(counts={}, orders={}, paths={2: comps})
+    # single-edge path components, one rank row each; the box (2, 0) takes
+    # the first for one class and the next two for another
+    rows = np.array([pair_ranks(es) for es in edge_sets])
+    tally = ComponentCensus(counts={}, paths={2: rows})
     return build_verysparse_coloring(host, tally, 4, xi=(2, 0))
 
 
@@ -864,6 +865,27 @@ def test_verysparse_estimated_box():
     col = build_verysparse_coloring(g, census(g), 4, p=1e-4)
     assert col.num_classes > 1
     assert verify_distinct(col) == (True, None)
+
+
+@given(st.integers(0, 2**31))
+@settings(max_examples=10, deadline=None)
+def test_verysparse_classes_are_their_census_vectors(seed):
+    # by an independent component finder, class vector:c2,c3 is c2 paths on
+    # 2 vertices and c3 on 3, and no path goes to two classes
+    n = 20_000
+    p = float(n) ** -1.3
+    g = gen_gnp(n, p, seed)
+    col = build_verysparse_coloring(g, census(g), 4, p=p)
+    used = []
+    for label, cls in zip(col.labels, col.classes):
+        if label == "leftover":
+            continue
+        c2, c3 = map(int, label.removeprefix("vector:").split(","))
+        comps = [c for c in bfs_components(Graph.from_ranks(n, cls)) if c.edges]
+        assert all(c.is_tree() for c in comps)
+        assert Counter(c.order for c in comps) == Counter({2: c2, 3: c3})
+        used.extend(c.edges for c in comps)
+    assert len(used) == len(set(used)) > 0
 
 
 def test_verysparse_errors():

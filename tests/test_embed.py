@@ -361,16 +361,6 @@ def test_bad_tree_mid_supply_leaves_rng_where_scalar_draws_would(bad, message):
     assert got == run_embed(scalar_greedy_embed, *args)
 
 
-def test_revealed_partners_is_live():
-    g = LazyRandomGraph(6, 0.5, 0)
-    partners = g.revealed_partners(3)
-    assert partners == set()
-    g.reveal(1, 3)
-    g.reveal(3, 5)
-    assert partners == {1, 5}
-    assert g.revealed_partners(3) is partners
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 362, 363, 364, 600])
 def test_materialize_matches_blockwise_oracle(n):
     # C(362, 2) = 65341 < 2**16 < C(363, 2) = 65703: 362 fits one block of

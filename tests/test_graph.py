@@ -16,7 +16,6 @@ from conftest import (
 )
 from taulab import graph
 from taulab import rng as rngmod
-from taulab.catalog import CanonicalCode
 from taulab.graph import (
     Graph,
     _component_labels,
@@ -228,8 +227,11 @@ def test_components_and_isolated_vertices():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (4, 5)])
     comps = components(g)
     assert [c.vertices for c in comps] == [(0, 1, 2), (3,), (4, 5)]
-    # a single vertex is not a path here
-    assert census(g).paths == {2: (comps[2],), 3: (comps[0],)}
+    # a single vertex is not a path here; a path is the row of its edge ranks
+    paths = census(g).paths
+    assert list(paths) == [2, 3]
+    assert paths[2].tolist() == [[pair_rank(4, 5)]]
+    assert paths[3].tolist() == [[pair_rank(0, 1), pair_rank(1, 2)]]
 
 
 def test_census_hand_example():
@@ -241,14 +243,14 @@ def test_census_hand_example():
     c = census(g)
     assert c.path_counts == {2: 2, 3: 1}
     assert sorted(c.counts.values()) == [1, 1, 1, 2]
-    assert c.total_vertices() == 11
+    assert c.paths[2].shape == (2, 1) and c.paths[3].shape == (1, 2)
 
 
 @pytest.mark.parametrize(
     "n, edges, code",
     [
         # a tree: its AHU code
-        (5, [(0, 1), (1, 2), (1, 3), (3, 4)], CanonicalCode(b"[(()())(())]")),
+        (5, [(0, 1), (1, 2), (1, 3), (3, 4)], b"[(()())(())]"),
         # small non-trees: "G{" + exact certificate + "}"
         (3, [(0, 1), (1, 2), (0, 2)], b"G{K3}"),
         (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], b"G{B4:3d}"),
@@ -265,9 +267,15 @@ def test_census_codes_pinned(n, edges, code):
 
 
 def test_census_sum_invariant_random():
+    # every component is counted once, and the rows of the paths on k
+    # vertices span k vertices each, none shared
     for seed in range(20):
         g = gen_gnp(60, 0.03, seed)
-        assert census(g).total_vertices() == 60
+        c = census(g)
+        assert sum(c.counts.values()) == len(bfs_components(g))
+        for k, rows in c.paths.items():
+            us, vs = _unrank_pairs(rows.ravel())
+            assert len(np.union1d(us, vs)) == k * len(rows)
 
 
 def _naive_census(g: Graph):
@@ -304,11 +312,13 @@ def test_census_agrees_with_naive_classification():
 
 def _assert_matches_oracle(g: Graph) -> None:
     assert components(g) == bfs_components(g)
-    counts, orders, paths = component_census(g)
+    counts, paths = component_census(g)
     c = census(g)
     assert c.counts == counts
-    assert c.orders == orders
-    assert c.paths == paths
+    assert list(c.paths) == list(paths)
+    for k, rows in paths.items():
+        assert c.paths[k].shape == (len(rows), k - 1)
+        assert np.array_equal(c.paths[k], rows)
     assert c.path_counts == {k: len(v) for k, v in paths.items()}
 
 
