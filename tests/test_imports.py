@@ -45,7 +45,7 @@ def test_no_unused_imports(module):
 def function_level_imports(module: str, source: str) -> list[str]:
     """'line k' for each import made inside a function, other than the
     allowed cycle: graph.py importing from .coloring."""
-    out = []
+    found = set()  # a set: a nested function's imports are walked twice
     for fn in ast.walk(ast.parse(source)):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
@@ -55,14 +55,14 @@ def function_level_imports(module: str, source: str) -> list[str]:
             cycle = (isinstance(node, ast.ImportFrom) and node.level == 1
                      and node.module == "coloring")
             if not (module == "graph.py" and cycle):
-                out.append(f"line {node.lineno}")
-    return out
+                found.add(node.lineno)
+    return [f"line {k}" for k in sorted(found)]
 
 
 def test_scan_finds_a_function_level_import():
-    source = "def f():\n    from .coloring import x\n    from .catalog import y\n"
-    assert function_level_imports("graph.py", source) == ["line 3"]
-    assert function_level_imports("cli.py", source) == ["line 2", "line 3"]
+    source = "def f():\n    from .coloring import x\n    def g():\n        from .catalog import y\n"
+    assert function_level_imports("graph.py", source) == ["line 4"]
+    assert function_level_imports("cli.py", source) == ["line 2", "line 4"]
 
 
 @pytest.mark.parametrize("module", MODULES)
