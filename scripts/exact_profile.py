@@ -3,11 +3,12 @@
 workload: every complete multipartite graph of 4 to 9 vertices with at least
 two parts, each of at least 2 vertices, so that every vertex has a twin.
 Each deck relabels every shape at random once and times its `canonical_form`,
-and times `tau_exact` of one random 8-edge graph on 5 to 9 vertices per
-shape.  Prints the median `canonical_form` milliseconds per part-size shape,
+and times `tau_exact` of one random graph per shape, with --tau-edges edges
+(8 by default, 12 at most) on 5 to 9 vertices, or on as few more as hold
+them.  Prints the median `canonical_form` milliseconds per part-size shape,
 then the median `tau_exact` milliseconds over all decks and shapes.
 
-Runs from a checkout: python3 scripts/exact_profile.py --decks 5
+Runs from a checkout: python3 scripts/exact_profile.py --decks 5 --tau-edges 12
 """
 
 import argparse
@@ -44,8 +45,9 @@ def multipartite(parts: tuple[int, ...], rng) -> Graph:
     )
 
 
-def random_small(rng, edges: int = 8) -> Graph:
-    nv = int(rng.integers(5, 10))
+def random_small(rng, edges: int) -> Graph:
+    fewest = next(nv for nv in range(5, edges + 5) if nv * (nv - 1) // 2 >= edges)
+    nv = int(rng.integers(fewest, max(fewest, 9) + 1))
     pairs = list(itertools.combinations(range(nv), 2))
     pick = rng.choice(len(pairs), size=edges, replace=False)
     return Graph.from_edges(nv, [pairs[i] for i in pick.tolist()])
@@ -60,7 +62,10 @@ def millis(fn, arg) -> float:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--decks", type=int, default=5, help="seeded decks 1..DECKS")
+    ap.add_argument("--tau-edges", type=int, default=8, help="edges of each tau graph")
     args = ap.parse_args()
+    if not 1 <= args.tau_edges <= 12:
+        ap.error("--tau-edges must lie in 1..12")
 
     todo = shapes()
     canon: dict[tuple[int, ...], list[float]] = {parts: [] for parts in todo}
@@ -69,7 +74,8 @@ def main() -> None:
         rng = np.random.default_rng(deck)
         for parts in todo:
             canon[parts].append(millis(canonical_form, multipartite(parts, rng)))
-            tau.append(millis(tau_exact, random_small(rng)))
+            small = random_small(rng, args.tau_edges)
+            tau.append(millis(lambda g: tau_exact(g, args.tau_edges), small))
 
     print(f"{'shape':<10} {'n':>2} {'canonical_ms':>12}")
     for parts in todo:

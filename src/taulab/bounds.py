@@ -4,7 +4,8 @@ Everything here is deterministic number crunching: the dense-regime upper
 bound p*n^2/f(n) with f(n) = ln n / (2 ln ln n), the construction sizes, the
 very sparse regime's class-size scale theta and box widths xi, the
 closed-form upper bound on the class-count optimisation, a Chernoff tail
-bound, and a small exact solver for the toy version of that optimisation.
+bound, the counting bound on tau of a graph with few edges, and a small
+exact solver for the toy version of that optimisation.
 
 The very sparse regime is driven by ell(k), the least integer with
 ell^2 + ell >= 2k: a forest with k edges and at most ell(k) - 1 components
@@ -146,6 +147,30 @@ def chernoff(mu: float, delta: float) -> tuple[float, float]:
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     return math.exp(-mu * delta * delta / 3.0), math.exp(-mu * delta * delta / 2.0)
+
+
+# Graphs with s edges and no isolated vertices (OEIS A000664), s = 1..12
+GRAPHS_WITH_EDGES = (1, 2, 5, 11, 26, 68, 177, 497, 1476, 4613, 15216, 52944)
+
+
+def most_classes(r: int, free: Sequence[int]) -> int:
+    """Most classes r edges can form when at most free[s - 1] of them have
+    s edges: the smallest sizes first, each as often as allowed."""
+    classes = 0
+    for s, f in enumerate(free, 1):
+        take = min(f, r // s)
+        classes += take
+        r -= take * s
+    return classes
+
+
+def tau_counting_bound(m: int) -> int:
+    """Upper bound on tau of any graph with m <= 12 edges: its classes are
+    pairwise non-isomorphic, so at most GRAPHS_WITH_EDGES[s - 1] of them
+    have s edges, and `most_classes` under those counts is the bound."""
+    if not 0 <= m <= len(GRAPHS_WITH_EDGES):
+        raise ValueError(f"counting bound tabulated for 0..12 edges, got {m}")
+    return most_classes(m, GRAPHS_WITH_EDGES)
 
 
 @dataclass(frozen=True)

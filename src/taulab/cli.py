@@ -339,6 +339,8 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_tau_exact(args) -> int:
+    if args.max_edges < 0:
+        args.parser.error("--max-edges must be nonnegative")
     if args.bundled:
         ref = resources.files("taulab.data").joinpath(f"{args.bundled}.edges")
         with resources.as_file(ref) as path:

@@ -28,9 +28,9 @@ multipartite graph is searched only across its parts of equal size.
 vertex.
 
 `tau_exact` answers the inverse question for tiny graphs (8 edges by
-default, 12 at most) by signing every edge subset in one batch and then
-exhausting set partitions of the edge set, and `tau_matching` gives the
-closed form for a perfect obstruction-free case, a matching of m edges.
+default, 12 at most) by branch and bound over whole classes, and
+`tau_matching` gives the closed form for a perfect obstruction-free case,
+a matching of m edges.
 """
 
 from __future__ import annotations
@@ -38,12 +38,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, combinations, product
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import ell, theta_verysparse
+from .bounds import GRAPHS_WITH_EDGES, ell, most_classes, theta_verysparse
 # ahu_code and components are unused here; they stay importable as
 # coloring.ahu_code and coloring.components for perfbench/run.py's tracer
 from .catalog import LinearForest, ahu_code, partitions, tree_code  # noqa: F401
@@ -607,46 +607,59 @@ def tau_matching(m: int) -> int:
 
 def tau_exact(g: Graph, max_edges: int = 8) -> int:
     """Maximum number of pairwise non-isomorphic parts over all partitions
-    of g's edge set, by exhaustive search over set partitions.  Every edge
-    subset is signed before the search starts, all 2^m of them in one
-    `class_signatures` call.  max_edges above 12 is refused: the search
-    would not finish, and the batch holds 2^m rank arrays at once."""
-    if max_edges > 12:
+    of g's edge set, by branch and bound over whole classes: the class of
+    the lowest unassigned edge is each subset of the unassigned edges that
+    holds it, smallest first, pruned unsigned when the classes so far, plus
+    one, plus `most_classes` of the rest (types of each size less those
+    taken) cannot beat the best.  A size is signed, all its subsets in one
+    `class_signatures` call, when two classes of that size first meet, and
+    its types become their distinct signatures.  max_edges above 12, where
+    the table of types ends, is refused."""
+    if max_edges > len(GRAPHS_WITH_EDGES):
         raise ValueError(f"tau_exact is limited to max_edges <= 12, got {max_edges}")
     m = g.edge_count
     if m > max_edges:
         raise ValueError(f"tau_exact is limited to {max_edges} edges, got {m}")
-    if m == 0:
-        return 0
-    # row mask of `member` holds the edges of subset mask; mask 0 is never a part
-    member = (np.arange(1 << m)[:, None] >> np.arange(m) & 1).astype(bool)
-    subsets = np.split(
-        np.broadcast_to(g.ranks, member.shape)[member],
-        np.cumsum(member.sum(axis=1))[:-1],
-    )
-    sigs = class_signatures(subsets, g.n, max_vertices=2 * max_edges)
-    failed = next((s for s in sigs if isinstance(s, CanonicalizationError)), None)
-    if failed is not None:
-        raise failed
+    free = list(GRAPHS_WITH_EDGES)  # free[s - 1]: classes of s edges still allowed
+    chosen: list[list[int]] = [[] for _ in free]  # edge masks taken, by size
+    sigs: dict[int, dict[int, tuple]] = {}  # signed sizes: mask -> signature
     best = 0
 
-    def rec(i: int, parts: list[int]) -> None:
-        nonlocal best
-        if len(parts) + (m - i) <= best:
-            return
-        if i == m:
-            if len({sigs[mask] for mask in parts}) == len(parts):
-                best = len(parts)
-            return
-        bit = 1 << i
-        for j in range(len(parts)):
-            parts[j] |= bit
-            rec(i + 1, parts)
-            parts[j] &= ~bit
-        parts.append(bit)
-        rec(i + 1, parts)
-        parts.pop()
+    def signed(s: int) -> dict[int, tuple]:
+        if s not in sigs:
+            idx = np.array(list(combinations(range(m), s)))
+            got = class_signatures(list(g.ranks[idx]), g.n, 2 * max_edges)
+            failed = next((x for x in got if isinstance(x, CanonicalizationError)), None)
+            if failed is not None:
+                raise failed
+            sigs[s] = dict(zip((1 << idx).sum(axis=1).tolist(), got))
+            free[s - 1] -= GRAPHS_WITH_EDGES[s - 1] - len(set(got))
+        return sigs[s]
 
-    rec(0, [])
-    del rec  # rec refers to itself; dropping the name frees it without the GC
+    def search(rest: int, k: int) -> None:
+        nonlocal best
+        if not rest:
+            best = k
+            return
+        low = rest & -rest
+        others = [1 << b for b in range(m) if (rest ^ low) >> b & 1]
+        for s in range(1, len(others) + 2):
+            if free[s - 1] <= 0:
+                continue
+            free[s - 1] -= 1
+            ceiling = k + 1 + most_classes(len(others) + 1 - s, free)
+            for extra in combinations(others, s - 1):
+                if ceiling <= best:
+                    break
+                cls = low + sum(extra)
+                sig = signed(s) if chosen[s - 1] else {}
+                if any(sig[c] == sig[cls] for c in chosen[s - 1]):
+                    continue
+                chosen[s - 1].append(cls)
+                search(rest ^ cls, k + 1)
+                chosen[s - 1].pop()
+            free[s - 1] += 1
+
+    search((1 << m) - 1, 0)
+    del search  # search refers to itself; dropping the name frees it without the GC
     return best

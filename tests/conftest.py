@@ -218,6 +218,46 @@ def bfs_class_signature(edges: Sequence[tuple[int, int]], max_vertices: int = 10
     )
 
 
+def seeded_graph(seed: int, m: int, nv: int) -> Graph:
+    """m distinct random edges on nv vertices."""
+    rng = rngmod.stream(seed, 3)
+    pairs = list(itertools.combinations(range(nv), 2))
+    pick = rng.choice(len(pairs), size=m, replace=False)
+    return Graph.from_edges(nv, [pairs[i] for i in pick])
+
+
+def oracle_tau(g: Graph) -> int:
+    """Exact tau by every set partition of the edges, unpruned, each part
+    signed by `bfs_class_signature`."""
+    edges = g.edges
+    m = len(edges)
+    memo: dict[int, tuple] = {}
+
+    def sig(mask: int) -> tuple:
+        if mask not in memo:
+            memo[mask] = bfs_class_signature(
+                [edges[i] for i in range(m) if mask >> i & 1], max_vertices=16
+            )
+        return memo[mask]
+
+    best = 0
+
+    def rec(i: int, parts: list[int]) -> None:
+        nonlocal best
+        if i == m:
+            if len({sig(mask) for mask in parts}) == len(parts):
+                best = max(best, len(parts))
+            return
+        for j in range(len(parts)):
+            parts[j] |= 1 << i
+            rec(i + 1, parts)
+            parts[j] &= ~(1 << i)
+        rec(i + 1, parts + [1 << i])
+
+    rec(0, [])
+    return best
+
+
 def component_census(g: Graph) -> tuple[dict, dict]:
     """(counts, paths) with every component found by `bfs_components` and
     coded on its own; paths maps each order k >= 2 to a (count, k - 1)

@@ -1,13 +1,16 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import seeded_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taulab import rng as rngmod
 from taulab.bounds import (
+    GRAPHS_WITH_EDGES,
     chernoff,
     claim_check,
     claim_check_range,
@@ -15,6 +18,7 @@ from taulab.bounds import (
     ell,
     f_dense,
     sparse_k,
+    tau_counting_bound,
     theta_exponents,
     theta_verysparse,
     toy_lagrange_opt,
@@ -23,6 +27,8 @@ from taulab.bounds import (
     verysparse_window,
     xi,
 )
+from taulab.coloring import class_signatures, tau_exact, tau_matching
+from taulab.graph import pair_ranks
 
 
 def ell_brute(k: int) -> int:
@@ -320,3 +326,49 @@ def test_upper_F_validation():
         upper_F([1.0], -1.0, 100, 1e-3, 4)
     with pytest.raises(ValueError):
         upper_F([1.0], 1.0, 100, 0.0, 4)
+
+
+# --- counting bound on tau ---------------------------------------------------
+
+
+def graphs_with_edges(top: int) -> list[int]:
+    """Counts of graphs with s = 1..top edges and no isolated vertices, up
+    to isomorphism.  Deleting an edge and the vertices it leaves isolated
+    gives such a graph with s - 1 edges, so each level grows from the last
+    by one edge joining two old vertices, an old and a new one, or two new
+    ones; the grown graphs are keyed on `class_signatures`."""
+    level: list[list[tuple[int, int]]] = [[]]
+    counts = []
+    for _ in range(top):
+        grown = []
+        for edges in level:
+            v = 1 + max((b for _, b in edges), default=-1)
+            ends = [*itertools.combinations(range(v + 1), 2), (v, v + 1)]
+            grown.extend(edges + [e] for e in ends if e not in edges)
+        sigs = class_signatures([np.sort(pair_ranks(g)) for g in grown], 2 * top + 2)
+        first = {}
+        for edges, sig in zip(grown, sigs):
+            first.setdefault(sig, edges)
+        level = list(first.values())
+        counts.append(len(level))
+    return counts
+
+
+def test_graphs_with_edges_table():
+    assert graphs_with_edges(7) == list(GRAPHS_WITH_EDGES[:7])
+
+
+def test_tau_counting_bound_values():
+    assert [tau_counting_bound(m) for m in range(13)] == [
+        0, 1, 1, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5
+    ]
+    for m in (-1, 13):
+        with pytest.raises(ValueError, match="0..12"):
+            tau_counting_bound(m)
+
+
+@given(st.integers(0, 2**31), st.integers(1, 8), st.integers(3, 10))
+@settings(max_examples=40, deadline=None)
+def test_tau_exact_between_matching_and_counting_bound(seed, m, nv):
+    m = min(m, nv * (nv - 1) // 2)
+    assert tau_matching(m) <= tau_exact(seeded_graph(seed, m, nv)) <= tau_counting_bound(m)

@@ -30,6 +30,7 @@ def test_usage_errors_exit_1(tmp_path):
         ["gen", "--n", "10", "--p", "1.5", "--seed", "1", "--out", out],
         ["nonsense"],
         ["tau-exact"],
+        ["tau-exact", "--bundled", "k3", "--max-edges", "-1"],
         ["color", "--regime", "verysparse", "--n", "30", "--p", "0.01", "--seed", "1"],
         ["embed", "--n", "50", "--p", "0.5", "--seed", "3", "--budget", "-5"],
         ["embed", "--n", "50", "--p", "0.5", "--seed", "3", "--tree-order", "1"],

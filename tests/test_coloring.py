@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import time
@@ -11,8 +12,10 @@ from conftest import (
     bfs_components,
     brute_isomorphic,
     coded,
+    oracle_tau,
     prufer_tree,
     relabel,
+    seeded_graph,
     unpruned_canonical_bits,
 )
 from hypothesis import event, given, settings
@@ -953,38 +956,6 @@ def test_tau_exact_bounds_property(seed):
     assert tau_matching(m) <= tau <= m
 
 
-def oracle_tau(g: Graph) -> int:
-    """Exact tau by every set partition of the edges, unpruned, each part
-    signed by `bfs_class_signature`."""
-    edges = g.edges
-    m = len(edges)
-    memo: dict[int, tuple] = {}
-
-    def sig(mask: int) -> tuple:
-        if mask not in memo:
-            memo[mask] = bfs_class_signature(
-                [edges[i] for i in range(m) if mask >> i & 1], max_vertices=16
-            )
-        return memo[mask]
-
-    best = 0
-
-    def rec(i: int, parts: list[int]) -> None:
-        nonlocal best
-        if i == m:
-            if len({sig(mask) for mask in parts}) == len(parts):
-                best = max(best, len(parts))
-            return
-        for j in range(len(parts)):
-            parts[j] |= 1 << i
-            rec(i + 1, parts)
-            parts[j] &= ~(1 << i)
-        rec(i + 1, parts + [1 << i])
-
-    rec(0, [])
-    return best
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_tau_exact_matches_unpruned_search(seed):
     rng = rngmod.stream(seed, 3)
@@ -993,3 +964,69 @@ def test_tau_exact_matches_unpruned_search(seed):
     pick = rng.choice(len(pairs), size=8, replace=False)
     g = Graph.from_edges(nv, [pairs[i] for i in pick])
     assert tau_exact(g) == oracle_tau(g)
+
+
+@given(st.integers(0, 2**31), st.integers(1, 8), st.integers(3, 16))
+@settings(max_examples=40, deadline=None)
+def test_tau_exact_matches_oracle_on_seeded_graphs(seed, m, nv):
+    g = seeded_graph(seed, min(m, nv * (nv - 1) // 2), nv)
+    parts = nx.number_connected_components(nx.Graph(g.edges))
+    event("connected" if parts == 1 else "disconnected")
+    assert tau_exact(g) == oracle_tau(g)
+
+
+NINE_EDGES = {
+    "star": [(0, i) for i in range(1, 10)],
+    "matching": [(2 * i, 2 * i + 1) for i in range(9)],
+    "cycle": [(i, (i + 1) % 9) for i in range(9)],
+    "path": [(i, i + 1) for i in range(9)],
+    # plus a separate 2-edge path
+    "K4 with a pendant edge": [*itertools.combinations(range(4), 2), (3, 4), (5, 6), (6, 7)],
+    # joined by an edge, plus a pendant edge and a separate edge
+    "two triangles with extra edges": [
+        (0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3), (5, 6), (7, 8)
+    ],
+}
+
+
+@given(st.sampled_from(sorted(NINE_EDGES)), st.integers(0, 2**31))
+@settings(max_examples=12, deadline=None)
+def test_tau_exact_matches_oracle_on_nine_edge_families(name, seed):
+    edges = NINE_EDGES[name]
+    n = 1 + max(v for e in edges for v in e)
+    g = relabel(Graph.from_edges(n, edges), rngmod.stream(seed, 4).permutation(n).tolist())
+    assert g.edge_count == 9
+    assert tau_exact(g, max_edges=9) == oracle_tau(g)
+
+
+def test_tau_exact_twelve_edges_within_budget():
+    graphs = {
+        "K1,12": Graph.from_edges(13, [(0, i) for i in range(1, 13)]),
+        "12K2": matching(12),
+        "C12": cycle_graph(12),
+        "path of 12 edges": path_graph(13),
+        "Q3": Graph.from_edges(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b]),
+        **{f"random {seed}": seeded_graph(seed, 12, 7 + seed) for seed in range(3)},
+    }
+    low, high = tau_matching(12), bnd.tau_counting_bound(12)
+    for name, g in graphs.items():
+        assert g.edge_count == 12, name
+        t0 = time.perf_counter()
+        tau = tau_exact(g, max_edges=12)
+        assert time.perf_counter() - t0 < 1.0, name
+        if name in ("K1,12", "12K2"):
+            assert tau == low, name
+        else:
+            assert low <= tau <= high, name
+
+
+def test_tau_exact_leaves_no_reference_cycle():
+    g = seeded_graph(5, 8, 7)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            tau_exact(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -56,3 +56,6 @@ def test_exact_profile_runs(tmp_path):
     assert all(float(row[2]) > 0 for row in rows)
     label, value = out[-1].split()
     assert label == "tau_exact_ms" and float(value) > 0
+    out = run_script("exact_profile.py", "--tau-edges", "12", "--decks", "1", cwd=tmp_path)
+    label, value = out[-1].split()
+    assert label == "tau_exact_ms" and float(value) > 0
