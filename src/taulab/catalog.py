@@ -22,7 +22,10 @@ members, counted by the pentagonal-number recurrence.
 
 Canonical codes: trees are encoded by the classic centre-rooted AHU string,
 for which code equality coincides with isomorphism; linear forests by their
-sorted multiset of path lengths.
+sorted multiset of path lengths.  A tree's string is built while its leaf
+layers are peeled: each peeled vertex's code is put together from its
+already peeled children, and the last one or two vertices left are the
+centres, whose codes make the string.
 """
 
 from __future__ import annotations
@@ -177,13 +180,22 @@ def rooted_to_graph(root: RootedBinaryTree) -> Graph:
     return Graph.from_edges(counter, edges)
 
 
-def _tree_centers(adj: Sequence[Sequence[int]]) -> list[int]:
+def tree_code(adj: Sequence[Sequence[int]]) -> bytes:
+    """AHU code of the tree on vertices 0..n-1 with these neighbour lists.
+
+    The tree is rooted at its centre; bicentral trees are split at the central
+    edge and both halves encoded, smaller half first.  Codes of two trees are
+    equal exactly when the trees are isomorphic.  The caller checks that
+    there are n - 1 edges.
+
+    One pass peels leaf layers off the tree.  A vertex is peeled once all
+    but one of its neighbours are, so its children toward the leaves are
+    coded by then and its own code is put together as it goes; the one or
+    two vertices left are the centres.
+    """
     n = len(adj)
-    if n == 1:
-        return [0]
-    if n == 2:
-        return [0, 1]
     deg = [len(a) for a in adj]
+    kids: list[list[bytes]] = [[] for _ in range(n)]  # codes of peeled children
     layer = [v for v in range(n) if deg[v] == 1]
     alive = n
     while alive > 2:
@@ -194,57 +206,24 @@ def _tree_centers(adj: Sequence[Sequence[int]]) -> list[int]:
         nxt = []
         for v in layer:
             deg[v] = 0
+            codes = kids[v]
+            codes.sort()
+            code = b"(" + b"".join(codes) + b")"
             for w in adj[v]:
-                if deg[w] > 0:
+                if deg[w]:
+                    kids[w].append(code)
                     deg[w] -= 1
                     if deg[w] == 1:
                         nxt.append(w)
         layer = nxt
-    return sorted(layer)
-
-
-def _rooted_ahu(adj: Sequence[Sequence[int]], root: int, above: int = -1) -> bytes:
-    """AHU string of the tree rooted at root, iteratively (no recursion).
-    The branch through the neighbour above, if any, is left out."""
-    parent = [-1] * len(adj)
-    parent[root] = above
-    order = [root]
-    for v in order:  # breadth first; order grows while it is walked
-        for w in adj[v]:
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
-    code = [b""] * len(adj)
-    for v in reversed(order):
-        kids = sorted(code[w] for w in adj[v] if w != parent[v])
-        code[v] = b"(" + b"".join(kids) + b")"
-    return code[root]
-
-
-def tree_code(adj: Sequence[Sequence[int]]) -> bytes:
-    """AHU code of the tree on vertices 0..n-1 with these neighbour lists.
-
-    The tree is rooted at its centre; bicentral trees are split at the central
-    edge and both halves encoded, smaller half first.  Codes of two trees are
-    equal exactly when the trees are isomorphic.  The caller checks that
-    there are n - 1 edges.
-    """
-    n = len(adj)
-    centers = _tree_centers(adj)
-    if len(centers) == 1:
-        body = _rooted_ahu(adj, centers[0])
-        if n > 1 and len(body) != 2 * n:
-            raise ValueError("input is not a tree (not connected)")
-        return body
-    c1, c2 = centers
-    if c2 not in adj[c1]:
+    centres = layer if n > 2 else range(n)
+    halves = sorted(b"(" + b"".join(sorted(kids[c])) + b")" for c in centres)
+    if len(centres) == 2 and centres[1] not in adj[centres[0]]:
         raise ValueError("input is not a tree (disconnected centre pair)")
-    a = _rooted_ahu(adj, c1, above=c2)
-    b = _rooted_ahu(adj, c2, above=c1)
-    if len(a) + len(b) != 2 * n:
+    # the centres' codes hold every vertex only if the graph is connected
+    if not halves or sum(map(len, halves)) != 2 * n:
         raise ValueError("input is not a tree (not connected)")
-    lo, hi = sorted((a, b))
-    return b"[" + lo + hi + b"]"
+    return halves[0] if len(halves) == 1 else b"[" + b"".join(halves) + b"]"
 
 
 def ahu_code(g: Graph) -> CanonicalCode:

@@ -185,9 +185,9 @@ def canonical_form(g: Graph, max_vertices: int = 10) -> bytes:
     graphs on the same vertex count compare exactly, sorted inside G{...}.
     Tree components of any size get their AHU string; every other
     component must have at most max_vertices vertices."""
-    us, vs = _unrank_pairs(g.ranks)
-    isolated = [b"K1"] * (g.n - len(np.union1d(us, vs)))
-    certs = sorted((*class_signature(g.edges, max_vertices), *isolated))
+    us, vs = map(np.ndarray.tolist, _unrank_pairs(g.ranks))
+    isolated = [b"K1"] * (g.n - len({*us, *vs}))
+    certs = sorted((*class_signature(list(zip(us, vs)), max_vertices), *isolated))
     return b"G{" + b"|".join(certs) + b"}"
 
 
@@ -443,15 +443,14 @@ def build_dense_coloring(result: EmbedResult, host: Graph) -> Coloring:
     The embedded trees are pairwise non-isomorphic by construction (their
     codes are distinct); the host must contain every embedded edge.
     """
-    classes: list[np.ndarray] = []
-    labels: list[str] = []
-    codes = set()
-    for tree in result.embedded:
-        if tree.code in codes:
-            raise ValueError("embedded trees repeat a shape")
-        codes.add(tree.code)
-        classes.append(np.sort(pair_ranks(tree.edges)))
-        labels.append(f"tree:{tree.code.text()}")
+    trees = result.embedded
+    if len({tree.code for tree in trees}) != len(trees):
+        raise ValueError("embedded trees repeat a shape")
+    flat = chain.from_iterable(chain.from_iterable(tree.edges for tree in trees))
+    ranks = pair_ranks(np.fromiter(flat, dtype=np.int64).reshape(-1, 2))
+    ends = np.cumsum([len(tree.edges) for tree in trees], dtype=np.int64)
+    classes = [np.sort(cls) for cls in np.split(ranks, ends)[:-1]]
+    labels = [f"tree:{tree.code.text()}" for tree in trees]
     _append_leftover(host, classes, labels, "embedded")
     return Coloring(host=host, classes=tuple(classes), labels=tuple(labels))
 

@@ -4,17 +4,19 @@ The host graph is G(n, p), but no pair is revealed until the process asks:
 ``LazyRandomGraph.reveal(u, v)`` reads the pair's Bernoulli outcome, which
 comes from a stateless hash of (seed, pair), so outcomes depend only on the
 seed and the pair, never on the order or number of other reveals.  Each
-pair may be revealed at most once.  The outcomes are hashed a block of 2^16
-pair ranks at a time, the first time a pair in the block is asked for, into
-a table of one byte per pair; `materialize` reads the blocks already hashed
-from it and hashes only the rest.
+pair may be revealed at most once.  The graph keeps one byte per pair rank:
+bit 0 is the pair's outcome and bit 1 is set once the pair is revealed, so
+there are no per-vertex partner sets.  The outcomes are hashed a block of
+2^16 pair ranks at a time, the first time a pair in the block is revealed;
+a block not yet hashed holds no reveal bits.  `materialize` reads bit 0 of
+the blocks already hashed and hashes only the rest.
 
 The embedding walks a supply of trees, each handed over with its canonical
 code.  A tree's vertices are taken in an order where each prefix is
 connected, so every new vertex has exactly one already-embedded neighbour;
 the image of that neighbour is the *active* vertex.  The process reveals
 pairs at the active vertex against uniformly random candidates (excluding
-already-revealed partners and the current tree's image) until an edge
+pairs already revealed and the current tree's image) until an edge
 appears, then moves on.  Trees in progress when the step budget runs out,
 or when a candidate pool empties, are discarded.
 
@@ -35,8 +37,8 @@ it is rewound to the block's start and only the values used are drawn
 again.  Seeded results and the generator's final state are therefore those
 of one scalar draw per candidate.  The common step, an accepted first
 candidate, runs inline in `greedy_embed`: it reads the candidate block and
-the outcome table through locals and counts the active vertex's reveals
-once per embedded edge.
+the pair table through locals, ranks the candidate's pair before testing
+it, and counts the active vertex's reveals once per embedded edge.
 """
 
 from __future__ import annotations
@@ -52,12 +54,13 @@ from . import rng as rngmod
 # its code, but it stays importable as embed.ahu_code, where
 # perfbench/run.py's tracer looks it up
 from .catalog import CanonicalCode, ahu_code  # noqa: F401
-from .graph import Graph
+from .graph import Graph, pair_rank
 
 _REJECTION_TRIES = 40
 _DRAW_BLOCK = 512  # a tree of order 34 takes about 310 candidate draws
 _OUTCOME_BITS = 16  # blocks of 2^16 pairs: the hash temporaries stay in cache
-_MAX_PAIRS = 1 << 30  # the outcome table takes one byte per pair
+_MAX_PAIRS = 1 << 30  # the pair table takes one byte per pair
+_REVEALED = 2  # bit 1 of a pair's byte; bit 0 is its outcome
 
 REPORT_VERSION = 1
 
@@ -80,17 +83,17 @@ class LazyRandomGraph:
         self.p = p
         self.seed = seed
         self._key = rngmod.derive_key(seed, 0)
-        # the revealed pairs, stored at both ends
-        self._partners: dict[int, set[int]] = {}
-        # one bool (a byte) per pair rank, True for an edge, valid in the
-        # blocks of 2^16 ranks marked hashed; calloc'd, so a block takes
-        # memory only once it is hashed
-        self._table = np.zeros(npairs, dtype=np.bool_)
-        self._outcomes = memoryview(self._table)  # indexes to a Python bool
+        # one byte per pair rank: bit 0 is the outcome, valid in the blocks
+        # of 2^16 ranks marked hashed, and bit 1 is set once the pair is
+        # revealed.  A reveal hashes its block first, so an unhashed block
+        # holds no reveal bits.  calloc'd: a block takes memory only once
+        # it is hashed.
+        self._table = np.zeros(npairs, dtype=np.uint8)
+        self._cells = memoryview(self._table)  # indexes to a Python int
         self._hashed = bytearray(-(-npairs // (1 << _OUTCOME_BITS)))
 
     def _hash_block(self, b: int) -> None:
-        """Hash the outcomes of block b into the table."""
+        """Hash the outcomes of block b into bit 0 of the table."""
         start = b << _OUTCOME_BITS
         stop = min(start + (1 << _OUTCOME_BITS), len(self._table))
         ranks = np.arange(start, stop, dtype=np.int64)
@@ -98,7 +101,10 @@ class LazyRandomGraph:
         self._hashed[b] = 1
 
     def is_revealed(self, u: int, v: int) -> bool:
-        return v in self._partners.get(u, ())
+        """False for self-pairs and pairs out of range."""
+        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
+            return False
+        return bool(self._cells[pair_rank(min(u, v), max(u, v))] & _REVEALED)
 
     def reveal(self, u: int, v: int) -> bool:
         """The pair's outcome; errors on self-pairs and repeats."""
@@ -107,21 +113,14 @@ class LazyRandomGraph:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"pair ({u}, {v}) out of range")
         a, b = (u, v) if u < v else (v, u)
-        partners = self._partners
-        at_a = partners.get(a)
-        if at_a is None:
-            at_a = partners[a] = set()
-        elif b in at_a:
-            raise ValueError(f"pair ({a}, {b}) already revealed")
-        at_b = partners.get(b)
-        if at_b is None:
-            at_b = partners[b] = set()
-        at_a.add(b)
-        at_b.add(a)
-        rank = b * (b - 1) // 2 + a
+        rank = pair_rank(a, b)
         if not self._hashed[rank >> _OUTCOME_BITS]:
             self._hash_block(rank >> _OUTCOME_BITS)
-        return self._outcomes[rank]
+        cell = self._cells[rank]
+        if cell & _REVEALED:
+            raise ValueError(f"pair ({a}, {b}) already revealed")
+        self._cells[rank] = cell | _REVEALED
+        return bool(cell & 1)
 
 
 def materialize(g: LazyRandomGraph) -> Graph:
@@ -133,7 +132,8 @@ def materialize(g: LazyRandomGraph) -> Graph:
     for b, hashed in enumerate(g._hashed):
         if not hashed:
             g._hash_block(b)
-    return Graph.from_ranks(g.n, np.flatnonzero(g._table))
+    # the outcome bits read as bools, where numpy's nonzero is fastest
+    return Graph.from_ranks(g.n, np.flatnonzero((g._table & 1).view(np.bool_)))
 
 
 @dataclass
@@ -227,18 +227,19 @@ class _CandidateDraws:
         self.taken = 0
 
     def pick_after_rejection(
-        self, active: int, partners: set[int], image: set[int]
+        self, g: LazyRandomGraph, active: int, image: set[int]
     ) -> Optional[int]:
         """The pick after a rejected first candidate: up to _REJECTION_TRIES
-        draws in all, then a uniform choice among every allowed vertex."""
+        draws in all, then a uniform choice among every allowed vertex, one
+        whose pair with active is not revealed and which is not in image."""
         for _ in range(_REJECTION_TRIES - 1):
             w = self.take()
-            if w != active and w not in partners and w not in image:
+            if w != active and not g.is_revealed(active, w) and w not in image:
                 return w
         allowed = [
             w
             for w in range(self._n)
-            if w != active and w not in partners and w not in image
+            if w != active and not g.is_revealed(active, w) and w not in image
         ]
         if not allowed:
             return None
@@ -281,7 +282,7 @@ def greedy_embed(
     status = "supply_exhausted"
     draws = _CandidateDraws(rng, n)
     block, i = draws.block, draws.taken  # the candidates, read through locals
-    partners_of, outcomes, hashed = g._partners, g._outcomes, g._hashed
+    cells, hashed = g._cells, g._hashed
     steps = 0
     halt = False
     try:
@@ -310,9 +311,6 @@ def greedy_embed(
                     halt = True
                     break
                 active = image[parent[v]]
-                partners = partners_of.get(active)
-                if partners is None:
-                    partners = partners_of[active] = set()
                 edge_start = steps
                 while True:
                     try:
@@ -321,10 +319,14 @@ def greedy_embed(
                         block, i = draws.refill(), 0
                         w = block[0]
                     i += 1
-                    if w == active or w in partners or w in image_set:
+                    if active < w:
+                        rank = w * (w - 1) // 2 + active
+                    else:
+                        rank = active * (active - 1) // 2 + w
+                    if w == active or cells[rank] & _REVEALED or w in image_set:
                         draws.taken = i
                         try:
-                            w = draws.pick_after_rejection(active, partners, image_set)
+                            w = draws.pick_after_rejection(g, active, image_set)
                         finally:
                             block, i = draws.block, draws.taken
                         if w is None:
@@ -333,26 +335,19 @@ def greedy_embed(
                             trace.failure_step = steps
                             halt = True
                             break
+                        rank = pair_rank(min(active, w), max(active, w))
                     # reveal (active, w): the test above is reveal's own
                     # self-pair and repeat check, and both are in range
-                    partners.add(w)
-                    at_w = partners_of.get(w)
-                    if at_w is None:
-                        partners_of[w] = {active}
-                    else:
-                        at_w.add(active)
-                    if active < w:
-                        rank = w * (w - 1) // 2 + active
-                    else:
-                        rank = active * (active - 1) // 2 + w
                     if not hashed[rank >> _OUTCOME_BITS]:
                         g._hash_block(rank >> _OUTCOME_BITS)
-                    hit = outcomes[rank]
+                    cell = cells[rank]
+                    cells[rank] = cell | _REVEALED
+                    hit = cell & 1
                     steps += 1
                     rev[w] += 1
                     rev_inactive[w] += 1
                     if log is not None:
-                        log.append((steps, active, w, hit))
+                        log.append((steps, active, w, hit == 1))
                     if hit:
                         break
                     if steps >= step_budget:

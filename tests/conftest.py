@@ -7,6 +7,7 @@ the fast code is checked against, not production paths.
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -169,6 +170,62 @@ def prufer_tree(seq: Sequence[int]) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def two_pass_tree_code(adj: Sequence[Sequence[int]]) -> bytes:
+    """The earlier `tree_code`: peel leaf layers to find the centres, then
+    code the tree rooted there in a second walk (both halves of a bicentral
+    tree), with the same three not-a-tree errors."""
+    n = len(adj)
+    if n <= 2:
+        centers = list(range(n))
+    else:
+        deg = [len(a) for a in adj]
+        layer = [v for v in range(n) if deg[v] == 1]
+        alive = n
+        while alive > 2:
+            if not layer:
+                raise ValueError("input is not a tree (contains a cycle)")
+            alive -= len(layer)
+            nxt = []
+            for v in layer:
+                deg[v] = 0
+                for w in adj[v]:
+                    if deg[w] > 0:
+                        deg[w] -= 1
+                        if deg[w] == 1:
+                            nxt.append(w)
+            layer = nxt
+        centers = sorted(layer)
+
+    def rooted(root: int, above: int = -1) -> bytes:
+        parent = [-1] * n
+        parent[root] = above
+        order = [root]
+        for v in order:
+            for w in adj[v]:
+                if w != parent[v]:
+                    parent[w] = v
+                    order.append(w)
+        code = [b""] * n
+        for v in reversed(order):
+            kids = sorted(code[w] for w in adj[v] if w != parent[v])
+            code[v] = b"(" + b"".join(kids) + b")"
+        return code[root]
+
+    if len(centers) == 1:
+        body = rooted(centers[0])
+        if n > 1 and len(body) != 2 * n:
+            raise ValueError("input is not a tree (not connected)")
+        return body
+    c1, c2 = centers
+    if c2 not in adj[c1]:
+        raise ValueError("input is not a tree (disconnected centre pair)")
+    a, b = rooted(c1, above=c2), rooted(c2, above=c1)
+    if len(a) + len(b) != 2 * n:
+        raise ValueError("input is not a tree (not connected)")
+    lo, hi = sorted((a, b))
+    return b"[" + lo + hi + b"]"
+
+
 def all_graphs(n: int):
     """Every labelled simple graph on n vertices (use only for tiny n)."""
     pairs = list(itertools.combinations(range(n), 2))
@@ -296,6 +353,23 @@ def coded(trees: Iterable[Graph]) -> list[tuple[Graph, CanonicalCode]]:
     return [(g, ahu_code(g)) for g in trees]
 
 
+_ORACLE_PARTNERS: "weakref.WeakKeyDictionary[LazyRandomGraph, dict[int, set[int]]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def oracle_partners(g: LazyRandomGraph) -> dict[int, set[int]]:
+    """The pairs the scalar oracles have revealed on g, stored at both ends.
+    They live apart from g, whose own reveal bits the oracles never read or
+    set."""
+    return _ORACLE_PARTNERS.setdefault(g, {})
+
+
+def oracle_revealed(g: LazyRandomGraph) -> set[tuple[int, int]]:
+    """The pairs (u, v), u < v, that the scalar oracles revealed on g."""
+    return {(a, b) for a, bs in oracle_partners(g).items() for b in bs if a < b}
+
+
 def scalar_reveal(g: LazyRandomGraph, u: int, v: int) -> bool:
     """The earlier `LazyRandomGraph.reveal`: both partner sets through
     setdefault, then the scalar hash of the pair's rank."""
@@ -304,10 +378,11 @@ def scalar_reveal(g: LazyRandomGraph, u: int, v: int) -> bool:
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError(f"pair ({u}, {v}) out of range")
     a, b = (u, v) if u < v else (v, u)
-    if b in g._partners.get(a, ()):
+    partners = oracle_partners(g)
+    if b in partners.get(a, ()):
         raise ValueError(f"pair ({a}, {b}) already revealed")
-    g._partners.setdefault(a, set()).add(b)
-    g._partners.setdefault(b, set()).add(a)
+    partners.setdefault(a, set()).add(b)
+    partners.setdefault(b, set()).add(a)
     return rngmod.pair_uniform(g._key, pair_rank(a, b)) < g.p
 
 
@@ -337,7 +412,7 @@ def scalar_greedy_embed(
     status = "supply_exhausted"
 
     def pick_candidate(active: int, image: set[int]) -> Optional[int]:
-        partners = g._partners.get(active, set())
+        partners = oracle_partners(g).get(active, set())
         for _ in range(40):
             w = int(rng.integers(0, n))
             if w != active and w not in partners and w not in image:

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_isomorphic, prufer_tree, relabel, sampled_distinct_trees
+from conftest import (
+    brute_isomorphic,
+    prufer_tree,
+    relabel,
+    sampled_distinct_trees,
+    two_pass_tree_code,
+)
 from taulab import rng as rngmod
 from taulab import catalog
 from taulab.catalog import (
@@ -25,6 +31,7 @@ from taulab.catalog import (
     partitions,
     rooted_to_graph,
     sample_rooted_binary,
+    tree_code,
 )
 from taulab.graph import Graph
 
@@ -227,6 +234,51 @@ def test_ahu_rejects_non_trees():
     with pytest.raises(ValueError):
         # right edge count but disconnected (one cycle plus isolated dust)
         ahu_code(Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)]))
+
+
+@st.composite
+def labelled_trees(draw) -> Graph:
+    n = draw(st.integers(1, 60))
+    if n == 1:
+        return Graph.from_edges(1, [])
+    return prufer_tree(draw(st.lists(st.integers(0, n - 1), min_size=n - 2,
+                                     max_size=n - 2)))
+
+
+@given(labelled_trees())
+@settings(max_examples=300, deadline=None)
+def test_tree_code_matches_two_pass_oracle(g):
+    assert tree_code(g.adj) == two_pass_tree_code(g.adj)
+
+
+def test_tree_code_matches_two_pass_oracle_on_every_free_tree():
+    r = rngmod.stream(3, 3)
+    for t in range(1, 11):
+        for g in free_trees(t):
+            for h in (g, relabel(g, list(r.permutation(t)))):
+                assert tree_code(h.adj) == two_pass_tree_code(h.adj)
+
+
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        # a triangle and a K2 apart: the K2 peels away, the triangle never
+        (5, [(0, 1), (1, 2), (0, 2), (3, 4)], "contains a cycle"),
+        (2, [], "disconnected centre pair"),
+        # two paths of 3: their middles are left as two centres
+        (6, [(0, 1), (1, 2), (3, 4), (4, 5)], "disconnected centre pair"),
+        (4, [(0, 1), (1, 2)], "not connected"),  # plus an isolated vertex
+        # a path of 4 with a K2 apart: the central edge codes 4 of 6 vertices
+        (6, [(0, 1), (1, 2), (2, 3), (4, 5)], "not connected"),
+    ],
+)
+def test_tree_code_names_why_the_input_is_not_a_tree(n, edges, message):
+    adj = Graph.from_edges(n, edges).adj
+    want = f"input is not a tree ({message})"
+    for code in (tree_code, two_pass_tree_code):
+        with pytest.raises(ValueError) as exc:
+            code(adj)
+        assert str(exc.value) == want
 
 
 def test_partitions_shape_and_order():

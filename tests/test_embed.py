@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import blockwise_materialize, coded, scalar_greedy_embed
+from conftest import blockwise_materialize, coded, oracle_revealed, scalar_greedy_embed
 from taulab import embed
 from taulab import rng as rngmod
 from taulab.catalog import ahu_code, free_trees, rooted_to_graph, sample_rooted_binary
@@ -17,7 +17,7 @@ from taulab.embed import (
     materialize,
     save_embed_report,
 )
-from taulab.graph import Graph
+from taulab.graph import Graph, edge_tuples
 
 
 def path_tree(t: int) -> Graph:
@@ -38,13 +38,28 @@ def test_reveal_extremes():
 
 def test_reveal_rejects_bad_pairs():
     g = LazyRandomGraph(5, 0.5, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot reveal a self-pair"):
         g.reveal(2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"pair \(0, 5\) out of range"):
         g.reveal(0, 5)
     g.reveal(0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"pair \(0, 1\) already revealed"):
         g.reveal(1, 0)  # already revealed, either orientation
+
+
+def test_is_revealed_is_false_off_the_table():
+    g = LazyRandomGraph(5, 1.0, 0)
+    g.reveal(3, 4)  # rank C(4, 2) + 3 = 9, the last of the C(5, 2) pairs
+    assert g.is_revealed(3, 4) and g.is_revealed(4, 3)
+    # (4, 4) would index one past the table, (-1, 0) wraps to its end
+    for u, v in [(2, 2), (4, 4), (0, 5), (5, 0), (-1, 0), (0, -1), (4, 5)]:
+        assert not g.is_revealed(u, v)
+    assert revealed_pairs(g) == {(3, 4)}
+
+
+def revealed_pairs(lazy: LazyRandomGraph) -> set[tuple[int, int]]:
+    """The pairs (u, v), u < v, whose reveal bit is set in lazy's table."""
+    return set(edge_tuples(np.flatnonzero(lazy._table & embed._REVEALED)))
 
 
 def test_reveal_matches_materialize():
@@ -277,13 +292,22 @@ def make_supply(kind: str, orders: list[int], rng: np.random.Generator):
 
 
 def run_embed(embed, n, p, seed, supply, orders, budget, rng_kind, log):
+    """The outcome, the revealed pairs and the generator's final state.  The
+    scalar oracle keeps its own partner sets, and leaves the graph's reveal
+    bits clear."""
     lazy = LazyRandomGraph(n, p, seed)
     rng = make_rng(rng_kind, seed)
     try:
         outcome = embed(lazy, make_supply(supply, orders, rng), budget, rng, log)
     except ValueError as exc:
         outcome = ("raised", str(exc))
-    return outcome, lazy._partners, plain(rng.bit_generator.state)
+    if embed is scalar_greedy_embed:
+        assert not revealed_pairs(lazy)
+        revealed = oracle_revealed(lazy)
+    else:
+        assert not oracle_revealed(lazy)
+        revealed = revealed_pairs(lazy)
+    return outcome, revealed, plain(rng.bit_generator.state)
 
 
 @given(
@@ -344,7 +368,7 @@ def test_fallback_pick_matches_scalar_oracle():
     assert res.trace.steps == n - 1
     want = run_embed(scalar_greedy_embed, n, 1e-9, 1, "paths", [2], 10**4,
                      "philox", False)
-    assert (res, lazy._partners, plain(rng.bit_generator.state)) == want
+    assert (res, revealed_pairs(lazy), plain(rng.bit_generator.state)) == want
 
 
 @pytest.mark.parametrize(
@@ -389,6 +413,32 @@ def test_materialize_after_reveals_matches_blockwise_oracle(n, p):
     u, v = next((u, v) for u in range(n) for v in range(u + 1, n)
                 if not lazy.is_revealed(u, v))
     assert lazy.reveal(u, v) == host.has_edge(u, v)
+
+
+@pytest.mark.parametrize("n", [60, 700])
+def test_reveal_refuses_pairs_greedy_embed_revealed(n):
+    lazy = LazyRandomGraph(n, 0.3, 8)
+    res = greedy_embed(lazy, coded(maxdeg3_trees(7)), 400, rngmod.stream(8, 0),
+                       record_log=True)
+    logged = {(min(u, w), max(u, w)) for _, u, w, _ in res.trace.log}
+    assert len(logged) == res.trace.steps > 0
+    assert revealed_pairs(lazy) == logged
+    for u, w in logged:
+        assert lazy.is_revealed(w, u)
+        with pytest.raises(ValueError, match="already revealed"):
+            lazy.reveal(w, u)
+
+
+@pytest.mark.parametrize("n", [60, 700])
+def test_materialize_after_embedding_equals_a_fresh_graph(n):
+    # the reveal bits sit beside the outcomes in the same bytes; materialize
+    # must read the outcome bit alone
+    lazy = LazyRandomGraph(n, 0.3, 9)
+    res = greedy_embed(lazy, coded(maxdeg3_trees(8)), 3000, rngmod.stream(9, 0))
+    assert res.trace.steps > 0
+    lazy.reveal(*next((u, v) for u in range(n) for v in range(u + 1, n)
+                      if not lazy.is_revealed(u, v)))
+    assert materialize(lazy) == materialize(LazyRandomGraph(n, 0.3, 9))
 
 
 def test_lazy_graph_refuses_a_table_above_the_cap(monkeypatch):

@@ -25,10 +25,11 @@ def run_script(name: str, *args: str, cwd) -> list[str]:
 
 def test_embed_profile_runs(tmp_path):
     out = run_script("embed_profile.py", "--sizes", "200", "400", cwd=tmp_path)
-    assert out[0].split()[-3:] == ["embed_ms", "mat_ms", "us/step"]
+    stages = ["embed_ms", "mat_ms", "us/step", "supply_ms", "verify_ms"]
+    assert out[0].split()[-5:] == stages
     assert [row.split()[0] for row in out[1:]] == ["200", "400"]
     for row in out[1:]:
-        assert all(float(x) > 0 for x in row.split()[-3:])
+        assert all(float(x) > 0 for x in row.split()[-5:])
 
 
 def test_sparse_profile_runs(tmp_path):
