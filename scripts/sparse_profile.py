@@ -17,17 +17,14 @@ import math
 import statistics
 import sys
 import time
-from itertools import chain
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-import numpy as np
-
 from taulab.bounds import sparse_k
 from taulab.catalog import LinearForest, partitions
-from taulab.coloring import Coloring, _append_leftover, verify_distinct
-from taulab.graph import gen_gnp, pair_ranks
+from taulab.coloring import Coloring, _append_leftover, _ranked_classes, verify_distinct
+from taulab.graph import gen_gnp
 from taulab.pathpack import dfs_path_pack, pack_forests
 
 STAGES = ("gen", "csr", "dfs", "pack", "leftover", "verify")
@@ -53,10 +50,7 @@ def one(n: int, c: float, c_path: float, seed: int) -> tuple[int, dict[str, floa
     forests = (LinearForest(lengths) for lengths in partitions(k))
     placed = pack_forests(pack.paths, forests).placements
     lap("pack")
-    flat = chain.from_iterable(e for pl in placed for e in pl.edges)
-    ranks = pair_ranks(np.fromiter(flat, dtype=np.int64).reshape(-1, 2))
-    ends = np.cumsum([len(pl.edges) for pl in placed], dtype=np.int64)
-    classes = [np.sort(cls) for cls in np.split(ranks, ends)[:-1]]
+    classes = _ranked_classes([pl.edges for pl in placed])
     labels = [f"forest:{i}" for i in range(len(classes))]
     _append_leftover(g, classes, labels, "placed")
     lap("leftover")

@@ -267,10 +267,6 @@ def _cmd_census(args) -> int:
 
 def _cmd_embed(args) -> int:
     p = _resolve_p(args.parser, args)
-    if args.budget is not None and args.budget < 0:
-        args.parser.error("--budget must be nonnegative")
-    if args.tree_order is not None and args.tree_order < 2:
-        args.parser.error("--tree-order must be at least 2")
     _, result = _embed(args.n, p, args.seed, args.epsilon,
                        args.tree_order, args.budget)
     diag = diagnostics_check(result.trace, args.epsilon, args.n)
@@ -287,7 +283,7 @@ def _cmd_embed(args) -> int:
 
 def _cmd_pack_paths(args) -> int:
     g = read_edgelist(args.infile)
-    target = args.target_len if args.target_len else max(1, int(args.c_path * g.n))
+    target = args.target_len or max(1, int(args.c_path * g.n))  # 0 is refused
     limit = args.max_paths if args.max_paths is not None else g.n
     pack = dfs_path_pack(g, target, limit)
     print(f"paths {len(pack.paths)}")
@@ -339,8 +335,6 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_tau_exact(args) -> int:
-    if args.max_edges < 0:
-        args.parser.error("--max-edges must be nonnegative")
     if args.bundled:
         ref = resources.files("taulab.data").joinpath(f"{args.bundled}.edges")
         with resources.as_file(ref) as path:
@@ -377,8 +371,6 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_experiment(args) -> int:
     p = _resolve_p(args.parser, args)
-    if args.trials < 1:
-        args.parser.error("--trials must be at least 1")
     if args.trials > _SEED_STRIDE:
         args.parser.error(f"--trials above {_SEED_STRIDE} repeats trial seeds")
     base = _trial_spec(args, p)
@@ -503,9 +495,27 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# what each numeric flag's value must be, checked before any command runs
+_FLAG_RULES = {
+    "budget": ("nonnegative", lambda v: v >= 0),
+    "c_path": ("positive", lambda v: v > 0),
+    "epsilon": ("nonnegative", lambda v: v >= 0),
+    "jobs": ("at least 1", lambda v: v >= 1),
+    "max_edges": ("nonnegative", lambda v: v >= 0),
+    "max_paths": ("nonnegative", lambda v: v >= 0),
+    "target_len": ("at least 1", lambda v: v >= 1),
+    "tree_order": ("at least 2", lambda v: v >= 2),
+    "trials": ("at least 1", lambda v: v >= 1),
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for dest, (need, ok) in _FLAG_RULES.items():
+        value = getattr(args, dest, None)
+        if value is not None and not ok(value):
+            args.parser.error(f"--{dest.replace('_', '-')} must be {need}")
     try:
         return args.fn(args)
     except (ValueError, RuntimeError, OSError) as exc:

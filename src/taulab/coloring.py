@@ -14,8 +14,9 @@ non-isomorphic, and classes of equal size are compared by the multiset of
 their components' codes.  `class_signatures` computes those for a whole
 batch of classes in one labelling pass.  A path is coded by its order
 alone, as in the census; every other component goes through
-`connected_code` on its own neighbour lists, which gives a tree of any size
-its AHU string and anything else its exact certificate (small ones only).
+`connected_code` on neighbour lists from `graph._component_lists`, which
+gives a tree of any size its AHU string and anything else its exact
+certificate (small ones only).
 That certificate is the least adjacency bitstring over the leaves of an
 individualisation-refinement search, which branches on one vertex per twin
 class of a cell (u and v are twins when N(u) - {v} == N(v) - {u}).  Swapping
@@ -53,9 +54,8 @@ from .graph import (
     ComponentCensus,
     Graph,
     _checked_ranks,
-    _component_labels,
+    _component_lists,
     _component_shapes,
-    _grouped,
     _unrank_pairs,
     edge_tuples,
     pair_ranks,
@@ -323,19 +323,17 @@ def class_signatures(
     both = np.concatenate((tags * n + us, tags * n + vs))
     keys, ends = np.unique(both, return_inverse=True)
     edges = ends.reshape(2, -1).T  # each edge's two endpoints, as key indices
-    labels = _component_labels(len(keys), edges[:, 0], edges[:, 1])
-    roots = np.flatnonzero(labels == np.arange(len(keys)))
-    order, path = _component_shapes(labels, edges, roots)
+    labels, roots, order, path = _component_shapes(len(keys), edges)
     owner = keys[roots] // n  # class of each component
     codes: list[list[bytes]] = [[] for _ in classes]
     for c, size in zip(owner[path].tolist(), order[path].tolist()):
         codes[c].append(_path_code(size))
     failed: dict[int, CanonicalizationError] = {}
-    others = _grouped(edges, labels, roots[~path])
-    for c, comp in zip(owner[~path].tolist(), others):
+    others = _component_lists(edges, labels, roots[~path])
+    for c, adj in zip(owner[~path].tolist(), others):
         if c not in failed:
             try:
-                codes[c].append(connected_code(comp.local_adj(), max_vertices))
+                codes[c].append(connected_code(adj, max_vertices))
             except CanonicalizationError as exc:
                 failed[c] = exc
     return [failed.get(c) or tuple(sorted(cs)) for c, cs in enumerate(codes)]
@@ -437,6 +435,15 @@ def _append_leftover(
 # regime builders
 
 
+def _ranked_classes(parts: Sequence[Sequence[Edge]]) -> list[np.ndarray]:
+    """The sorted pair ranks of each part's (u, v) edges, u < v, all ranked
+    in one `pair_ranks` call and split."""
+    flat = chain.from_iterable(chain.from_iterable(parts))
+    ranks = pair_ranks(np.fromiter(flat, dtype=np.int64).reshape(-1, 2))
+    ends = np.cumsum([len(part) for part in parts], dtype=np.int64)
+    return [np.sort(cls) for cls in np.split(ranks, ends)[:-1]]
+
+
 def build_dense_coloring(result: EmbedResult, host: Graph) -> Coloring:
     """Colour classes from embedded trees plus one leftover class.
 
@@ -446,10 +453,7 @@ def build_dense_coloring(result: EmbedResult, host: Graph) -> Coloring:
     trees = result.embedded
     if len({tree.code for tree in trees}) != len(trees):
         raise ValueError("embedded trees repeat a shape")
-    flat = chain.from_iterable(chain.from_iterable(tree.edges for tree in trees))
-    ranks = pair_ranks(np.fromiter(flat, dtype=np.int64).reshape(-1, 2))
-    ends = np.cumsum([len(tree.edges) for tree in trees], dtype=np.int64)
-    classes = [np.sort(cls) for cls in np.split(ranks, ends)[:-1]]
+    classes = _ranked_classes([tree.edges for tree in trees])
     labels = [f"tree:{tree.code.text()}" for tree in trees]
     _append_leftover(host, classes, labels, "embedded")
     return Coloring(host=host, classes=tuple(classes), labels=tuple(labels))
@@ -486,10 +490,7 @@ def build_sparse_coloring(
     # nowhere, and p(k) is far too large to materialise
     forests = (LinearForest(lengths) for lengths in partitions(k))
     packed = pack_forests(pack.paths, forests)
-    flat = chain.from_iterable(e for pl in packed.placements for e in pl.edges)
-    ranks = pair_ranks(np.fromiter(flat, dtype=np.int64).reshape(-1, 2))
-    ends = np.cumsum([len(pl.edges) for pl in packed.placements], dtype=np.int64)
-    classes = [np.sort(cls) for cls in np.split(ranks, ends)[:-1]]
+    classes = _ranked_classes([pl.edges for pl in packed.placements])
     labels = ["forest:" + ",".join(map(str, pl.lengths)) for pl in packed.placements]
     _append_leftover(g, classes, labels, "placed")
     return Coloring(host=g, classes=tuple(classes), labels=tuple(labels))

@@ -8,7 +8,7 @@ and the colouring builders work on rank arrays directly: `has_edge` is a
 binary search, set differences and cover checks are array operations, and
 adjacency is built from the ranks only when a caller asks for it: `csr`
 sorts both orientations of every edge once into offsets and targets, and
-`adj` reads its neighbour tuples off them.
+`adj` reads its neighbour tuples off them.  `_csr` is the one CSR builder.
 Pairs from outside the program, the (u, v) pairs given to `Graph.from_edges`
 and the edges of a colouring file, are checked and ranked in one place,
 `_checked_ranks`.
@@ -21,16 +21,16 @@ count from a binomial and then a uniform random subset of pair ranks
 (draw, position) keys.  An input expecting more than 2^25 edges is refused.
 
 Components come from one vectorised labelling pass over the edge arrays
-(root hooking plus pointer jumping).  `components` groups the vertices and
-edges by label; `census` reads each component's order, edge count and
-maximum degree off the same labels with `bincount`, so isolated vertices and
-paths, by far the most common components of a very sparse graph, are
-classified by their order alone and never become `Component` objects: the
-census hands out the paths of each order as an array with one row of edge
-ranks per path, laid out by one stable sort.  Every other component is coded
-on its own neighbour lists by `coloring.connected_code`.  Verification runs
-the same pass and path rule over a batch of colour classes
-(`coloring.class_signatures`).
+(root hooking plus pointer jumping).  `components` groups the vertices by
+label; `census` reads each component's order, edge count and maximum degree
+off the same labels with `bincount`, so isolated vertices and paths, by far
+the most common components of a very sparse graph, are classified by their
+order alone and never get neighbour lists: the census hands out the paths
+of each order as an array with one row of edge ranks per path, laid out by
+one stable sort.  Every other component is coded by `coloring.connected_code`
+on neighbour lists that `_component_lists` cuts, for all of them, from one
+CSR.  Verification runs the same pass, path rule and lists over a batch of
+colour classes (`coloring.class_signatures`).
 """
 
 from __future__ import annotations
@@ -123,6 +123,16 @@ def _checked_ranks(n: int, edges: Iterable[tuple[int, int]]) -> np.ndarray:
     return np.fromiter(seen, dtype=np.int64, count=len(seen))
 
 
+def _csr(n: int, us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, targets) of the graph on 0..n-1 with the edges (us[i],
+    vs[i]): the neighbours of vertex v, ascending, are
+    targets[offsets[v]:offsets[v + 1]]."""
+    # both orientations as source * n + target, sorted: CSR order, with the
+    # arcs leaving v in [v * n, (v + 1) * n)
+    arcs = np.sort(np.concatenate((us * n + vs, vs * n + us)))
+    return np.searchsorted(arcs, np.arange(n + 1) * n), arcs % n
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph on vertices 0..n-1; ranks holds the pair rank
@@ -173,13 +183,7 @@ class Graph:
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """(offsets, targets): the neighbours of vertex v, ascending, are
         targets[offsets[v]:offsets[v + 1]]."""
-        n = self.n
-        us, vs = _unrank_pairs(self.ranks)
-        # both orientations as source * n + target, sorted: CSR order
-        arcs = np.sort(np.concatenate((us * n + vs, vs * n + us)))
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(arcs // n, minlength=n), out=offsets[1:])
-        return offsets, arcs % n
+        return _csr(self.n, *_unrank_pairs(self.ranks))
 
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
@@ -262,30 +266,6 @@ def _first_distinct_draws(gen: np.random.Generator, npairs: int, m: int) -> np.n
     return np.sort(picked)
 
 
-@dataclass(frozen=True)
-class Component:
-    """One connected component: its vertices and the edges among them."""
-
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.vertices)
-
-    def is_tree(self) -> bool:
-        return len(self.edges) == len(self.vertices) - 1
-
-    def local_adj(self) -> list[list[int]]:
-        """Neighbour lists with the vertices renumbered 0.. in order."""
-        index = {v: i for i, v in enumerate(self.vertices)}
-        adj: list[list[int]] = [[] for _ in self.vertices]
-        for u, v in self.edges:
-            adj[index[u]].append(index[v])
-            adj[index[v]].append(index[u])
-        return adj
-
-
 def _component_labels(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Label every vertex with the smallest vertex of its component.
 
@@ -313,57 +293,54 @@ def _component_labels(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
             parent = jumped
 
 
-def _component_shapes(labels: np.ndarray, edges: np.ndarray, roots: np.ndarray):
-    """(order, path) of the components with these roots, given the (m, 2)
-    edge array: each one's vertex count, and whether it is a path (a tree of
-    maximum degree at most 2, isolated vertices included), which its order
-    alone determines."""
-    nv = len(labels)
+def _component_shapes(nv: int, edges: np.ndarray):
+    """(labels, roots, order, path) of the graph on 0..nv-1 with the (m, 2)
+    edge array: each vertex's component label, the ascending roots, and per
+    root its component's vertex count and whether it is a path (a tree of
+    maximum degree at most 2, isolated vertices included)."""
+    labels = _component_labels(nv, edges[:, 0], edges[:, 1])
+    roots = np.flatnonzero(labels == np.arange(nv))
     order = np.bincount(labels, minlength=nv)[roots]
     size = np.bincount(labels[edges[:, 0]], minlength=nv)[roots]
     max_degree = np.zeros(nv, dtype=np.int64)
     np.maximum.at(max_degree, labels, np.bincount(edges.ravel(), minlength=nv))
-    return order, (size == order - 1) & (max_degree[roots] <= 2)
+    return labels, roots, order, (size == order - 1) & (max_degree[roots] <= 2)
 
 
-def _labelled(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(edges, labels, roots): the edges as a lexicographically sorted
-    (m, 2) array, each vertex's component label, and the ascending roots."""
-    edges = np.column_stack(_lex_endpoints(g.ranks))
-    labels = _component_labels(g.n, edges[:, 0], edges[:, 1])
-    roots = np.flatnonzero(labels == np.arange(g.n))
-    return edges, labels, roots
-
-
-def _grouped(
+def _component_lists(
     edges: np.ndarray, labels: np.ndarray, roots: np.ndarray
-) -> list[Component]:
-    """The components whose smallest vertex is in roots (ascending), in that
-    order, with sorted vertices and lexicographically sorted edges."""
+) -> list[list[list[int]]]:
+    """Ascending neighbour lists of the components whose smallest vertex is
+    in roots (ascending), in that order, each on its vertices numbered 0..
+    in ascending order.  One stable sort by label lays those vertices out in
+    runs, each led by its root, so v's local id is new[v] - new[labels[v]];
+    the lists are read off one CSR in the new numbering."""
     if not len(roots):
         return []
-    verts = np.argsort(labels, kind="stable")
-    by_edge = np.argsort(labels[edges[:, 0]], kind="stable")
-    vlab, elab = labels[verts], labels[edges[by_edge, 0]]
-    vertex_list, edge_list = verts.tolist(), edges[by_edge].tolist()
-    bounds = zip(
-        np.searchsorted(vlab, roots, "left").tolist(),
-        np.searchsorted(vlab, roots, "right").tolist(),
-        np.searchsorted(elab, roots, "left").tolist(),
-        np.searchsorted(elab, roots, "right").tolist(),
-    )
-    return [
-        Component(
-            vertices=tuple(vertex_list[a:b]),
-            edges=tuple((u, v) for u, v in edge_list[c:d]),
-        )
-        for a, b, c, d in bounds
-    ]
+    chosen = np.zeros(len(labels), dtype=bool)
+    chosen[roots] = True
+    chosen = chosen[labels]
+    verts = np.flatnonzero(chosen)
+    verts = verts[np.argsort(labels[verts], kind="stable")]
+    new = np.empty(len(labels), dtype=np.int64)
+    new[verts] = np.arange(len(verts))
+    inner = edges[chosen[edges[:, 0]]]
+    offsets, targets = _csr(len(verts), new[inner[:, 0]], new[inner[:, 1]])
+    local = (new[verts] - new[labels[verts]])[targets]
+    flat, bounds = local.tolist(), offsets.tolist()
+    lists = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+    runs = [*new[roots].tolist(), len(verts)]
+    return [lists[a:b] for a, b in zip(runs, runs[1:])]
 
 
-def components(g: Graph) -> list[Component]:
-    """Connected components in order of their smallest vertex."""
-    return _grouped(*_labelled(g))
+def components(g: Graph) -> list[tuple[int, ...]]:
+    """The vertices of each connected component, ascending, in order of
+    the component's smallest vertex."""
+    labels = _component_labels(g.n, *_unrank_pairs(g.ranks))
+    flat = np.argsort(labels, kind="stable").tolist()
+    sizes = np.bincount(labels, minlength=g.n)
+    bounds = [0, *np.cumsum(sizes[sizes > 0]).tolist()]
+    return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -388,25 +365,25 @@ class ComponentCensus:
 _EXACT_CENSUS_CAP = 12
 
 
-def _component_code(comp: Component) -> bytes:
-    """Census code of a component: a tree's AHU string, b"G{cert}" for any
-    other component of at most 12 vertices, where cert is its exact
-    certificate (`coloring.connected_code` both times), and a coarse
-    b"L..." code above that."""
+def _component_code(adj: list[list[int]]) -> bytes:
+    """Census code of the connected graph with these neighbour lists: a
+    tree's AHU string, b"G{cert}" for any other component of at most 12
+    vertices, where cert is its exact certificate (`coloring.connected_code`
+    both times), and a coarse b"L..." code above that."""
     # imported here: coloring builds on Graph, so it imports this module
     from .coloring import connected_code
 
-    adj = comp.local_adj()
-    if comp.is_tree():
+    order, size = len(adj), sum(map(len, adj)) // 2
+    if size == order - 1:
         return connected_code(adj, _EXACT_CENSUS_CAP)
-    if comp.order <= _EXACT_CENSUS_CAP:
+    if order <= _EXACT_CENSUS_CAP:
         return b"G{" + connected_code(adj, _EXACT_CENSUS_CAP) + b"}"
     # too large to classify exactly; the coarse code is isomorphism-invariant
     # but may merge types (census never errors, exactness is promised only
     # for trees and small components)
     degseq = ",".join(map(str, sorted(map(len, adj))))
     digest = hashlib.blake2b(degseq.encode("ascii"), digest_size=8).hexdigest()
-    return b"L%d,%d:%s" % (comp.order, len(comp.edges), digest.encode("ascii"))
+    return b"L%d,%d:%s" % (order, size, digest.encode("ascii"))
 
 
 def census(g: Graph) -> ComponentCensus:
@@ -420,12 +397,12 @@ def census(g: Graph) -> ComponentCensus:
     """
     from .coloring import _path_code  # see _component_code
 
-    edges, labels, roots = _labelled(g)
-    order, path = _component_shapes(labels, edges, roots)
+    edges = np.column_stack(_lex_endpoints(g.ranks))
+    labels, roots, order, path = _component_shapes(g.n, edges)
     kinds, sizes = np.unique(order[path], return_counts=True)
     counts = {_path_code(k): c for k, c in zip(kinds.tolist(), sizes.tolist())}
-    for comp in _grouped(edges, labels, roots[~path]):
-        code = _component_code(comp)
+    for adj in _component_lists(edges, labels, roots[~path]):
+        code = _component_code(adj)
         counts[code] = counts.get(code, 0) + 1
     # the order of each path at its root, 0 elsewhere; isolated vertices
     # own no edge

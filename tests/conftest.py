@@ -29,7 +29,7 @@ from taulab.embed import (
     LazyRandomGraph,
     _connected_order,
 )
-from taulab.graph import Component, Graph, _component_code, pair_rank, pair_ranks
+from taulab.graph import Graph, _component_code, pair_rank, pair_ranks
 
 
 @dataclass(frozen=True)
@@ -235,6 +235,31 @@ def all_graphs(n: int):
         )
 
 
+@dataclass(frozen=True)
+class Component:
+    """One connected component found by `bfs_components`: its vertices and
+    the edges among them."""
+
+    vertices: tuple[int, ...]
+    edges: tuple[tuple[int, int], ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.vertices)
+
+    def is_tree(self) -> bool:
+        return len(self.edges) == len(self.vertices) - 1
+
+    def local_adj(self) -> list[list[int]]:
+        """Neighbour lists with the vertices renumbered 0.. in order."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        adj: list[list[int]] = [[] for _ in self.vertices]
+        for u, v in self.edges:
+            adj[index[u]].append(index[v])
+            adj[index[v]].append(index[u])
+        return adj
+
+
 def bfs_components(g: Graph) -> list[Component]:
     """Connected components by graph search, in order of their smallest
     vertex, with sorted vertices and lexicographically sorted edges."""
@@ -323,7 +348,7 @@ def component_census(g: Graph) -> tuple[dict, dict]:
     counts: dict = {}
     paths: dict = {}
     for comp in bfs_components(g):
-        code = _component_code(comp)
+        code = _component_code(comp.local_adj())
         counts[code] = counts.get(code, 0) + 1
         degrees = Counter(v for e in comp.edges for v in e)
         if comp.is_tree() and comp.order >= 2 and max(degrees.values()) <= 2:

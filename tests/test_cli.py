@@ -44,6 +44,39 @@ def test_usage_errors_exit_1(tmp_path):
         assert exc.value.code == 1, argv
 
 
+_SPARSE = ["--regime", "sparse", "--n", "50", "--p-over-n", "3", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["pack-paths", "--target-len", "0"], "--target-len"),
+        (["pack-paths", "--target-len", "-3"], "--target-len"),
+        (["pack-paths", "--max-paths", "-1"], "--max-paths"),
+        (["pack-paths", "--c-path", "-1"], "--c-path"),
+        (["color", *_SPARSE, "--epsilon", "-1"], "--epsilon"),
+        (["color", *_SPARSE, "--c-path", "-1"], "--c-path"),
+        (["color", *_SPARSE, "--c-path", "0"], "--c-path"),
+        (["embed", "--n", "50", "--p", "0.5", "--seed", "3", "--epsilon", "-1"],
+         "--epsilon"),
+        (["experiment", *_SPARSE, "--trials", "1", "--jobs", "0"], "--jobs"),
+        (["experiment", *_SPARSE, "--trials", "1", "--epsilon", "-0.5"], "--epsilon"),
+    ],
+)
+def test_bad_flag_values_exit_1(capsys, tmp_path, argv, flag):
+    # each is refused before any input is read or output written: the
+    # pack-paths input file does not exist, and no CSV appears
+    if argv[0] == "pack-paths":
+        argv = [*argv, "--in", str(tmp_path / "absent.edges")]
+    if argv[0] == "experiment":
+        argv = [*argv, "--out", str(tmp_path / "runs.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert f"error: {flag} must be" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     assert main(["census", "--in", str(tmp_path / "absent.edges")]) == 2
     assert "taulab:" in capsys.readouterr().err

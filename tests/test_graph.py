@@ -19,7 +19,9 @@ from taulab import rng as rngmod
 from taulab.graph import (
     Graph,
     _component_labels,
+    _component_lists,
     _first_distinct_draws,
+    _lex_endpoints,
     _unrank_pairs,
     census,
     components,
@@ -226,7 +228,7 @@ def test_gen_gnp_properties(seed, n, p):
 def test_components_and_isolated_vertices():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (4, 5)])
     comps = components(g)
-    assert [c.vertices for c in comps] == [(0, 1, 2), (3,), (4, 5)]
+    assert comps == [(0, 1, 2), (3,), (4, 5)]
     # a single vertex is not a path here; a path is the row of its edge ranks
     paths = census(g).paths
     assert list(paths) == [2, 3]
@@ -311,7 +313,7 @@ def test_census_agrees_with_naive_classification():
 
 
 def _assert_matches_oracle(g: Graph) -> None:
-    assert components(g) == bfs_components(g)
+    assert components(g) == [c.vertices for c in bfs_components(g)]
     counts, paths = component_census(g)
     c = census(g)
     assert c.counts == counts
@@ -337,8 +339,70 @@ def test_labelling_matches_bfs_oracle(seed, n, mean_degree):
 def test_labelling_edgeless_graphs(n):
     g = Graph.from_edges(n, [])
     _assert_matches_oracle(g)
-    assert [c.vertices for c in components(g)] == [(v,) for v in range(n)]
+    assert components(g) == [(v,) for v in range(n)]
     assert census(g).paths == {}
+
+
+def _assert_lists_match_oracle(nv: int, edges: np.ndarray, pick: np.ndarray) -> None:
+    """_component_lists on the components of the (m, 2) edge array that pick
+    selects, in the oracle's order, against each one's BFS-found vertices
+    renumbered in ascending order, with its neighbour lists sorted."""
+    g = Graph.from_edges(nv, map(tuple, edges.tolist()))
+    comps = [c for c, keep in zip(bfs_components(g), pick) if keep]
+    labels = _component_labels(nv, edges[:, 0], edges[:, 1])
+    roots = np.array([c.vertices[0] for c in comps], dtype=np.int64)
+    want = [[sorted(a) for a in c.local_adj()] for c in comps]
+    assert _component_lists(edges, labels, roots) == want
+
+
+def _picks(seed: int, count: int) -> list[np.ndarray]:
+    """Every component, none, and a seeded half of them."""
+    half = rngmod.stream(seed, 5).random(count) < 0.5
+    return [np.ones(count, dtype=bool), np.zeros(count, dtype=bool), half]
+
+
+@given(st.integers(0, 2**31), st.integers(1, 200), st.floats(0.2, 12.0))
+@settings(max_examples=60, deadline=None)
+def test_component_lists_match_bfs_oracle(seed, n, mean_degree):
+    # from many tiny components to one dense one
+    g = gen_gnp(n, min(1.0, mean_degree / n), seed)
+    edges = np.column_stack(_lex_endpoints(g.ranks))
+    for pick in _picks(seed, len(bfs_components(g))):
+        _assert_lists_match_oracle(n, edges, pick)
+
+
+@given(st.integers(0, 2**31), st.integers(2, 40), st.integers(1, 6),
+       st.floats(0.5, 6.0))
+@settings(max_examples=40, deadline=None)
+def test_component_lists_on_class_batches(seed, n, count, mean_degree):
+    # classes drawn on the same vertices, each vertex v of class c keyed
+    # c * n + v and the keys renumbered in order, as class_signatures does;
+    # the edges come class by class in colex order, not lexicographically
+    p = min(1.0, mean_degree / n)
+    classes = [gen_gnp(n, p, seed + c).ranks for c in range(count)]
+    tags = np.repeat(np.arange(count), [len(c) for c in classes])
+    us, vs = _unrank_pairs(np.concatenate((np.empty(0, np.int64), *classes)))
+    keys, ends = np.unique(np.concatenate((tags * n + us, tags * n + vs)),
+                           return_inverse=True)
+    edges = ends.reshape(2, -1).T
+    g = Graph.from_edges(len(keys), map(tuple, edges.tolist()))
+    for pick in _picks(seed, len(bfs_components(g))):
+        _assert_lists_match_oracle(len(keys), edges, pick)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_component_lists_edgeless_and_empty(n):
+    edges = np.empty((0, 2), dtype=np.int64)
+    labels = _component_labels(n, edges[:, 0], edges[:, 1])
+    assert _component_lists(edges, labels, np.arange(n)) == [[[]]] * n
+    assert _component_lists(edges, labels, np.empty(0, dtype=np.int64)) == []
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (4, 5)])
+    edges = np.column_stack(_lex_endpoints(g.ranks))
+    labels = _component_labels(7, edges[:, 0], edges[:, 1])
+    assert _component_lists(edges, labels, np.empty(0, dtype=np.int64)) == []
+    assert _component_lists(edges, labels, np.array([0, 4])) == [
+        [[1], [0, 2], [1]], [[1], [0]]
+    ]
 
 
 def _random_tree_edges(n: int, rng: np.random.Generator) -> np.ndarray:

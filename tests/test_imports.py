@@ -1,9 +1,10 @@
 """No linter is configured for this repository, so these scans stand in for
-flake8's F401 and for an import-placement rule.  Every name a library module
-imports must be used in it, unless the import statement carries
-`# noqa: F401`.  Imports sit at module level, except in graph.py from
-.coloring: coloring builds on Graph and so imports graph, and the census
-borrows coloring's component codes, the one known import cycle."""
+flake8's F401, for an import-placement rule and for a dead-code check.
+Every name a library module imports must be used in it, unless the import
+statement carries `# noqa: F401`.  Imports sit at module level, except in
+graph.py from .coloring: coloring builds on Graph and so imports graph, and
+the census borrows coloring's component codes, the one known import cycle.
+Every module-level private name must be read somewhere in the library."""
 
 import ast
 from pathlib import Path
@@ -68,3 +69,42 @@ def test_scan_finds_a_function_level_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_imports_at_module_level(module):
     assert function_level_imports(module, (SRC / module).read_text()) == []
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """'module: name' for each module-level private name (one leading
+    underscore) that no module in sources reads, as a name or as an
+    attribute; the module's own uses count."""
+    defined: list[tuple[str, str]] = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, name) for name in targets
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{module}: {name}" for module, name in defined if name not in read]
+
+
+def test_scan_finds_an_unreferenced_private_name():
+    sources = {
+        "a.py": "_used = 1\n_dead = 2\n__all__ = []\ndef _helper():\n    return _used\n",
+        "b.py": "from .a import _helper\nclass _Gone:\n    pass\nx = _helper()\n",
+    }
+    assert unreferenced_private_names(sources) == ["a.py: _dead", "b.py: _Gone"]
+
+
+def test_every_private_name_is_referenced():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []
