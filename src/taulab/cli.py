@@ -503,16 +503,28 @@ _FLAG_RULES = {
     "jobs": ("at least 1", lambda v: v >= 1),
     "max_edges": ("nonnegative", lambda v: v >= 0),
     "max_paths": ("nonnegative", lambda v: v >= 0),
+    "n": ("at least 1", lambda v: v >= 1),
+    "seed": ("nonnegative", lambda v: v >= 0),
     "target_len": ("at least 1", lambda v: v >= 1),
     "tree_order": ("at least 2", lambda v: v >= 2),
     "trials": ("at least 1", lambda v: v >= 1),
 }
 
 
+def _k_rule(args: argparse.Namespace) -> tuple:
+    """--k's rule: at least 2 where k sets the very sparse window (the
+    verysparse regime, and bounds given --n), at least 1 elsewhere."""
+    window = getattr(args, "regime", None) == "verysparse" or (
+        args.fn is _cmd_bounds and args.n is not None
+    )
+    floor = 2 if window else 1
+    return f"at least {floor}", lambda v: v >= floor
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    for dest, (need, ok) in _FLAG_RULES.items():
+    for dest, (need, ok) in {**_FLAG_RULES, "k": _k_rule(args)}.items():
         value = getattr(args, dest, None)
         if value is not None and not ok(value):
             args.parser.error(f"--{dest.replace('_', '-')} must be {need}")

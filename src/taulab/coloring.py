@@ -320,10 +320,8 @@ def class_signatures(
         return []
     tags = np.repeat(np.arange(len(classes)), [len(c) for c in classes])
     us, vs = _unrank_pairs(_joined(classes))
-    both = np.concatenate((tags * n + us, tags * n + vs))
-    keys, ends = np.unique(both, return_inverse=True)
-    edges = ends.reshape(2, -1).T  # each edge's two endpoints, as key indices
-    labels, roots, order, path = _component_shapes(len(keys), edges)
+    keyed = np.concatenate((tags * n + us, tags * n + vs)).reshape(2, -1).T
+    keys, edges, labels, roots, order, path = _component_shapes(keyed)
     owner = keys[roots] // n  # class of each component
     codes: list[list[bytes]] = [[] for _ in classes]
     for c, size in zip(owner[path].tolist(), order[path].tolist()):

@@ -21,16 +21,19 @@ count from a binomial and then a uniform random subset of pair ranks
 (draw, position) keys.  An input expecting more than 2^25 edges is refused.
 
 Components come from one vectorised labelling pass over the edge arrays
-(root hooking plus pointer jumping).  `components` groups the vertices by
-label; `census` reads each component's order, edge count and maximum degree
-off the same labels with `bincount`, so isolated vertices and paths, by far
-the most common components of a very sparse graph, are classified by their
-order alone and never get neighbour lists: the census hands out the paths
-of each order as an array with one row of edge ranks per path, laid out by
-one stable sort.  Every other component is coded by `coloring.connected_code`
-on neighbour lists that `_component_lists` cuts, for all of them, from one
-CSR.  Verification runs the same pass, path rule and lists over a batch of
-colour classes (`coloring.class_signatures`).
+(root hooking plus pointer jumping).  `components` groups all n vertices by
+label.  `_component_shapes` labels only the vertices that carry an edge,
+renumbered in order by one `np.unique`, and reads each component's order,
+edge count and maximum degree off the labels with `bincount`.  `census`
+counts the other n minus that many vertices as isolated, so it costs
+O(m log m), not O(n), and classifies paths, the most common components of
+a very sparse graph after isolated vertices, by their order alone: it hands
+out the paths of each order as an array with one row of edge ranks per
+path, laid out by one stable sort.  Every other component is coded by
+`coloring.connected_code` on neighbour lists that `_component_lists` cuts,
+for all of them, from one CSR.  Verification runs the same compaction,
+pass, path rule and lists over a batch of colour classes
+(`coloring.class_signatures`).
 """
 
 from __future__ import annotations
@@ -293,18 +296,26 @@ def _component_labels(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
             parent = jumped
 
 
-def _component_shapes(nv: int, edges: np.ndarray):
-    """(labels, roots, order, path) of the graph on 0..nv-1 with the (m, 2)
-    edge array: each vertex's component label, the ascending roots, and per
-    root its component's vertex count and whether it is a path (a tree of
-    maximum degree at most 2, isolated vertices included)."""
+def _component_shapes(edges: np.ndarray):
+    """(keys, edges, labels, roots, order, path) of the graph on the
+    distinct nonnegative keys of the (m, 2) edge array: the keys ascending,
+    the edges with each key replaced by its index in keys, each vertex's
+    component label, the ascending roots, and per root its component's
+    vertex count and whether it is a path (a tree of maximum degree at
+    most 2)."""
+    # first endpoints, then second ones: class_signatures holds its keys
+    # so, and unique then copies one contiguous block
+    keys, inverse = np.unique(edges.T, return_inverse=True)
+    edges = inverse.reshape(2, -1).T
+    nv = len(keys)
     labels = _component_labels(nv, edges[:, 0], edges[:, 1])
     roots = np.flatnonzero(labels == np.arange(nv))
     order = np.bincount(labels, minlength=nv)[roots]
     size = np.bincount(labels[edges[:, 0]], minlength=nv)[roots]
     max_degree = np.zeros(nv, dtype=np.int64)
     np.maximum.at(max_degree, labels, np.bincount(edges.ravel(), minlength=nv))
-    return labels, roots, order, (size == order - 1) & (max_degree[roots] <= 2)
+    path = (size == order - 1) & (max_degree[roots] <= 2)
+    return keys, edges, labels, roots, order, path
 
 
 def _component_lists(
@@ -389,35 +400,37 @@ def _component_code(adj: list[list[int]]) -> bytes:
 def census(g: Graph) -> ComponentCensus:
     """Classify every component of g by canonical code and collect paths.
 
-    One labelling pass gives each component's order, edge count and maximum
-    degree.  Isolated vertices and paths are determined up to isomorphism
-    by their order, so each order is coded once (`coloring._path_code`),
-    and one stable sort of the path edges by (order, smallest vertex) lays
-    out the rows of `paths`; every other component is coded on its own.
+    One labelling pass over the vertices that carry an edge gives each
+    component's order, edge count and maximum degree; the other n minus
+    that many are isolated vertices, counted but never labelled.  Isolated
+    vertices and paths are determined up to isomorphism by their order, so
+    each order is coded once (`coloring._path_code`), and one stable sort
+    of the path edges by (order, smallest vertex) lays out the rows of
+    `paths`; every other component is coded on its own.
     """
     from .coloring import _path_code  # see _component_code
 
-    edges = np.column_stack(_lex_endpoints(g.ranks))
-    labels, roots, order, path = _component_shapes(g.n, edges)
+    ends = np.column_stack(_lex_endpoints(g.ranks))
+    keys, edges, labels, roots, order, path = _component_shapes(ends)
+    isolated = g.n - len(keys)
+    counts = {_path_code(1): isolated} if isolated else {}
     kinds, sizes = np.unique(order[path], return_counts=True)
-    counts = {_path_code(k): c for k, c in zip(kinds.tolist(), sizes.tolist())}
+    counts.update(zip(map(_path_code, kinds.tolist()), sizes.tolist()))
     for adj in _component_lists(edges, labels, roots[~path]):
         code = _component_code(adj)
         counts[code] = counts.get(code, 0) + 1
-    # the order of each path at its root, 0 elsewhere; isolated vertices
-    # own no edge
-    path_order = np.zeros(g.n, dtype=np.int64)
+    # the order of each path at its root, 0 elsewhere
+    path_order = np.zeros(len(keys), dtype=np.int64)
     path_order[roots[path]] = order[path]
     lead = labels[edges[:, 0]]
     edge_order = path_order[lead]
     on_path = np.flatnonzero(edge_order)
-    keys = edge_order[on_path] * g.n + lead[on_path]
-    ranks = pair_ranks(edges[on_path[np.argsort(keys, kind="stable")]])
-    ends = np.cumsum(sizes * (kinds - 1))
+    rank_keys = edge_order[on_path] * len(keys) + lead[on_path]
+    ranks = pair_ranks(ends[on_path[np.argsort(rank_keys, kind="stable")]])
+    bounds = np.cumsum(sizes * (kinds - 1))
     paths = {
         k: rows.reshape(-1, k - 1)
-        for k, rows in zip(kinds.tolist(), np.split(ranks, ends[:-1]))
-        if k >= 2
+        for k, rows in zip(kinds.tolist(), np.split(ranks, bounds[:-1]))
     }
     return ComponentCensus(counts=counts, paths=paths)
 

@@ -61,6 +61,19 @@ _SPARSE = ["--regime", "sparse", "--n", "50", "--p-over-n", "3", "--seed", "1"]
          "--epsilon"),
         (["experiment", *_SPARSE, "--trials", "1", "--jobs", "0"], "--jobs"),
         (["experiment", *_SPARSE, "--trials", "1", "--epsilon", "-0.5"], "--epsilon"),
+        (["gen", "--n", "10", "--p", "0.5", "--seed", "-1"], "--seed"),
+        (["gen", "--n", "-5", "--p", "0.5", "--seed", "1"], "--n"),
+        (["gen", "--n", "0", "--p-over-n", "3", "--seed", "1"], "--n"),
+        (["embed", "--n", "50", "--p", "0.5", "--seed", "-3"], "--seed"),
+        (["bounds", "--k", "0"], "--k"),
+        (["bounds", "--k", "1", "--n", "100"], "--k"),
+        (["bounds", "--k", "4", "--n", "0"], "--n"),
+        (["color", *_SPARSE, "--k", "0"], "--k"),
+        (["color", "--regime", "verysparse", "--n", "100", "--p", "0.01", "--seed", "1",
+          "--k", "1"], "--k"),
+        (["experiment", *_SPARSE, "--trials", "1", "--k", "-3"], "--k"),
+        (["experiment", "--regime", "dense", "--n", "-1", "--p", "0.5", "--seed", "1",
+          "--trials", "1"], "--n"),
     ],
 )
 def test_bad_flag_values_exit_1(capsys, tmp_path, argv, flag):
@@ -70,6 +83,8 @@ def test_bad_flag_values_exit_1(capsys, tmp_path, argv, flag):
         argv = [*argv, "--in", str(tmp_path / "absent.edges")]
     if argv[0] == "experiment":
         argv = [*argv, "--out", str(tmp_path / "runs.csv")]
+    if argv[0] == "gen":
+        argv = [*argv, "--out", str(tmp_path / "g.edges")]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
@@ -223,6 +238,14 @@ def test_bounds_with_scale(capsys):
     info = kv(lines(capsys))
     assert float(info["window_low"]) < float(10**5) ** -1.3 < float(info["window_high"])
     assert "theta" in info and "f_dense" in info and "upper_dense" in info
+
+
+def test_bounds_k_floor_follows_the_window(capsys):
+    # k = 1 has an ell but no very sparse window, so only --n needs k >= 2
+    assert main(["bounds", "--k", "1"]) == 0
+    assert kv(lines(capsys))["ell"] == "1"
+    assert main(["bounds", "--k", "2", "--n", "100"]) == 0
+    assert "window_low" in kv(lines(capsys))
 
 
 # --- embed -----------------------------------------------------------------

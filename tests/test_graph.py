@@ -1,6 +1,7 @@
 import heapq
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from conftest import (
 )
 from taulab import graph
 from taulab import rng as rngmod
+from taulab.coloring import CanonicalizationError, _path_code, class_signatures
 from taulab.graph import (
     Graph,
     _component_labels,
@@ -341,6 +343,91 @@ def test_labelling_edgeless_graphs(n):
     _assert_matches_oracle(g)
     assert components(g) == [(v,) for v in range(n)]
     assert census(g).paths == {}
+
+
+@st.composite
+def _few_edges_on_many_vertices(draw) -> Graph:
+    """Up to 60 edges among at most 60 vertices picked anywhere in
+    0..n-1, n up to 2 * 10^4, each edge joining pool[i] to pool[i + d],
+    d <= 3: mostly isolated vertices, the rest in paths, trees and small
+    cyclic components whose vertex ids interleave."""
+    n = draw(st.integers(2, 20_000))
+    pool = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=60, unique=True))
+    steps = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 3)),
+                          max_size=60))
+    ends = {tuple(sorted((pool[i], pool[(i + d) % len(pool)]))) for i, d in steps}
+    return Graph.from_edges(n, [(u, v) for u, v in ends if u != v])
+
+
+@given(_few_edges_on_many_vertices())
+@settings(max_examples=60, deadline=None)
+def test_census_with_few_edges_matches_bfs_oracle(g):
+    counts, paths = component_census(g)
+    c = census(g)
+    assert c.counts == counts
+    if _path_code(1) in c.counts:
+        assert next(iter(c.counts)) == _path_code(1)  # K1 first, as ever
+    assert list(c.paths) == list(paths)
+    for k, rows in paths.items():
+        assert np.array_equal(c.paths[k], rows)
+
+
+def test_census_of_a_huge_graph_labels_only_its_endpoints():
+    # 10^7 vertices and 11 edges: labelling every vertex would take about
+    # ten int64 arrays of n, some 800 MB; the census works on the 15
+    # endpoints alone
+    n = 10**7
+    edges = [
+        (0, 5_000_000), (5_000_000, n - 1),  # a P3 across the whole range
+        (1, 2), (2, 3_000_000),  # a P3 whose edges interleave the first's
+        (17, 4_000_000),  # a P2
+        (123, 456), (456, 789), (123, 789),  # a triangle
+        (1000, 2000), (1000, 3000), (1000, 4000),  # a star K1,3
+    ]
+    g = Graph.from_edges(n, edges)
+    tracemalloc.start()
+    c = census(g)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 1 << 20
+    star = census(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])).counts
+    assert c.counts == {
+        _path_code(1): n - len({v for e in edges for v in e}),
+        _path_code(2): 1,
+        _path_code(3): 2,
+        **star,
+        b"G{K3}": 1,
+    }
+    assert list(c.counts)[0] == _path_code(1)
+    assert c.paths[2].tolist() == [[pair_rank(17, 4_000_000)]]
+    assert c.paths[3].tolist() == [
+        [pair_rank(0, 5_000_000), pair_rank(5_000_000, n - 1)],
+        [pair_rank(1, 2), pair_rank(2, 3_000_000)],
+    ]
+
+
+@pytest.mark.parametrize("n, mean_degree", [
+    (1, 0.0), (60, 1.5), (300, 0.7), (2000, 0.5), (100_000, 100_000 ** -0.3),
+])
+def test_class_signature_of_a_host_is_its_census(n, mean_degree):
+    # the two callers of _component_shapes: one class holding every edge
+    # of g is signed with the codes the census counts, K1s aside, with a
+    # non-tree's certificate unwrapped from its G{...}; a non-tree above
+    # 12 vertices, coarsely coded by the census, fails the signing
+    for seed in range(8):
+        g = gen_gnp(n, min(1.0, mean_degree / max(1, n - 1)), seed)
+        (sig,) = class_signatures([g.ranks], g.n, max_vertices=12)
+        counts = census(g).counts
+        if any(code.startswith(b"L") for code in counts):
+            assert isinstance(sig, CanonicalizationError)
+            continue
+        want = sorted(
+            code[2:-1] if code.startswith(b"G{") else code
+            for code, count in counts.items()
+            if code != _path_code(1)
+            for _ in range(count)
+        )
+        assert list(sig) == want
 
 
 def _assert_lists_match_oracle(nv: int, edges: np.ndarray, pick: np.ndarray) -> None:

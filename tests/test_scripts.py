@@ -42,6 +42,18 @@ def test_sparse_profile_runs(tmp_path):
         assert all(float(x) > 0 for x in row.split()[1:])
 
 
+def test_verysparse_profile_runs(tmp_path):
+    out = run_script("verysparse_profile.py", "--sizes", "10000", "30000", "--seeds", "2",
+                     cwd=tmp_path)
+    stages = ["gen_ms", "census_ms", "build_ms", "verify_ms"]
+    assert out[0].split() == ["n", "m", "classes", *stages]
+    assert [row.split()[0] for row in out[1:]] == ["10000", "30000"]
+    for row in out[1:]:
+        # verifying classes of distinct edge counts can round to 0.00 ms
+        assert all(float(x) > 0 for x in row.split()[1:-1])
+        assert float(row.split()[-1]) >= 0
+
+
 def test_regime_sweep_runs(tmp_path):
     out = run_script("regime_sweep.py", "--seeds", "1", cwd=tmp_path)
     assert [row.split()[0] for row in out[1:]] == ["dense", "sparse", "verysparse"]
