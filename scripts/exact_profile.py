@@ -6,7 +6,10 @@ Each deck relabels every shape at random once and times its `canonical_form`,
 and times `tau_exact` of one random graph per shape, with --tau-edges edges
 (8 by default, 12 at most) on 5 to 9 vertices, or on as few more as hold
 them.  Prints the median `canonical_form` milliseconds per part-size shape,
-then the median `tau_exact` milliseconds over all decks and shapes.
+then the median `tau_exact` milliseconds over all decks and shapes, then
+`trial_ms`: the median over the same inputs of the two summed, one
+`canonical_form` and the `tau_exact` drawn with it, as the bench's `exact`
+trial times them.
 
 Runs from a checkout: python3 scripts/exact_profile.py --decks 5 --tau-edges 12
 """
@@ -70,18 +73,21 @@ def main() -> None:
     todo = shapes()
     canon: dict[tuple[int, ...], list[float]] = {parts: [] for parts in todo}
     tau: list[float] = []
+    trial: list[float] = []
     for deck in range(1, args.decks + 1):
         rng = np.random.default_rng(deck)
         for parts in todo:
             canon[parts].append(millis(canonical_form, multipartite(parts, rng)))
             small = random_small(rng, args.tau_edges)
             tau.append(millis(lambda g: tau_exact(g, args.tau_edges), small))
+            trial.append(canon[parts][-1] + tau[-1])
 
     print(f"{'shape':<10} {'n':>2} {'canonical_ms':>12}")
     for parts in todo:
         label = ",".join(map(str, parts))
         print(f"{label:<10} {sum(parts):>2} {statistics.median(canon[parts]):>12.3f}")
     print(f"tau_exact_ms {statistics.median(tau):.3f}")
+    print(f"trial_ms {statistics.median(trial):.3f}")
 
 
 if __name__ == "__main__":

@@ -155,12 +155,16 @@ GRAPHS_WITH_EDGES = (1, 2, 5, 11, 26, 68, 177, 497, 1476, 4613, 15216, 52944)
 
 def most_classes(r: int, free: Sequence[int]) -> int:
     """Most classes r edges can form when at most free[s - 1] of them have
-    s edges: the smallest sizes first, each as often as allowed."""
+    s edges (none for a negative entry): the smallest sizes first, each as
+    often as allowed, up to the first size above the edges left."""
     classes = 0
     for s, f in enumerate(free, 1):
-        take = min(f, r // s)
-        classes += take
-        r -= take * s
+        if s > r:
+            break
+        if f > 0:
+            take = min(f, r // s)
+            classes += take
+            r -= take * s
     return classes
 
 

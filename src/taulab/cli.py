@@ -495,19 +495,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _at_least(floor: int) -> tuple:
+    return f"at least {floor}", lambda v: v >= floor
+
+
 # what each numeric flag's value must be, checked before any command runs
 _FLAG_RULES = {
     "budget": ("nonnegative", lambda v: v >= 0),
     "c_path": ("positive", lambda v: v > 0),
     "epsilon": ("nonnegative", lambda v: v >= 0),
-    "jobs": ("at least 1", lambda v: v >= 1),
+    "jobs": _at_least(1),
     "max_edges": ("nonnegative", lambda v: v >= 0),
     "max_paths": ("nonnegative", lambda v: v >= 0),
-    "n": ("at least 1", lambda v: v >= 1),
     "seed": ("nonnegative", lambda v: v >= 0),
-    "target_len": ("at least 1", lambda v: v >= 1),
-    "tree_order": ("at least 2", lambda v: v >= 2),
-    "trials": ("at least 1", lambda v: v >= 1),
+    "target_len": _at_least(1),
+    "tree_order": _at_least(2),
+    "trials": _at_least(1),
 }
 
 
@@ -517,14 +520,23 @@ def _k_rule(args: argparse.Namespace) -> tuple:
     window = getattr(args, "regime", None) == "verysparse" or (
         args.fn is _cmd_bounds and args.n is not None
     )
-    floor = 2 if window else 1
-    return f"at least {floor}", lambda v: v >= floor
+    return _at_least(2 if window else 1)
+
+
+def _n_rule(args: argparse.Namespace) -> tuple:
+    """--n's rule: at least 16 in the dense and sparse regimes, whose
+    upper bound p n^2 / f_dense(n) needs it, at least 2 for embed, at least
+    1 elsewhere."""
+    if getattr(args, "regime", None) in ("dense", "sparse"):
+        return _at_least(16)
+    return _at_least(2 if args.fn is _cmd_embed else 1)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    for dest, (need, ok) in {**_FLAG_RULES, "k": _k_rule(args)}.items():
+    rules = {**_FLAG_RULES, "k": _k_rule(args), "n": _n_rule(args)}
+    for dest, (need, ok) in rules.items():
         value = getattr(args, dest, None)
         if value is not None and not ok(value):
             args.parser.error(f"--{dest.replace('_', '-')} must be {need}")

@@ -21,8 +21,11 @@ That certificate is the least adjacency bitstring over the leaves of an
 individualisation-refinement search, which branches on one vertex per twin
 class of a cell (u and v are twins when N(u) - {v} == N(v) - {u}).  Swapping
 twins is an automorphism, so a skipped twin's subtree holds the same
-bitstrings and the bytes are those of the full search.  A complete
-multipartite graph is searched only across its parts of equal size.
+bitstrings and the bytes are those of the full search.  A cell that is one
+twin class is individualised without refining: one member alone in a new
+colour splits no other cell, so a chain of twins costs no refinement.  A
+complete multipartite graph is searched only across its parts of equal
+size, and refined only where the search branches.
 `class_signatures` is the only routine that signs an edge set:
 `class_signature` signs one class given as (u, v) pairs through it, and
 `canonical_form` is a graph's class signature plus one K1 per isolated
@@ -84,17 +87,17 @@ class VerifyError(RuntimeError):
 _LEAF_LIMIT = 200_000
 
 
-def _refine(n: int, adj: Sequence[Sequence[int]], colors: tuple[int, ...]) -> tuple[int, ...]:
-    # stable colour refinement: colour + sorted neighbour colours, renumbered
+def _refine(adj: Sequence[Sequence[int]], colors: tuple[int, ...]) -> tuple[int, ...]:
+    # stable colour refinement: colour + sorted neighbour colours, renumbered;
+    # a round that splits no cell has reached the fixed point
+    cells = len(set(colors))
     while True:
-        keys = [
-            (colors[v], tuple(sorted(colors[w] for w in adj[v]))) for v in range(n)
-        ]
+        keys = [(c, tuple(sorted(map(colors.__getitem__, a)))) for c, a in zip(colors, adj)]
         order = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new = tuple(order[k] for k in keys)
-        if new == colors:
+        colors = tuple(map(order.__getitem__, keys))
+        if len(order) == cells:
             return colors
-        colors = new
+        cells = len(order)
 
 
 def _canonical_bits(n: int, adj: Sequence[Sequence[int]]) -> int:
@@ -107,43 +110,53 @@ def _canonical_bits(n: int, adj: Sequence[Sequence[int]]) -> int:
     is an automorphism that fixes every individualised vertex (each sits in
     a singleton cell), and refinement does not look at labels, so it maps
     v's subtree onto u's leaf for leaf with equal bitstrings: the minimum,
-    and every certificate byte, is what the full search gives."""
+    and every certificate byte, is what the full search gives.
+
+    Only the root and the children of a branching are refined.  While the
+    first cell of two or more vertices is a single twin class, its first
+    vertex moves to a new last colour, where `_refine` would put it: a twin
+    class is a clique or an independent set that every other vertex sees
+    whole or not at all, so one member alone in a new colour splits no
+    other cell of the equitable colouring.  The leaves, their order and so
+    the bytes are those of refining every step."""
     best: Optional[int] = None
     leaves = 0
 
-    adj_sets = [set(a) for a in adj]
+    masks = [sum(1 << w for w in a) for a in adj]
     # being twins is an equivalence relation; twin[v] is the least of v's class
     twin = [
-        next(u for u in range(v + 1) if adj_sets[u] - {v} == adj_sets[v] - {u})
+        next(u for u in range(v + 1) if masks[u] & ~(1 << v) == masks[v] & ~(1 << u))
         for v in range(n)
     ]
-
-    def encode(colors: tuple[int, ...]) -> int:
-        pos = [0] * n
-        for v in range(n):
-            pos[colors[v]] = v
-        bits = 0
-        shift = 0
-        for i in range(n):
-            vi = pos[i]
-            for j in range(i + 1, n):
-                if pos[j] in adj_sets[vi]:
-                    bits |= 1 << shift
-                shift += 1
-        return bits
+    edges = [(u, w) for u, a in enumerate(adj) for w in a if u < w]
+    # the pair of positions i < j sits at bit i(2n-i-1)/2 + j-i-1 = row[i] + j
+    row = [i * (2 * n - i - 1) // 2 - i - 1 for i in range(n)]
 
     stack = [(0,) * n]  # colourings still to refine, walked depth first
     while stack:
-        colors = _refine(n, adj, stack.pop())
-        cells: dict[int, list[int]] = {}
+        colors = list(_refine(adj, stack.pop()))
+        cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
         for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        split = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
+            cells[c].append(v)
+        top = len(cells)
+        split = None
+        for cell in cells:  # by colour; the new colours are all singletons
+            if len(cell) == 1:
+                continue
+            if any(twin[v] != twin[cell[0]] for v in cell):
+                split = cell
+                break
+            for v in cell[:-1]:  # one twin class: its last vertex stays put
+                colors[v] = top
+                top += 1
         if split is None:
             leaves += 1
             if leaves > _LEAF_LIMIT:
                 raise CanonicalizationError("graph too symmetric to canonicalise")
-            bits = encode(colors)
+            bits = 0
+            for u, w in edges:
+                i, j = colors[u], colors[w]
+                bits |= 1 << (row[i] + j if i < j else row[j] + i)
             if best is None or bits < best:
                 best = bits
             continue
@@ -151,7 +164,7 @@ def _canonical_bits(n: int, adj: Sequence[Sequence[int]]) -> int:
         for v in split:
             if twin[v] not in branched:
                 branched.add(twin[v])
-                child = list(colors)
+                child = colors.copy()
                 child[v] = n
                 stack.append(tuple(child))
     assert best is not None

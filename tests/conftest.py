@@ -21,7 +21,7 @@ from taulab.catalog import (
     rooted_to_graph,
     sample_rooted_binary,
 )
-from taulab.coloring import _LEAF_LIMIT, CanonicalizationError, _refine, connected_code
+from taulab.coloring import _LEAF_LIMIT, CanonicalizationError, connected_code
 from taulab.embed import (
     EmbeddedTree,
     EmbedResult,
@@ -585,6 +585,77 @@ def scalar_dfs_path_pack(
             used.add((a, b) if a < b else (b, a))
         paths.append(tuple(found))
     return paths, used
+
+
+def _refine(n: int, adj: Sequence[Sequence[int]], colors: tuple[int, ...]) -> tuple[int, ...]:
+    """The earlier `coloring._refine`, kept apart from it: stable colour
+    refinement, each vertex keyed by its colour and its sorted neighbour
+    colours, the keys renumbered in sorted order until nothing changes."""
+    while True:
+        keys = [
+            (colors[v], tuple(sorted(colors[w] for w in adj[v]))) for v in range(n)
+        ]
+        order = {k: i for i, k in enumerate(sorted(set(keys)))}
+        new = tuple(order[k] for k in keys)
+        if new == colors:
+            return colors
+        colors = new
+
+
+def twin_pruned_canonical_bits(
+    n: int, adj: Sequence[Sequence[int]], leaf_limit: int = _LEAF_LIMIT
+) -> int:
+    """The earlier `coloring._canonical_bits`: the unpruned search below,
+    branching on one vertex per twin class of a cell, and refining every
+    node, the twin chains included; raises CanonicalizationError past
+    leaf_limit leaves."""
+    best: Optional[int] = None
+    leaves = 0
+
+    adj_sets = [set(a) for a in adj]
+    twin = [
+        next(u for u in range(v + 1) if adj_sets[u] - {v} == adj_sets[v] - {u})
+        for v in range(n)
+    ]
+
+    def encode(colors: tuple[int, ...]) -> int:
+        pos = [0] * n
+        for v in range(n):
+            pos[colors[v]] = v
+        bits = 0
+        shift = 0
+        for i in range(n):
+            vi = pos[i]
+            for j in range(i + 1, n):
+                if pos[j] in adj_sets[vi]:
+                    bits |= 1 << shift
+                shift += 1
+        return bits
+
+    stack = [(0,) * n]
+    while stack:
+        colors = _refine(n, adj, stack.pop())
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        split = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
+        if split is None:
+            leaves += 1
+            if leaves > leaf_limit:
+                raise CanonicalizationError("graph too symmetric to canonicalise")
+            bits = encode(colors)
+            if best is None or bits < best:
+                best = bits
+            continue
+        branched = set()
+        for v in split:
+            if twin[v] not in branched:
+                branched.add(twin[v])
+                child = list(colors)
+                child[v] = n
+                stack.append(tuple(child))
+    assert best is not None
+    return best
 
 
 def unpruned_canonical_bits(

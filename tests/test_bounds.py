@@ -8,6 +8,7 @@ from conftest import seeded_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taulab import coloring
 from taulab import rng as rngmod
 from taulab.bounds import (
     GRAPHS_WITH_EDGES,
@@ -17,6 +18,7 @@ from taulab.bounds import (
     dense_tree_order,
     ell,
     f_dense,
+    most_classes,
     sparse_k,
     tau_counting_bound,
     theta_exponents,
@@ -28,7 +30,7 @@ from taulab.bounds import (
     xi,
 )
 from taulab.coloring import class_signatures, tau_exact, tau_matching
-from taulab.graph import pair_ranks
+from taulab.graph import Graph, pair_ranks
 
 
 def ell_brute(k: int) -> int:
@@ -365,6 +367,42 @@ def test_tau_counting_bound_values():
     for m in (-1, 13):
         with pytest.raises(ValueError, match="0..12"):
             tau_counting_bound(m)
+
+
+def walked_most_classes(r: int, free) -> int:
+    """The earlier `most_classes`: every size walked, however few edges
+    are left."""
+    classes = 0
+    for s, f in enumerate(free, 1):
+        take = min(f, r // s)
+        classes += take
+        r -= take * s
+    return classes
+
+
+@given(st.integers(0, 60), st.lists(st.integers(-3, 30), max_size=16))
+@settings(max_examples=400, deadline=None)
+def test_most_classes_stops_at_the_first_size_above_the_rest(r, free):
+    # past the first size above the edges left the full walk takes nothing
+    # more; a negative entry allows no class (the full walk would subtract it)
+    allowed = [max(f, 0) for f in free]
+    assert most_classes(r, free) == walked_most_classes(r, allowed)
+
+
+def test_tau_exact_passes_most_classes_no_negative_entry(monkeypatch):
+    # so its bound, and its search, are the full walk's
+    least = []
+
+    def watched(r, free):
+        least.append(min(free))
+        return walked_most_classes(r, free)
+
+    monkeypatch.setattr(coloring, "most_classes", watched)
+    star = Graph.from_edges(9, [(0, v) for v in range(1, 9)])
+    matching = Graph.from_edges(16, [(2 * i, 2 * i + 1) for i in range(8)])
+    for g in (star, matching, *(seeded_graph(seed, 8, 5 + seed % 5) for seed in range(30))):
+        tau_exact(g)
+    assert least and min(least) == 0
 
 
 @given(st.integers(0, 2**31), st.integers(1, 8), st.integers(3, 10))

@@ -74,6 +74,14 @@ _SPARSE = ["--regime", "sparse", "--n", "50", "--p-over-n", "3", "--seed", "1"]
         (["experiment", *_SPARSE, "--trials", "1", "--k", "-3"], "--k"),
         (["experiment", "--regime", "dense", "--n", "-1", "--p", "0.5", "--seed", "1",
           "--trials", "1"], "--n"),
+        # f_dense, in the dense and sparse regimes' upper bound, needs n >= 16
+        (["color", "--regime", "dense", "--n", "15", "--p", "0.5", "--seed", "1"], "--n"),
+        (["color", "--regime", "sparse", "--n", "1", "--p", "0.5", "--seed", "1"], "--n"),
+        (["experiment", "--regime", "dense", "--n", "2", "--p", "0.5", "--seed", "1",
+          "--trials", "1"], "--n"),
+        (["experiment", "--regime", "sparse", "--n", "15", "--p", "0.5", "--seed", "1",
+          "--trials", "1"], "--n"),
+        (["embed", "--n", "1", "--p", "0.5", "--seed", "0"], "--n"),
     ],
 )
 def test_bad_flag_values_exit_1(capsys, tmp_path, argv, flag):
@@ -90,6 +98,25 @@ def test_bad_flag_values_exit_1(capsys, tmp_path, argv, flag):
     assert exc.value.code == 1
     assert f"error: {flag} must be" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["color", "--regime", "dense", "--n", "16", "--p", "0.5", "--seed", "1"], 0),
+        (["color", "--regime", "sparse", "--n", "16", "--p", "0.5", "--seed", "1"], 0),
+        # past the flag rules, a one-vertex graph has no census to colour
+        (["color", "--regime", "verysparse", "--n", "1", "--p", "0.5", "--seed", "1",
+          "--k", "4", "--proceed"], 2),
+        (["embed", "--n", "2", "--p", "0.5", "--seed", "0"], 0),
+        (["bounds", "--k", "4", "--n", "1"], 0),
+    ],
+)
+def test_n_floors_are_accepted(capsys, argv, code):
+    # each command's least --n passes the flag rules (a usage error would
+    # raise SystemExit) and the command runs
+    assert main(argv) == code
+    assert "--n must be" not in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(capsys, tmp_path):
@@ -501,7 +528,7 @@ def test_experiment_trials_cap(capsys, tmp_path):
     # flag is refused before any trial runs
     assert trial_seed(1, 1_000_002) < trial_seed(2, 0)
     out = tmp_path / "runs.csv"
-    argv = ["experiment", "--regime", "sparse", "--n", "10", "--p", "0.5",
+    argv = ["experiment", "--regime", "sparse", "--n", "16", "--p", "0.5",
             "--seed", "1", "--trials", "1000004", "--out", str(out)]
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -515,7 +542,7 @@ def test_experiment_needs_a_trial(capsys, tmp_path, trials):
     # an empty batch has no summary; the flag is refused before any file
     # is written
     out = tmp_path / "runs.csv"
-    argv = ["experiment", "--regime", "sparse", "--n", "10", "--p", "0.5",
+    argv = ["experiment", "--regime", "sparse", "--n", "16", "--p", "0.5",
             "--seed", "1", "--trials", trials, "--out", str(out)]
     with pytest.raises(SystemExit) as exc:
         main(argv)

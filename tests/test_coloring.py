@@ -4,6 +4,7 @@ import math
 import time
 from collections import Counter
 
+import conftest
 import networkx as nx
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from conftest import (
     prufer_tree,
     relabel,
     seeded_graph,
+    twin_pruned_canonical_bits,
     unpruned_canonical_bits,
 )
 from hypothesis import event, given, settings
@@ -173,6 +175,37 @@ def test_canonical_twin_heavy_shapes_pinned():
     assert min(seconds) < 0.1
 
 
+def refines(monkeypatch, module, bits, g: Graph) -> tuple[int, int]:
+    """(result, refine calls) of bits(n, adj) on g, counting the calls
+    to module._refine."""
+    calls = []
+    refine = module._refine
+
+    def counted(*args):
+        calls.append(1)
+        return refine(*args)
+
+    monkeypatch.setattr(module, "_refine", counted)
+    got = bits(g.n, g.adj)
+    monkeypatch.undo()
+    return got, len(calls)
+
+
+@pytest.mark.parametrize(
+    "parts, earlier, now",
+    [((7, 2), 8, 1), ((1, 9), 9, 1), ((4, 2, 2), 8, 3), ((3, 3, 3), 31, 10),
+     ((2, 2, 2, 2), 65, 41)],
+)
+def test_lone_twin_class_is_individualised_without_refining(monkeypatch, parts, earlier, now):
+    # a cell that is one twin class splits no other cell when a member is
+    # individualised, so only the root and the children of a branching
+    # refine; the earlier search refined every twin step too
+    g = complete_multipartite(*parts)
+    want, before = refines(monkeypatch, conftest, twin_pruned_canonical_bits, g)
+    got, after = refines(monkeypatch, coloring, coloring._canonical_bits, g)
+    assert (got, before, after) == (want, earlier, now)
+
+
 def test_canonical_leaf_budget_still_fires(monkeypatch):
     petersen = Graph.from_edges(10, nx.edges(nx.petersen_graph()))
     cert = canonical_form(petersen)  # twin-free, so it is searched leaf by leaf
@@ -247,11 +280,13 @@ def test_canonical_bits_match_the_unpruned_search(graph):
         adj[u].append(v)
         adj[v].append(u)
     got = coloring._canonical_bits(n, adj)
+    # the twin-pruned search that refines every node needs no small budget
+    assert got == twin_pruned_canonical_bits(n, adj)
     try:
         # a small budget keeps the oracle quick; it refuses K_{3,3,3} and the like
         want = unpruned_canonical_bits(n, adj, leaf_limit=720)
     except CanonicalizationError:
-        event("oracle refused")
+        event("unpruned oracle refused")
         return
     assert got == want
 

@@ -63,12 +63,17 @@ def test_regime_sweep_runs(tmp_path):
 def test_exact_profile_runs(tmp_path):
     out = run_script("exact_profile.py", "--decks", "1", cwd=tmp_path)
     assert out[0].split() == ["shape", "n", "canonical_ms"]
-    rows = [row.split() for row in out[1:-1]]
+    rows = [row.split() for row in out[1:-2]]
     assert len(rows) == 21  # the part-size shapes of 4 to 9 vertices
     assert rows[0][:2] == ["2,2", "4"] and rows[-1][:2] == ["3,2,2,2", "9"]
     assert all(float(row[2]) > 0 for row in rows)
-    label, value = out[-1].split()
-    assert label == "tau_exact_ms" and float(value) > 0
+    (label, tau), (trial_label, trial) = (row.split() for row in out[-2:])
+    assert label == "tau_exact_ms" and float(tau) > 0
+    # each trial is one canonical form plus the tau drawn with it, so its
+    # median is no less than either part's
+    assert trial_label == "trial_ms" and float(trial) >= float(tau)
+    assert float(trial) >= min(float(row[2]) for row in rows)
     out = run_script("exact_profile.py", "--tau-edges", "12", "--decks", "1", cwd=tmp_path)
-    label, value = out[-1].split()
-    assert label == "tau_exact_ms" and float(value) > 0
+    (label, tau), (trial_label, trial) = (row.split() for row in out[-2:])
+    assert label == "tau_exact_ms" and float(tau) > 0
+    assert trial_label == "trial_ms" and float(trial) >= float(tau)
