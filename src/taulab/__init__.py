@@ -23,14 +23,11 @@ from .catalog import (
     LinearForest,
     ahu_code,
     catalan,
-    distinct_maxdeg3_trees,
     enumerate_rooted_binary,
     forest_code,
     free_trees,
-    maxdeg3_trees,
     partition_count,
     partitions,
-    sample_rooted_binary,
 )
 from .coloring import (
     Coloring,
@@ -79,7 +76,6 @@ __all__ = [
     "dense_tree_order",
     "dfs_path_pack",
     "diagnostics_check",
-    "distinct_maxdeg3_trees",
     "ell",
     "enumerate_rooted_binary",
     "f_dense",
@@ -88,13 +84,11 @@ __all__ = [
     "gen_gnp",
     "greedy_embed",
     "materialize",
-    "maxdeg3_trees",
     "pack_forests",
     "partition_count",
     "partitions",
     "read_coloring",
     "read_edgelist",
-    "sample_rooted_binary",
     "sparse_k",
     "tau_exact",
     "tau_matching",

@@ -12,20 +12,17 @@ Shapes are ranked by one split rule: the shapes on t nodes are ordered by
 the size i of the left subtree, and then by the left and the right subtree's
 ranks, so a rank falls into the block of catalan(i) * catalan(t - 1 - i)
 shapes found by bisecting the cached cumulative block sizes.  The sampler
-unranks straight into the tree's pair ranks and sorted neighbour lists, in
-the same preorder, left-first numbering as `rooted_to_graph`, and hands each
-tree over with its code, so nothing downstream codes it again.
+unranks straight into the tree's pair ranks and sorted neighbour lists,
+numbering the nodes in preorder, left subtree first, and hands each tree
+over with its code, so nothing downstream codes it again.
 
 Linear forests are disjoint unions of paths; a forest with k edges is exactly
 a partition of k into path lengths, so the family on k edges has p(k)
 members, counted by the pentagonal-number recurrence.
 
-Canonical codes: trees are encoded by the classic centre-rooted AHU string,
-for which code equality coincides with isomorphism; linear forests by their
-sorted multiset of path lengths.  A tree's string is built while its leaf
-layers are peeled: each peeled vertex's code is put together from its
-already peeled children, and the last one or two vertices left are the
-centres, whose codes make the string.
+Canonical codes are bytes, equal exactly when the objects are isomorphic:
+trees get their AHU string (`graph.tree_code`), linear forests their
+sorted multiset of path lengths.
 """
 
 from __future__ import annotations
@@ -34,14 +31,14 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, islice
-from typing import Iterator, Optional, Sequence
+from itertools import accumulate
+from typing import Iterator, Optional
 
 import networkx as nx
 import numpy as np
 
 from . import rng as rngmod
-from .graph import Graph
+from .graph import Graph, tree_code
 
 _ENUMERATION_CAP = 16
 _EXHAUSTIVE_TREE_CAP = 16
@@ -74,16 +71,6 @@ class RootedBinaryTree:
             if node.right is not None:
                 stack.append(node.right)
         return total
-
-
-@dataclass(frozen=True, order=True)
-class CanonicalCode:
-    """Order-invariant byte encoding; equal codes mean isomorphic objects."""
-
-    data: bytes
-
-    def text(self) -> str:
-        return self.data.decode("ascii")
 
 
 def enumerate_rooted_binary(t: int) -> Iterator[RootedBinaryTree]:
@@ -126,11 +113,12 @@ def _unrank_shape(t: int, r: int) -> Optional[RootedBinaryTree]:
 
 
 def _unrank_tree(t: int, r: int) -> Graph:
-    """`rooted_to_graph(_unrank_shape(t, r))` without the shape: the nodes are
-    numbered in preorder, left subtree first, so the subtree of a node k
-    with i nodes on its left holds k's left child at k + 1 and its right
-    child at k + 1 + i.  Each node's neighbours are its parent, its left
-    and its right child, which is their sorted order."""
+    """The unrooted tree of the shape of rank r on t nodes, built without
+    the shape: the nodes are numbered in preorder, left subtree first, so
+    the subtree of a node k with i nodes on its left holds k's left child
+    at k + 1 and its right child at k + 1 + i.  Each node's neighbours are
+    its parent, its left and its right child, which is their sorted
+    order."""
     adj: list[list[int]] = [[] for _ in range(t)]
     stack = [(0, t, r)]  # (node, subtree size, subtree rank)
     while stack:
@@ -152,87 +140,13 @@ def _unrank_tree(t: int, r: int) -> Graph:
     return Graph.from_parts(t, ranks, tuple(map(tuple, adj)))
 
 
-def sample_rooted_binary(t: int, rng: np.random.Generator) -> RootedBinaryTree:
-    """Uniform shape among the catalan(t), by exact big-integer unranking."""
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    rank = rngmod.bigint_below(rng, catalan(t))
-    shape = _unrank_shape(t, rank)
-    assert shape is not None
-    return shape
-
-
-def rooted_to_graph(root: RootedBinaryTree) -> Graph:
-    """Underlying unrooted tree of a shape; max degree 3 by construction."""
-    edges: list[tuple[int, int]] = []
-    counter = 0
-    stack: list[tuple[RootedBinaryTree, int]] = [(root, -1)]
-    while stack:
-        node, parent = stack.pop()
-        idx = counter
-        counter += 1
-        if parent >= 0:
-            edges.append((parent, idx))
-        if node.right is not None:
-            stack.append((node.right, idx))
-        if node.left is not None:
-            stack.append((node.left, idx))
-    return Graph.from_edges(counter, edges)
-
-
-def tree_code(adj: Sequence[Sequence[int]]) -> bytes:
-    """AHU code of the tree on vertices 0..n-1 with these neighbour lists.
-
-    The tree is rooted at its centre; bicentral trees are split at the central
-    edge and both halves encoded, smaller half first.  Codes of two trees are
-    equal exactly when the trees are isomorphic.  The caller checks that
-    there are n - 1 edges.
-
-    One pass peels leaf layers off the tree.  A vertex is peeled once all
-    but one of its neighbours are, so its children toward the leaves are
-    coded by then and its own code is put together as it goes; the one or
-    two vertices left are the centres.
-    """
-    n = len(adj)
-    deg = [len(a) for a in adj]
-    kids: list[list[bytes]] = [[] for _ in range(n)]  # codes of peeled children
-    layer = [v for v in range(n) if deg[v] == 1]
-    alive = n
-    while alive > 2:
-        if not layer:
-            # a tree always has leaves to peel; a cycle never empties
-            raise ValueError("input is not a tree (contains a cycle)")
-        alive -= len(layer)
-        nxt = []
-        for v in layer:
-            deg[v] = 0
-            codes = kids[v]
-            codes.sort()
-            code = b"(" + b"".join(codes) + b")"
-            for w in adj[v]:
-                if deg[w]:
-                    kids[w].append(code)
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    centres = layer if n > 2 else range(n)
-    halves = sorted(b"(" + b"".join(sorted(kids[c])) + b")" for c in centres)
-    if len(centres) == 2 and centres[1] not in adj[centres[0]]:
-        raise ValueError("input is not a tree (disconnected centre pair)")
-    # the centres' codes hold every vertex only if the graph is connected
-    if not halves or sum(map(len, halves)) != 2 * n:
-        raise ValueError("input is not a tree (not connected)")
-    return halves[0] if len(halves) == 1 else b"[" + b"".join(halves) + b"]"
-
-
-def ahu_code(g: Graph) -> CanonicalCode:
+def ahu_code(g: Graph) -> bytes:
     """Canonical code of an unrooted tree: its `tree_code`."""
     if g.n == 0:
         raise ValueError("empty graph is not a tree")
     if g.edge_count != g.n - 1:
         raise ValueError("input is not a tree (wrong edge count)")
-    return CanonicalCode(tree_code(g.adj))
+    return tree_code(g.adj)
 
 
 def free_trees(t: int) -> list[Graph]:
@@ -240,13 +154,8 @@ def free_trees(t: int) -> list[Graph]:
     return _trees_up_to_degree(t, t)
 
 
-def maxdeg3_trees(t: int) -> list[Graph]:
-    """All unlabelled trees on t vertices with maximum degree <= 3."""
-    return [g for g, _ in _coded_maxdeg3_trees(t)]
-
-
 @lru_cache(maxsize=None)
-def _coded_maxdeg3_trees(t: int) -> tuple[tuple[Graph, CanonicalCode], ...]:
+def _coded_maxdeg3_trees(t: int) -> tuple[tuple[Graph, bytes], ...]:
     """The max-degree-3 trees on t vertices with their codes, enumerated once
     per t; their rank arrays are read-only, since every caller shares them."""
     out = []
@@ -274,21 +183,24 @@ def _trees_up_to_degree(t: int, max_degree: int) -> list[Graph]:
 
 def iter_distinct_maxdeg3_trees(
     t: int, rng: Optional[np.random.Generator]
-) -> Iterator[tuple[Graph, CanonicalCode]]:
+) -> Iterator[tuple[Graph, bytes]]:
     """Stream of pairwise non-isomorphic max-degree-3 trees on t vertices,
     each with its `ahu_code`.
 
     Small t yields the exhaustive list; larger t samples uniform rooted
     binary shapes deduplicated by canonical code, giving up once a patience
-    budget passes with no new shape, so the stream always terminates.
+    budget passes with no new shape, so the stream always terminates.  Only
+    t > 16 samples, and so needs rng.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
     if t <= _EXHAUSTIVE_TREE_CAP:
         yield from _coded_maxdeg3_trees(t)
         return
+    if rng is None:
+        raise ValueError("sampling path needs an rng")
     shapes = catalan(t)
-    seen: set[CanonicalCode] = set()
+    seen: set[bytes] = set()
     misses = 0
     while True:
         g = _unrank_tree(t, rngmod.bigint_below(rng, shapes))
@@ -301,24 +213,6 @@ def iter_distinct_maxdeg3_trees(
         seen.add(code)
         misses = 0
         yield g, code
-
-
-def distinct_maxdeg3_trees(
-    t: int, want: int, rng: Optional[np.random.Generator] = None
-) -> list[Graph]:
-    """The first want trees of `iter_distinct_maxdeg3_trees`; raises if the
-    stream ends sooner.  Only t > 16 samples, and so needs rng."""
-    if want < 0:
-        raise ValueError("want must be nonnegative")
-    if t > _EXHAUSTIVE_TREE_CAP and rng is None:
-        raise ValueError("sampling path needs an rng")
-    out = [g for g, _ in islice(iter_distinct_maxdeg3_trees(t, rng), want)]
-    if len(out) < want:
-        raise RuntimeError(
-            f"only {len(out)} of {want} distinct max-degree-3 trees "
-            f"found on {t} vertices"
-        )
-    return out
 
 
 def partitions(k: int) -> Iterator[tuple[int, ...]]:
@@ -392,8 +286,6 @@ class LinearForest:
         return self.k + self.part_count
 
 
-def forest_code(f: LinearForest) -> CanonicalCode:
+def forest_code(f: LinearForest) -> bytes:
     """Code of a linear forest: its sorted length multiset."""
-    return CanonicalCode(
-        b"F:" + ",".join(str(x) for x in f.path_lengths).encode("ascii")
-    )
+    return b"F:" + ",".join(str(x) for x in f.path_lengths).encode("ascii")

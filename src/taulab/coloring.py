@@ -10,26 +10,11 @@ in the host's by binary search, and the leftover is what remains.
 Constructing a `Coloring` checks with one sort that the classes cover the
 host disjointly.  `verify_distinct` then certifies pairwise non-isomorphism
 from scratch: classes of different edge counts are trivially
-non-isomorphic, and classes of equal size are compared by the multiset of
-their components' codes.  `class_signatures` computes those for a whole
-batch of classes in one labelling pass.  A path is coded by its order
-alone, as in the census; every other component goes through
-`connected_code` on neighbour lists from `graph._component_lists`, which
-gives a tree of any size its AHU string and anything else its exact
-certificate (small ones only).
-That certificate is the least adjacency bitstring over the leaves of an
-individualisation-refinement search, which branches on one vertex per twin
-class of a cell (u and v are twins when N(u) - {v} == N(v) - {u}).  Swapping
-twins is an automorphism, so a skipped twin's subtree holds the same
-bitstrings and the bytes are those of the full search.  A cell that is one
-twin class is individualised without refining: one member alone in a new
-colour splits no other cell, so a chain of twins costs no refinement.  A
-complete multipartite graph is searched only across its parts of equal
-size, and refined only where the search branches.
-`class_signatures` is the only routine that signs an edge set:
-`class_signature` signs one class given as (u, v) pairs through it, and
-`canonical_form` is a graph's class signature plus one K1 per isolated
-vertex.
+non-isomorphic, and classes of equal size are compared by their
+`graph.class_signatures`, the sorted codes of their components, computed
+for a whole batch of classes in one labelling pass.  `class_signature`
+signs one class given as (u, v) pairs through it, and `canonical_form` is
+a graph's class signature plus one K1 per isolated vertex.
 
 `tau_exact` answers the inverse question for tiny graphs (8 edges by
 default, 12 at most) by branch and bound over whole classes, and
@@ -41,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, combinations, product
 from typing import Optional, Sequence
 
@@ -50,16 +34,17 @@ import numpy as np
 from .bounds import GRAPHS_WITH_EDGES, ell, most_classes, theta_verysparse
 # ahu_code and components are unused here; they stay importable as
 # coloring.ahu_code and coloring.components for perfbench/run.py's tracer
-from .catalog import LinearForest, ahu_code, partitions, tree_code  # noqa: F401
+from .catalog import ahu_code  # noqa: F401
+from .catalog import LinearForest, partitions
 from .embed import EmbedResult
 from .graph import components  # noqa: F401
 from .graph import (
+    CanonicalizationError,
     ComponentCensus,
     Graph,
     _checked_ranks,
-    _component_lists,
-    _component_shapes,
     _unrank_pairs,
+    class_signatures,
     edge_tuples,
     pair_ranks,
     parse_count,
@@ -70,138 +55,9 @@ from .pathpack import dfs_path_pack, pack_forests
 Edge = tuple[int, int]
 
 
-class CanonicalizationError(ValueError):
-    """Raised when a graph is too large (or too symmetric) for the exact
-    canonical form."""
-
-
 class VerifyError(RuntimeError):
     """Raised when a colouring cannot be certified: a class with a
     component that is neither a tree nor small enough to canonicalise."""
-
-
-# ---------------------------------------------------------------------------
-# exact canonical form for small graphs
-
-
-_LEAF_LIMIT = 200_000
-
-
-def _refine(adj: Sequence[Sequence[int]], colors: tuple[int, ...]) -> tuple[int, ...]:
-    # stable colour refinement: colour + sorted neighbour colours, renumbered;
-    # a round that splits no cell has reached the fixed point
-    cells = len(set(colors))
-    while True:
-        keys = [(c, tuple(sorted(map(colors.__getitem__, a)))) for c, a in zip(colors, adj)]
-        order = {k: i for i, k in enumerate(sorted(set(keys)))}
-        colors = tuple(map(order.__getitem__, keys))
-        if len(order) == cells:
-            return colors
-        cells = len(order)
-
-
-def _canonical_bits(n: int, adj: Sequence[Sequence[int]]) -> int:
-    """Minimum adjacency bitstring over all discrete refinements reached by
-    individualisation; exact but exponential in the worst case, hence the
-    leaf budget.
-
-    A cell is branched on once per twin class: v is skipped when an earlier
-    vertex u of the cell has N(u) - {v} == N(v) - {u}.  Swapping such twins
-    is an automorphism that fixes every individualised vertex (each sits in
-    a singleton cell), and refinement does not look at labels, so it maps
-    v's subtree onto u's leaf for leaf with equal bitstrings: the minimum,
-    and every certificate byte, is what the full search gives.
-
-    Only the root and the children of a branching are refined.  While the
-    first cell of two or more vertices is a single twin class, its first
-    vertex moves to a new last colour, where `_refine` would put it: a twin
-    class is a clique or an independent set that every other vertex sees
-    whole or not at all, so one member alone in a new colour splits no
-    other cell of the equitable colouring.  The leaves, their order and so
-    the bytes are those of refining every step."""
-    best: Optional[int] = None
-    leaves = 0
-
-    masks = [sum(1 << w for w in a) for a in adj]
-    # being twins is an equivalence relation; twin[v] is the least of v's class
-    twin = [
-        next(u for u in range(v + 1) if masks[u] & ~(1 << v) == masks[v] & ~(1 << u))
-        for v in range(n)
-    ]
-    edges = [(u, w) for u, a in enumerate(adj) for w in a if u < w]
-    # the pair of positions i < j sits at bit i(2n-i-1)/2 + j-i-1 = row[i] + j
-    row = [i * (2 * n - i - 1) // 2 - i - 1 for i in range(n)]
-
-    stack = [(0,) * n]  # colourings still to refine, walked depth first
-    while stack:
-        colors = list(_refine(adj, stack.pop()))
-        cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
-        for v, c in enumerate(colors):
-            cells[c].append(v)
-        top = len(cells)
-        split = None
-        for cell in cells:  # by colour; the new colours are all singletons
-            if len(cell) == 1:
-                continue
-            if any(twin[v] != twin[cell[0]] for v in cell):
-                split = cell
-                break
-            for v in cell[:-1]:  # one twin class: its last vertex stays put
-                colors[v] = top
-                top += 1
-        if split is None:
-            leaves += 1
-            if leaves > _LEAF_LIMIT:
-                raise CanonicalizationError("graph too symmetric to canonicalise")
-            bits = 0
-            for u, w in edges:
-                i, j = colors[u], colors[w]
-                bits |= 1 << (row[i] + j if i < j else row[j] + i)
-            if best is None or bits < best:
-                best = bits
-            continue
-        branched = set()  # twin classes of the cell already branched on
-        for v in split:
-            if twin[v] not in branched:
-                branched.add(twin[v])
-                child = colors.copy()
-                child[v] = n
-                stack.append(tuple(child))
-    assert best is not None
-    return best
-
-
-def connected_code(adj: Sequence[Sequence[int]], max_vertices: int) -> bytes:
-    """Code of the connected graph on 0..n-1 with these neighbour lists:
-    equal codes exactly when isomorphic.  A tree of any size gets its AHU
-    string (starting with "(" or "["), anything else its exact certificate
-    (starting with "K", "C" or "B"), which needs n <= max_vertices."""
-    n = len(adj)
-    if sum(map(len, adj)) == 2 * (n - 1):
-        return tree_code(adj)
-    if n > max_vertices:
-        raise CanonicalizationError(
-            f"component has {n} vertices, canonical form capped at {max_vertices}"
-        )
-    degrees = sorted(map(len, adj))
-    # two shapes common enough to special-case: complete graphs and cycles
-    if degrees[0] == n - 1:
-        return b"K%d" % n
-    if degrees[0] == 2 and degrees[-1] == 2:
-        return b"C%d" % n
-    return b"B%d:%x" % (n, _canonical_bits(n, adj))
-
-
-def canonical_form(g: Graph, max_vertices: int = 10) -> bytes:
-    """Canonical certificate of a graph: equal bytes iff isomorphic.  The
-    `class_signature` of its edges, with one K1 per isolated vertex so that
-    graphs on the same vertex count compare exactly, sorted inside G{...}.
-    Tree components of any size get their AHU string; every other
-    component must have at most max_vertices vertices."""
-    us, vs = map(np.ndarray.tolist, _unrank_pairs(g.ranks))
-    isolated = [b"K1"] * (g.n - len({*us, *vs}))
-    certs = sorted((*class_signature(list(zip(us, vs)), max_vertices), *isolated))
-    return b"G{" + b"|".join(certs) + b"}"
 
 
 # ---------------------------------------------------------------------------
@@ -312,53 +168,27 @@ def read_coloring(path: str) -> Coloring:
 # distinctness
 
 
-@lru_cache(maxsize=None)
-def _path_code(order: int) -> bytes:
-    """`tree_code` of the path on order >= 1 vertices."""
-    adj = [[j for j in (i - 1, i + 1) if 0 <= j < order] for i in range(order)]
-    return tree_code(adj)
-
-
-def class_signatures(
-    classes: Sequence[np.ndarray], n: int, max_vertices: int = 10
-) -> list:
-    """Signature of every class, a rank array on vertices below n: the
-    sorted codes of its components, so equal signatures mean isomorphic
-    classes.  One labelling pass covers them all, with vertex v of class c
-    keyed c * n + v.  Paths are coded by their order alone, every other
-    component by `connected_code`; a class with a component that cannot be
-    coded gets the CanonicalizationError of the first, by smallest vertex,
-    instead."""
-    if not classes:
-        return []
-    tags = np.repeat(np.arange(len(classes)), [len(c) for c in classes])
-    us, vs = _unrank_pairs(_joined(classes))
-    keyed = np.concatenate((tags * n + us, tags * n + vs)).reshape(2, -1).T
-    keys, edges, labels, roots, order, path = _component_shapes(keyed)
-    owner = keys[roots] // n  # class of each component
-    codes: list[list[bytes]] = [[] for _ in classes]
-    for c, size in zip(owner[path].tolist(), order[path].tolist()):
-        codes[c].append(_path_code(size))
-    failed: dict[int, CanonicalizationError] = {}
-    others = _component_lists(edges, labels, roots[~path])
-    for c, adj in zip(owner[~path].tolist(), others):
-        if c not in failed:
-            try:
-                codes[c].append(connected_code(adj, max_vertices))
-            except CanonicalizationError as exc:
-                failed[c] = exc
-    return [failed.get(c) or tuple(sorted(cs)) for c, cs in enumerate(codes)]
-
-
 def class_signature(edges: Sequence[Edge], max_vertices: int = 10) -> tuple:
     """`class_signatures` of the one class with these (u, v) edges,
-    0 <= u < v: the sorted `connected_code` of its components.  Raises the
+    0 <= u < v: the sorted codes of its components.  Raises the
     class's CanonicalizationError if a component cannot be coded."""
     n = 1 + max((v for _, v in edges), default=0)
     (sig,) = class_signatures([pair_ranks(edges)], n, max_vertices)
     if isinstance(sig, CanonicalizationError):
         raise sig
     return sig
+
+
+def canonical_form(g: Graph, max_vertices: int = 10) -> bytes:
+    """Canonical certificate of a graph: equal bytes iff isomorphic.  The
+    `class_signature` of its edges, with one K1 per isolated vertex so that
+    graphs on the same vertex count compare exactly, sorted inside G{...}.
+    Tree components of any size get their AHU string; every other
+    component must have at most max_vertices vertices."""
+    us, vs = map(np.ndarray.tolist, _unrank_pairs(g.ranks))
+    isolated = [b"K1"] * (g.n - len({*us, *vs}))
+    certs = sorted((*class_signature(list(zip(us, vs)), max_vertices), *isolated))
+    return b"G{" + b"|".join(certs) + b"}"
 
 
 def verify_distinct(
@@ -465,7 +295,7 @@ def build_dense_coloring(result: EmbedResult, host: Graph) -> Coloring:
     if len({tree.code for tree in trees}) != len(trees):
         raise ValueError("embedded trees repeat a shape")
     classes = _ranked_classes([tree.edges for tree in trees])
-    labels = [f"tree:{tree.code.text()}" for tree in trees]
+    labels = ["tree:" + tree.code.decode("ascii") for tree in trees]
     _append_leftover(host, classes, labels, "embedded")
     return Coloring(host=host, classes=tuple(classes), labels=tuple(labels))
 

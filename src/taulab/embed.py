@@ -53,7 +53,7 @@ from . import rng as rngmod
 # ahu_code is not called here, since the supply hands each tree over with
 # its code, but it stays importable as embed.ahu_code, where
 # perfbench/run.py's tracer looks it up
-from .catalog import CanonicalCode, ahu_code  # noqa: F401
+from .catalog import ahu_code  # noqa: F401
 from .graph import Graph, pair_rank
 
 _REJECTION_TRIES = 40
@@ -153,7 +153,7 @@ class EmbedTrace:
 
 @dataclass(frozen=True)
 class EmbeddedTree:
-    code: CanonicalCode
+    code: bytes
     mapping: dict[int, int]
     edges: tuple[tuple[int, int], ...]
 
@@ -249,7 +249,7 @@ class _CandidateDraws:
 
 def greedy_embed(
     g: LazyRandomGraph,
-    trees: Iterable[tuple[Graph, CanonicalCode]],
+    trees: Iterable[tuple[Graph, bytes]],
     step_budget: int,
     rng: np.random.Generator,
     record_log: bool = False,
@@ -443,7 +443,7 @@ def embed_report(result: EmbedResult) -> dict:
         "embedded_count": len(result.embedded),
         "embedded": [
             {
-                "code": t.code.text(),
+                "code": t.code.decode("ascii"),
                 "mapping": sorted(t.mapping.items()),
                 "edges": sorted(t.edges),
             }

@@ -1,5 +1,5 @@
 """Graph core: an immutable graph stored as one array of pair ranks, G(n, p)
-sampling, component census, and a plain text edge-list format.
+sampling, component census and codes, and a plain text edge-list format.
 
 Graphs are simple and undirected with vertices 0..n-1.  The edge (u, v),
 u < v, is kept as its colexicographic pair rank C(v, 2) + u, and a graph's
@@ -26,22 +26,42 @@ label.  `_component_shapes` labels only the vertices that carry an edge,
 renumbered in order by one `np.unique`, and reads each component's order,
 edge count and maximum degree off the labels with `bincount`.  `census`
 counts the other n minus that many vertices as isolated, so it costs
-O(m log m), not O(n), and classifies paths, the most common components of
-a very sparse graph after isolated vertices, by their order alone: it hands
-out the paths of each order as an array with one row of edge ranks per
-path, laid out by one stable sort.  Every other component is coded by
-`coloring.connected_code` on neighbour lists that `_component_lists` cuts,
-for all of them, from one CSR.  Verification runs the same compaction,
-pass, path rule and lists over a batch of colour classes
-(`coloring.class_signatures`).
+O(m log m), not O(n), and hands out the paths of each order, the most
+common components of a very sparse graph after isolated vertices, as an
+array with one row of edge ranks per path, laid out by one stable sort.
+`class_signatures` runs the same compaction and pass over a batch of
+colour classes and signs each class by the sorted codes of its
+components; it is the only routine that signs an edge set.
+
+Component codes are bytes, equal exactly when the components are
+isomorphic, and this module is their one home.  A path is coded by its
+order alone (`_path_code`).  Every other component goes through
+`connected_code` on neighbour lists that `_component_lists` cuts, for all
+of them, from one CSR.  A tree of any size gets its centre-rooted AHU
+string (Aho, Hopcroft and Ullman, 1974) from `tree_code`, built while its
+leaf layers are peeled: each peeled vertex's code is put together from its
+already peeled children, and the last one or two vertices left are the
+centres, whose codes make the string.  Complete graphs and cycles get
+short codes.  Anything else small gets an exact certificate: the least
+adjacency bitstring over the leaves of an individualisation-refinement
+search (McKay and Piperno, J. Symbolic Comput. 2014), which branches on
+one vertex per twin class of a cell (u and v are twins when N(u) - {v} ==
+N(v) - {u}).  Swapping twins is an automorphism, so a skipped twin's
+subtree holds the same bitstrings and the bytes are those of the full
+search.  A cell that is one twin class is individualised without refining:
+one member alone in a new colour splits no other cell, so a chain of twins
+costs no refinement.  A complete multipartite graph is searched only
+across its parts of equal size, and refined only where the search
+branches.  The census gives a non-tree component above 12 vertices a
+coarse code of its order, size and degree sequence instead.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -354,6 +374,172 @@ def components(g: Graph) -> list[tuple[int, ...]]:
     return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
+class CanonicalizationError(ValueError):
+    """Raised when a graph is too large (or too symmetric) for the exact
+    canonical form."""
+
+
+_LEAF_LIMIT = 200_000
+
+
+def _refine(adj: Sequence[Sequence[int]], colors: tuple[int, ...]) -> tuple[int, ...]:
+    # stable colour refinement: colour + sorted neighbour colours, renumbered;
+    # a round that splits no cell has reached the fixed point
+    cells = len(set(colors))
+    while True:
+        keys = [(c, tuple(sorted(map(colors.__getitem__, a)))) for c, a in zip(colors, adj)]
+        order = {k: i for i, k in enumerate(sorted(set(keys)))}
+        colors = tuple(map(order.__getitem__, keys))
+        if len(order) == cells:
+            return colors
+        cells = len(order)
+
+
+def _canonical_bits(n: int, adj: Sequence[Sequence[int]]) -> int:
+    """Minimum adjacency bitstring over all discrete refinements reached by
+    individualisation; exact but exponential in the worst case, hence the
+    leaf budget.
+
+    A cell is branched on once per twin class: v is skipped when an earlier
+    vertex u of the cell has N(u) - {v} == N(v) - {u}.  Swapping such twins
+    is an automorphism that fixes every individualised vertex (each sits in
+    a singleton cell), and refinement does not look at labels, so it maps
+    v's subtree onto u's leaf for leaf with equal bitstrings: the minimum,
+    and every certificate byte, is what the full search gives.
+
+    Only the root and the children of a branching are refined.  While the
+    first cell of two or more vertices is a single twin class, its first
+    vertex moves to a new last colour, where `_refine` would put it: a twin
+    class is a clique or an independent set that every other vertex sees
+    whole or not at all, so one member alone in a new colour splits no
+    other cell of the equitable colouring.  The leaves, their order and so
+    the bytes are those of refining every step."""
+    best: Optional[int] = None
+    leaves = 0
+
+    masks = [sum(1 << w for w in a) for a in adj]
+    # being twins is an equivalence relation; twin[v] is the least of v's class
+    twin = [
+        next(u for u in range(v + 1) if masks[u] & ~(1 << v) == masks[v] & ~(1 << u))
+        for v in range(n)
+    ]
+    edges = [(u, w) for u, a in enumerate(adj) for w in a if u < w]
+    # the pair of positions i < j sits at bit i(2n-i-1)/2 + j-i-1 = row[i] + j
+    row = [i * (2 * n - i - 1) // 2 - i - 1 for i in range(n)]
+
+    stack = [(0,) * n]  # colourings still to refine, walked depth first
+    while stack:
+        colors = list(_refine(adj, stack.pop()))
+        cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+        for v, c in enumerate(colors):
+            cells[c].append(v)
+        top = len(cells)
+        split = None
+        for cell in cells:  # by colour; the new colours are all singletons
+            if len(cell) == 1:
+                continue
+            if any(twin[v] != twin[cell[0]] for v in cell):
+                split = cell
+                break
+            for v in cell[:-1]:  # one twin class: its last vertex stays put
+                colors[v] = top
+                top += 1
+        if split is None:
+            leaves += 1
+            if leaves > _LEAF_LIMIT:
+                raise CanonicalizationError("graph too symmetric to canonicalise")
+            bits = 0
+            for u, w in edges:
+                i, j = colors[u], colors[w]
+                bits |= 1 << (row[i] + j if i < j else row[j] + i)
+            if best is None or bits < best:
+                best = bits
+            continue
+        branched = set()  # twin classes of the cell already branched on
+        for v in split:
+            if twin[v] not in branched:
+                branched.add(twin[v])
+                child = colors.copy()
+                child[v] = n
+                stack.append(tuple(child))
+    assert best is not None
+    return best
+
+
+def tree_code(adj: Sequence[Sequence[int]]) -> bytes:
+    """AHU code of the tree on vertices 0..n-1 with these neighbour lists.
+
+    The tree is rooted at its centre; bicentral trees are split at the central
+    edge and both halves encoded, smaller half first.  Codes of two trees are
+    equal exactly when the trees are isomorphic.  The caller checks that
+    there are n - 1 edges.
+
+    One pass peels leaf layers off the tree.  A vertex is peeled once all
+    but one of its neighbours are, so its children toward the leaves are
+    coded by then and its own code is put together as it goes; the one or
+    two vertices left are the centres.
+    """
+    n = len(adj)
+    deg = [len(a) for a in adj]
+    kids: list[list[bytes]] = [[] for _ in range(n)]  # codes of peeled children
+    layer = [v for v in range(n) if deg[v] == 1]
+    alive = n
+    while alive > 2:
+        if not layer:
+            # a tree always has leaves to peel; a cycle never empties
+            raise ValueError("input is not a tree (contains a cycle)")
+        alive -= len(layer)
+        nxt = []
+        for v in layer:
+            deg[v] = 0
+            codes = kids[v]
+            codes.sort()
+            code = b"(" + b"".join(codes) + b")"
+            for w in adj[v]:
+                if deg[w]:
+                    kids[w].append(code)
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        nxt.append(w)
+        layer = nxt
+    centres = layer if n > 2 else range(n)
+    halves = sorted(b"(" + b"".join(sorted(kids[c])) + b")" for c in centres)
+    if len(centres) == 2 and centres[1] not in adj[centres[0]]:
+        raise ValueError("input is not a tree (disconnected centre pair)")
+    # the centres' codes hold every vertex only if the graph is connected
+    if not halves or sum(map(len, halves)) != 2 * n:
+        raise ValueError("input is not a tree (not connected)")
+    return halves[0] if len(halves) == 1 else b"[" + b"".join(halves) + b"]"
+
+
+def connected_code(adj: Sequence[Sequence[int]], max_vertices: int) -> bytes:
+    """Code of the connected graph on 0..n-1 with these neighbour lists:
+    equal codes exactly when isomorphic.  A tree of any size gets its AHU
+    string (starting with "(" or "["), anything else its exact certificate
+    (starting with "K", "C" or "B"), which needs n <= max_vertices."""
+    n = len(adj)
+    if sum(map(len, adj)) == 2 * (n - 1):
+        return tree_code(adj)
+    if n > max_vertices:
+        raise CanonicalizationError(
+            f"component has {n} vertices, canonical form capped at {max_vertices}"
+        )
+    degrees = sorted(map(len, adj))
+    # two shapes common enough to special-case: complete graphs and cycles
+    if degrees[0] == n - 1:
+        return b"K%d" % n
+    if degrees[0] == 2 and degrees[-1] == 2:
+        return b"C%d" % n
+    return b"B%d:%x" % (n, _canonical_bits(n, adj))
+
+
+@lru_cache(maxsize=None)
+def _path_code(order: int) -> bytes:
+    """`tree_code` of the path on order >= 1 vertices."""
+    adj = [[j for j in (i - 1, i + 1) if 0 <= j < order] for i in range(order)]
+    return tree_code(adj)
+
+
 @dataclass(frozen=True)
 class ComponentCensus:
     """Classification of a graph's components by canonical code.
@@ -379,11 +565,8 @@ _EXACT_CENSUS_CAP = 12
 def _component_code(adj: list[list[int]]) -> bytes:
     """Census code of the connected graph with these neighbour lists: a
     tree's AHU string, b"G{cert}" for any other component of at most 12
-    vertices, where cert is its exact certificate (`coloring.connected_code`
-    both times), and a coarse b"L..." code above that."""
-    # imported here: coloring builds on Graph, so it imports this module
-    from .coloring import connected_code
-
+    vertices, where cert is its exact certificate (`connected_code` both
+    times), and a coarse b"L..." code above that."""
     order, size = len(adj), sum(map(len, adj)) // 2
     if size == order - 1:
         return connected_code(adj, _EXACT_CENSUS_CAP)
@@ -404,12 +587,10 @@ def census(g: Graph) -> ComponentCensus:
     component's order, edge count and maximum degree; the other n minus
     that many are isolated vertices, counted but never labelled.  Isolated
     vertices and paths are determined up to isomorphism by their order, so
-    each order is coded once (`coloring._path_code`), and one stable sort
+    each order is coded once (`_path_code`), and one stable sort
     of the path edges by (order, smallest vertex) lays out the rows of
     `paths`; every other component is coded on its own.
     """
-    from .coloring import _path_code  # see _component_code
-
     ends = np.column_stack(_lex_endpoints(g.ranks))
     keys, edges, labels, roots, order, path = _component_shapes(ends)
     isolated = g.n - len(keys)
@@ -433,6 +614,37 @@ def census(g: Graph) -> ComponentCensus:
         for k, rows in zip(kinds.tolist(), np.split(ranks, bounds[:-1]))
     }
     return ComponentCensus(counts=counts, paths=paths)
+
+
+def class_signatures(
+    classes: Sequence[np.ndarray], n: int, max_vertices: int = 10
+) -> list:
+    """Signature of every class, a rank array on vertices below n: the
+    sorted codes of its components, so equal signatures mean isomorphic
+    classes.  One labelling pass covers them all, with vertex v of class c
+    keyed c * n + v.  Paths are coded by their order alone, every other
+    component by `connected_code`; a class with a component that cannot be
+    coded gets the CanonicalizationError of the first, by smallest vertex,
+    instead."""
+    if not classes:
+        return []
+    tags = np.repeat(np.arange(len(classes)), [len(c) for c in classes])
+    us, vs = _unrank_pairs(np.concatenate(classes))
+    keyed = np.concatenate((tags * n + us, tags * n + vs)).reshape(2, -1).T
+    keys, edges, labels, roots, order, path = _component_shapes(keyed)
+    owner = keys[roots] // n  # class of each component
+    codes: list[list[bytes]] = [[] for _ in classes]
+    for c, size in zip(owner[path].tolist(), order[path].tolist()):
+        codes[c].append(_path_code(size))
+    failed: dict[int, CanonicalizationError] = {}
+    others = _component_lists(edges, labels, roots[~path])
+    for c, adj in zip(owner[~path].tolist(), others):
+        if c not in failed:
+            try:
+                codes[c].append(connected_code(adj, max_vertices))
+            except CanonicalizationError as exc:
+                failed[c] = exc
+    return [failed.get(c) or tuple(sorted(cs)) for c, cs in enumerate(codes)]
 
 
 def write_edgelist(g: Graph, path: str) -> None:

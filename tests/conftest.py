@@ -15,13 +15,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from taulab import rng as rngmod
-from taulab.catalog import (
-    CanonicalCode,
-    ahu_code,
-    rooted_to_graph,
-    sample_rooted_binary,
-)
-from taulab.coloring import _LEAF_LIMIT, CanonicalizationError, connected_code
+from taulab.catalog import RootedBinaryTree, _unrank_shape, ahu_code, catalan
 from taulab.embed import (
     EmbeddedTree,
     EmbedResult,
@@ -29,7 +23,15 @@ from taulab.embed import (
     LazyRandomGraph,
     _connected_order,
 )
-from taulab.graph import Graph, _component_code, pair_rank, pair_ranks
+from taulab.graph import (
+    _LEAF_LIMIT,
+    CanonicalizationError,
+    Graph,
+    _component_code,
+    connected_code,
+    pair_rank,
+    pair_ranks,
+)
 
 
 @dataclass(frozen=True)
@@ -356,6 +358,33 @@ def component_census(g: Graph) -> tuple[dict, dict]:
     return counts, {k: np.array(rows) for k, rows in sorted(paths.items())}
 
 
+def sample_rooted_binary(t: int, rng: np.random.Generator) -> RootedBinaryTree:
+    """Uniform shape among the catalan(t), by exact big-integer unranking."""
+    shape = _unrank_shape(t, rngmod.bigint_below(rng, catalan(t)))
+    assert shape is not None
+    return shape
+
+
+def rooted_to_graph(root: RootedBinaryTree) -> Graph:
+    """Underlying unrooted tree of a shape, its nodes numbered in preorder,
+    left subtree first; max degree 3 by construction.  The shape oracle for
+    `catalog._unrank_tree`, which builds the same tree without the shape."""
+    edges: list[tuple[int, int]] = []
+    counter = 0
+    stack: list[tuple[RootedBinaryTree, int]] = [(root, -1)]
+    while stack:
+        node, parent = stack.pop()
+        idx = counter
+        counter += 1
+        if parent >= 0:
+            edges.append((parent, idx))
+        if node.right is not None:
+            stack.append((node.right, idx))
+        if node.left is not None:
+            stack.append((node.left, idx))
+    return Graph.from_edges(counter, edges)
+
+
 def sampled_distinct_trees(t: int, want: int, rng) -> list[Graph]:
     """want pairwise non-isomorphic max-degree-3 trees on t vertices, drawn
     one uniform rooted binary shape at a time and kept when their code is
@@ -373,7 +402,7 @@ def sampled_distinct_trees(t: int, want: int, rng) -> list[Graph]:
     return out
 
 
-def coded(trees: Iterable[Graph]) -> list[tuple[Graph, CanonicalCode]]:
+def coded(trees: Iterable[Graph]) -> list[tuple[Graph, bytes]]:
     """The trees as a supply for `greedy_embed`: each with its `ahu_code`."""
     return [(g, ahu_code(g)) for g in trees]
 
@@ -413,7 +442,7 @@ def scalar_reveal(g: LazyRandomGraph, u: int, v: int) -> bool:
 
 def scalar_greedy_embed(
     g: LazyRandomGraph,
-    trees: Iterable[tuple[Graph, CanonicalCode]],
+    trees: Iterable[tuple[Graph, bytes]],
     step_budget: int,
     rng: np.random.Generator,
     record_log: bool = False,
@@ -588,7 +617,7 @@ def scalar_dfs_path_pack(
 
 
 def _refine(n: int, adj: Sequence[Sequence[int]], colors: tuple[int, ...]) -> tuple[int, ...]:
-    """The earlier `coloring._refine`, kept apart from it: stable colour
+    """The earlier `graph._refine`, kept apart from it: stable colour
     refinement, each vertex keyed by its colour and its sorted neighbour
     colours, the keys renumbered in sorted order until nothing changes."""
     while True:
@@ -605,7 +634,7 @@ def _refine(n: int, adj: Sequence[Sequence[int]], colors: tuple[int, ...]) -> tu
 def twin_pruned_canonical_bits(
     n: int, adj: Sequence[Sequence[int]], leaf_limit: int = _LEAF_LIMIT
 ) -> int:
-    """The earlier `coloring._canonical_bits`: the unpruned search below,
+    """The earlier `graph._canonical_bits`: the unpruned search below,
     branching on one vertex per twin class of a cell, and refining every
     node, the twin chains included; raises CanonicalizationError past
     leaf_limit leaves."""
@@ -661,7 +690,7 @@ def twin_pruned_canonical_bits(
 def unpruned_canonical_bits(
     n: int, adj: Sequence[Sequence[int]], leaf_limit: int = _LEAF_LIMIT
 ) -> int:
-    """The earlier `coloring._canonical_bits`: the minimum adjacency
+    """The earlier `graph._canonical_bits`: the minimum adjacency
     bitstring over every leaf of the individualisation-refinement tree,
     branching on every vertex of the first non-singleton cell and pruning
     nothing; raises CanonicalizationError past leaf_limit leaves."""

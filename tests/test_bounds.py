@@ -29,8 +29,8 @@ from taulab.bounds import (
     verysparse_window,
     xi,
 )
-from taulab.coloring import class_signatures, tau_exact, tau_matching
-from taulab.graph import Graph, pair_ranks
+from taulab.coloring import tau_exact, tau_matching
+from taulab.graph import Graph, class_signatures, pair_ranks
 
 
 def ell_brute(k: int) -> int:

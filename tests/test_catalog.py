@@ -10,6 +10,8 @@ from conftest import (
     brute_isomorphic,
     prufer_tree,
     relabel,
+    rooted_to_graph,
+    sample_rooted_binary,
     sampled_distinct_trees,
     two_pass_tree_code,
 )
@@ -21,19 +23,14 @@ from taulab.catalog import (
     _unrank_tree,
     ahu_code,
     catalan,
-    distinct_maxdeg3_trees,
     enumerate_rooted_binary,
     forest_code,
     free_trees,
     iter_distinct_maxdeg3_trees,
-    maxdeg3_trees,
     partition_count,
     partitions,
-    rooted_to_graph,
-    sample_rooted_binary,
-    tree_code,
 )
-from taulab.graph import Graph
+from taulab.graph import Graph, tree_code
 
 CATALAN_PREFIX = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23]  # t = 1..8
@@ -96,20 +93,19 @@ def test_free_trees_known_counts():
 
 def test_maxdeg3_counts_small():
     # 1, 1, 1, 2, 2, 4, 6, 11 for t = 1..8
-    got = [len(maxdeg3_trees(t)) for t in range(1, 9)]
+    got = [len(list(iter_distinct_maxdeg3_trees(t, None))) for t in range(1, 9)]
     assert got == [1, 1, 1, 2, 2, 4, 6, 11]
 
 
 def test_distinct_maxdeg3_exhaustive_route():
-    trees = distinct_maxdeg3_trees(7, 6)
+    trees = [g for g, _ in iter_distinct_maxdeg3_trees(7, None)]
     codes = {ahu_code(g) for g in trees}
-    assert len(codes) == 6
-    with pytest.raises(RuntimeError):
-        distinct_maxdeg3_trees(7, 7)  # only 6 exist
+    assert len(trees) == len(codes) == 6  # all there are, and no more
 
 
 def test_distinct_maxdeg3_sampling_route():
-    trees = distinct_maxdeg3_trees(20, 25, rng=rngmod.stream(1, 1))
+    stream = iter_distinct_maxdeg3_trees(20, rngmod.stream(1, 1))
+    trees = [g for g, _ in itertools.islice(stream, 25)]
     codes = {ahu_code(g) for g in trees}
     assert len(codes) == 25
     assert all(g.n == 20 for g in trees)
@@ -120,7 +116,8 @@ def test_distinct_maxdeg3_sampling_route():
 def test_distinct_maxdeg3_matches_sampling_loop(t, seed):
     # the stream's prefix is the tree sequence a plain sampling loop keeps
     want = 40
-    got = distinct_maxdeg3_trees(t, want, rng=rngmod.stream(seed, 2))
+    stream = iter_distinct_maxdeg3_trees(t, rngmod.stream(seed, 2))
+    got = [g for g, _ in itertools.islice(stream, want)]
     oracle = sampled_distinct_trees(t, want, rngmod.stream(seed, 2))
     assert len(oracle) == want
     assert [g.edges for g in got] == [g.edges for g in oracle]
@@ -128,13 +125,15 @@ def test_distinct_maxdeg3_matches_sampling_loop(t, seed):
 
 def test_distinct_maxdeg3_sampling_needs_rng():
     with pytest.raises(ValueError, match="rng"):
-        distinct_maxdeg3_trees(20, 3)
+        next(iter_distinct_maxdeg3_trees(20, None))
 
 
 def test_iter_distinct_trees():
     # small t: the stream is the full exhaustive list
     codes = [ahu_code(g) for g, _ in iter_distinct_maxdeg3_trees(12, rngmod.stream(2, 2))]
-    assert len(codes) == len(set(codes)) == len(maxdeg3_trees(12))
+    # of networkx's free trees on 12 vertices, 135 have no degree above 3
+    want = sum(max(map(len, g.adj)) <= 3 for g in free_trees(12))
+    assert len(codes) == len(set(codes)) == want == 135
     # large t: sampled, deduplicated, and finite even when saturated
     it = iter_distinct_maxdeg3_trees(20, rngmod.stream(2, 3))
     seen = set()
@@ -154,18 +153,14 @@ def test_exhaustive_trees_enumerated_once(monkeypatch):
 
     monkeypatch.setattr(catalog.nx, "nonisomorphic_trees", counting)
     catalog._coded_maxdeg3_trees.cache_clear()
-    first = maxdeg3_trees(9)
+    first = list(iter_distinct_maxdeg3_trees(9, None))
     assert calls == [9]
-    first.append(None)  # each caller gets a fresh list
-    second = maxdeg3_trees(9)
+    second = list(iter_distinct_maxdeg3_trees(9, None))
     assert calls == [9]
-    assert second == first[:-1]
-    stream = list(iter_distinct_maxdeg3_trees(9, None))
-    assert calls == [9]
-    assert [g for g, _ in stream] == second
-    assert [code for _, code in stream] == [ahu_code(g) for g in second]
+    assert second == first
+    assert [code for _, code in second] == [ahu_code(g) for g, _ in second]
     with pytest.raises(ValueError):
-        second[0].ranks[0] = 1  # the shared trees are read-only
+        second[0][0].ranks[0] = 1  # the shared trees are read-only
 
 
 def assert_unranks_like_oracle(t: int, rank: int) -> None:

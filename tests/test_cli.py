@@ -655,3 +655,52 @@ def test_gen_outputs_pinned(capsys, tmp_path, branch):
     assert main(["gen", *flags, "--out", out]) == 0
     assert kv(lines(capsys))["m"] == m
     assert sha256(open(out).read()) == digest
+
+
+# A dense colouring small enough that its trees (t = 15) come from the
+# exhaustive supply rather than the sampler that REGIME_PINS runs.  Its
+# "tree:<AHU>" labels are the tree codes as text, so the digest pins the
+# bytes of every tree code it names.
+def test_dense_tree_labels_pinned(capsys, tmp_path):
+    col = str(tmp_path / "col.txt")
+    flags = ["--regime", "dense", "--n", "40", "--p", "0.5", "--seed", "7",
+             "--epsilon", "0.2"]
+    assert main(["color", *flags, "--out", col]) == 0
+    assert kv(lines(capsys))["classes"] == "13"
+    assert sha256(open(col).read()) == (
+        "e64910c7ca4b259e866c77ffa067d815a9b6ca436b40d64a951b075d624f1aa7"
+    )
+
+
+def _relabelled(start: int, edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    return [(start + u, start + v) for u, v in edges]
+
+
+# One component of every kind the census codes: paths by order, a tree by
+# its AHU string, K4 and C6 by their short codes, K_{3,3} and the Petersen
+# graph by their certificates, and a 13-vertex non-tree by the coarse L code.
+# Vertices 0, 1, 52 and 53 are isolated.
+CENSUS_PARTS = [
+    (2, [(0, 1)]),                                      # P2
+    (4, [(0, 1), (1, 2), (2, 3)]),                      # P4
+    (8, [(0, 1), (0, 2), (0, 3), (3, 4)]),              # spider, degree 3
+    (13, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),  # K4
+    (17, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]),  # C6
+    (23, [(u, v) for u in range(3) for v in range(3, 6)]),  # K_{3,3}
+    (29, [(i, (i + 1) % 5) for i in range(5)]           # Petersen: outer C5,
+     + [(i, i + 5) for i in range(5)]                   # spokes and the
+     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]),   # inner pentagram
+    (39, [(i, i + 1) for i in range(12)] + [(0, 12), (0, 6)]),  # C13 + chord
+]
+
+
+def test_census_codes_pinned(capsys, tmp_path):
+    edges = [e for start, part in CENSUS_PARTS for e in _relabelled(start, part)]
+    path = str(tmp_path / "g.edges")
+    write_edgelist(Graph.from_edges(54, edges), path)
+    assert main(["census", "--in", path]) == 0
+    out = capsys.readouterr().out
+    assert kv(out.splitlines())["distinct_types"] == "9"
+    assert sha256(out) == (
+        "5636c2adeb25e528d3aeb99018b817a119ea57d2264c720d39288e0499bc551a"
+    )

@@ -25,10 +25,10 @@ from hypothesis import strategies as st
 
 from taulab import bounds as bnd
 from taulab import cli, coloring
+from taulab import graph as graphmod
 from taulab import rng as rngmod
-from taulab.catalog import CanonicalCode, free_trees
+from taulab.catalog import free_trees
 from taulab.coloring import (
-    CanonicalizationError,
     Coloring,
     VerifyError,
     build_dense_coloring,
@@ -36,7 +36,6 @@ from taulab.coloring import (
     build_verysparse_coloring,
     canonical_form,
     class_signature,
-    class_signatures,
     read_coloring,
     tau_exact,
     tau_matching,
@@ -53,9 +52,11 @@ from taulab.embed import (
     materialize,
 )
 from taulab.graph import (
+    CanonicalizationError,
     ComponentCensus,
     Graph,
     census,
+    class_signatures,
     edge_tuples,
     gen_gnp,
     pair_ranks,
@@ -165,7 +166,7 @@ def complete_multipartite(*parts: int) -> Graph:
 def test_canonical_twin_heavy_shapes_pinned():
     # K_{1,9} has 9! leaves and exhausted the leaf budget before the search
     # branched once per twin class (canonical_form codes it as a tree)
-    assert coloring._canonical_bits(10, complete_multipartite(1, 9).adj) == 0x1fe01
+    assert graphmod._canonical_bits(10, complete_multipartite(1, 9).adj) == 0x1fe01
     seconds = []
     for _ in range(3):
         t0 = time.perf_counter()
@@ -202,14 +203,14 @@ def test_lone_twin_class_is_individualised_without_refining(monkeypatch, parts, 
     # refine; the earlier search refined every twin step too
     g = complete_multipartite(*parts)
     want, before = refines(monkeypatch, conftest, twin_pruned_canonical_bits, g)
-    got, after = refines(monkeypatch, coloring, coloring._canonical_bits, g)
+    got, after = refines(monkeypatch, graphmod, graphmod._canonical_bits, g)
     assert (got, before, after) == (want, earlier, now)
 
 
 def test_canonical_leaf_budget_still_fires(monkeypatch):
     petersen = Graph.from_edges(10, nx.edges(nx.petersen_graph()))
     cert = canonical_form(petersen)  # twin-free, so it is searched leaf by leaf
-    monkeypatch.setattr(coloring, "_LEAF_LIMIT", 2)
+    monkeypatch.setattr(graphmod, "_LEAF_LIMIT", 2)
     with pytest.raises(CanonicalizationError, match="too symmetric"):
         canonical_form(petersen)
     # a twin-heavy graph has a single leaf left, inside any budget
@@ -279,7 +280,7 @@ def test_canonical_bits_match_the_unpruned_search(graph):
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    got = coloring._canonical_bits(n, adj)
+    got = graphmod._canonical_bits(n, adj)
     # the twin-pruned search that refines every node needs no small budget
     assert got == twin_pruned_canonical_bits(n, adj)
     try:
@@ -779,7 +780,7 @@ def test_sparse_builder_oversized_k():
 
 def embedded_classes(host, edge_sets, monkeypatch):
     trees = [
-        EmbeddedTree(code=CanonicalCode(b"%d" % i), mapping={}, edges=tuple(es))
+        EmbeddedTree(code=b"%d" % i, mapping={}, edges=tuple(es))
         for i, es in enumerate(edge_sets)
     ]
     trace = EmbedTrace(steps=0, rev=[], rev_active=[], rev_inactive=[], activations=[])

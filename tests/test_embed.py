@@ -5,10 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import blockwise_materialize, coded, oracle_revealed, scalar_greedy_embed
+from conftest import (
+    blockwise_materialize,
+    coded,
+    oracle_revealed,
+    rooted_to_graph,
+    sample_rooted_binary,
+    scalar_greedy_embed,
+)
 from taulab import embed
 from taulab import rng as rngmod
-from taulab.catalog import ahu_code, free_trees, rooted_to_graph, sample_rooted_binary
+from taulab.catalog import ahu_code, free_trees
 from taulab.embed import (
     LazyRandomGraph,
     diagnostics_check,

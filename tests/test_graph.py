@@ -17,15 +17,17 @@ from conftest import (
 )
 from taulab import graph
 from taulab import rng as rngmod
-from taulab.coloring import CanonicalizationError, _path_code, class_signatures
 from taulab.graph import (
+    CanonicalizationError,
     Graph,
     _component_labels,
     _component_lists,
     _first_distinct_draws,
     _lex_endpoints,
+    _path_code,
     _unrank_pairs,
     census,
+    class_signatures,
     components,
     edge_tuples,
     gen_gnp,

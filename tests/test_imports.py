@@ -1,10 +1,9 @@
 """No linter is configured for this repository, so these scans stand in for
 flake8's F401, for an import-placement rule and for a dead-code check.
 Every name a library module imports must be used in it, unless the import
-statement carries `# noqa: F401`.  Imports sit at module level, except in
-graph.py from .coloring: coloring builds on Graph and so imports graph, and
-the census borrows coloring's component codes, the one known import cycle.
-Every module-level private name must be read somewhere in the library."""
+statement carries `# noqa: F401`.  Imports sit at module level, with no
+exception.  Every module-level private name must be read somewhere in the
+library."""
 
 import ast
 from pathlib import Path
@@ -43,32 +42,26 @@ def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
 
 
-def function_level_imports(module: str, source: str) -> list[str]:
-    """'line k' for each import made inside a function, other than the
-    allowed cycle: graph.py importing from .coloring."""
+def function_level_imports(source: str) -> list[str]:
+    """'line k' for each import made inside a function."""
     found = set()  # a set: a nested function's imports are walked twice
     for fn in ast.walk(ast.parse(source)):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
         for node in ast.walk(fn):
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):
-                continue
-            cycle = (isinstance(node, ast.ImportFrom) and node.level == 1
-                     and node.module == "coloring")
-            if not (module == "graph.py" and cycle):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
                 found.add(node.lineno)
     return [f"line {k}" for k in sorted(found)]
 
 
 def test_scan_finds_a_function_level_import():
     source = "def f():\n    from .coloring import x\n    def g():\n        from .catalog import y\n"
-    assert function_level_imports("graph.py", source) == ["line 4"]
-    assert function_level_imports("cli.py", source) == ["line 2", "line 4"]
+    assert function_level_imports(source) == ["line 2", "line 4"]
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_imports_at_module_level(module):
-    assert function_level_imports(module, (SRC / module).read_text()) == []
+    assert function_level_imports((SRC / module).read_text()) == []
 
 
 def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
