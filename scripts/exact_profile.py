@@ -11,6 +11,12 @@ then the median `tau_exact` milliseconds over all decks and shapes, then
 `canonical_form` and the `tau_exact` drawn with it, as the bench's `exact`
 trial times them.
 
+Last comes the crossover table behind `graph._SMALL_BATCH`: the median
+`class_signatures` microseconds on the numpy path and on the plain Python
+path, for batches of 8 to 256 edges of two kinds: two-edge classes on 9
+vertices, as `tau_exact` signs its two-edge level, and relabelled complete
+multipartite classes of the shapes above, as many as fit.
+
 Runs from a checkout: python3 scripts/exact_profile.py --decks 5 --tau-edges 12
 """
 
@@ -25,9 +31,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
+from taulab import graph as graphmod
 from taulab.catalog import partitions
 from taulab.coloring import canonical_form, tau_exact
-from taulab.graph import Graph
+from taulab.graph import Graph, class_signatures
 
 
 def shapes() -> list[tuple[int, ...]]:
@@ -54,6 +61,48 @@ def random_small(rng, edges: int) -> Graph:
     pairs = list(itertools.combinations(range(nv), 2))
     pick = rng.choice(len(pairs), size=edges, replace=False)
     return Graph.from_edges(nv, [pairs[i] for i in pick.tolist()])
+
+
+BATCH_EDGES = (8, 16, 32, 64, 128, 256)
+PATHS = {"numpy": 0, "python": max(BATCH_EDGES)}  # _SMALL_BATCH for each
+
+
+def two_edge_batch(rng, edges: int) -> list[np.ndarray]:
+    # the pair ranks below C(9, 2) = 36 are the pairs of 9 vertices
+    return [np.sort(rng.choice(36, 2, replace=False)) for _ in range(edges // 2)]
+
+
+def multipartite_batch(rng, edges: int) -> list[np.ndarray]:
+    """Multipartite classes of random shapes while one fits, so the batch
+    holds edges - 3 to edges edges (the smallest shape, K_{2,2}, has 4)."""
+    size = {parts: (sum(parts) ** 2 - sum(s * s for s in parts)) // 2 for parts in shapes()}
+    batch, left = [], edges
+    while fits := [parts for parts in size if size[parts] <= left]:
+        parts = fits[int(rng.integers(len(fits)))]
+        batch.append(multipartite(parts, rng).ranks)
+        left -= size[parts]
+    return batch
+
+
+def crossover(decks: int) -> dict[tuple[str, int], dict[str, list[float]]]:
+    """Microseconds of class_signatures on each path, per (kind, edges),
+    both paths on each of 20 batches per deck, the first path alternating."""
+    kinds = {"two-edge": two_edge_batch, "multipartite": multipartite_batch}
+    times = {(kind, e): {path: [] for path in PATHS} for kind in kinds for e in BATCH_EDGES}
+    rng = np.random.default_rng(decks)
+    saved = graphmod._SMALL_BATCH
+    try:
+        for draw in range(20 * decks):
+            for (kind, edges), row in times.items():
+                batch = kinds[kind](rng, edges)
+                for path in sorted(PATHS, reverse=draw % 2 == 1):
+                    graphmod._SMALL_BATCH = PATHS[path]
+                    t0 = time.perf_counter()
+                    class_signatures(batch, 9)
+                    row[path].append(1e6 * (time.perf_counter() - t0))
+    finally:
+        graphmod._SMALL_BATCH = saved
+    return times
 
 
 def millis(fn, arg) -> float:
@@ -88,6 +137,11 @@ def main() -> None:
         print(f"{label:<10} {sum(parts):>2} {statistics.median(canon[parts]):>12.3f}")
     print(f"tau_exact_ms {statistics.median(tau):.3f}")
     print(f"trial_ms {statistics.median(trial):.3f}")
+
+    print(f"{'batch':<12} {'edges':>5} {'numpy_us':>9} {'python_us':>9}")
+    for (kind, edges), row in crossover(args.decks).items():
+        us = [statistics.median(row[path]) for path in PATHS]
+        print(f"{kind:<12} {edges:>5} {us[0]:>9.1f} {us[1]:>9.1f}")
 
 
 if __name__ == "__main__":

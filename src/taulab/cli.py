@@ -7,7 +7,9 @@ candidates left, an empty census, a colouring that fails verification).
 
 `experiment` runs independent seeded trials, one CSV row each, and prints a
 JSON summary.  Identical flags give byte-identical output except for the
-trailing millis column, which records wall time.
+trailing millis column, which records wall time.  `ratio` divides the class
+count by `upper_bound`: `bounds.upper_dense(n, p)` for dense and sparse, and
+`bounds.upper_F`, its budgets read off the host's census, for verysparse.
 """
 
 from __future__ import annotations
@@ -505,7 +507,8 @@ _FLAG_RULES = {
     "c_path": ("positive", lambda v: v > 0),
     "epsilon": ("nonnegative", lambda v: v >= 0),
     "jobs": _at_least(1),
-    "max_edges": ("nonnegative", lambda v: v >= 0),
+    "max_edges": (f"between 0 and {len(bnd.GRAPHS_WITH_EDGES)}",
+                  lambda v: 0 <= v <= len(bnd.GRAPHS_WITH_EDGES)),
     "max_paths": ("nonnegative", lambda v: v >= 0),
     "seed": ("nonnegative", lambda v: v >= 0),
     "target_len": _at_least(1),

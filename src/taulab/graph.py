@@ -31,7 +31,8 @@ common components of a very sparse graph after isolated vertices, as an
 array with one row of edge ranks per path, laid out by one stable sort.
 `class_signatures` runs the same compaction and pass over a batch of
 colour classes and signs each class by the sorted codes of its
-components; it is the only routine that signs an edge set.
+components; it is the only routine that signs an edge set, in plain Python
+for a batch of at most `_SMALL_BATCH` edges, too few to repay numpy's cost.
 
 Component codes are bytes, equal exactly when the components are
 isomorphic, and this module is their one home.  A path is coded by its
@@ -59,8 +60,10 @@ coarse code of its order, size and degree sequence instead.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -616,6 +619,45 @@ def census(g: Graph) -> ComponentCensus:
     return ComponentCensus(counts=counts, paths=paths)
 
 
+# Batches of at most this many edges skip numpy (scripts/exact_profile.py)
+_SMALL_BATCH = 64
+
+
+def _small_signature(ranks: list[int], max_vertices: int):
+    """`class_signatures` of one class in plain Python: each component from
+    its smallest vertex, numbered 0.. in vertex order as `_component_lists` does."""
+    adj: dict[int, list[int]] = {}
+    for r in ranks:
+        v = (1 + math.isqrt(8 * r + 1)) // 2
+        u = r - v * (v - 1) // 2
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    codes, seen = [], set()
+    for root in sorted(adj):
+        if root in seen:
+            continue
+        comp, arcs, top = [root], 0, 0  # vertices, degree sum, maximum degree
+        seen.add(root)
+        for x in comp:
+            arcs += len(adj[x])
+            if len(adj[x]) > top:
+                top = len(adj[x])
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+        if top <= 2 and arcs == 2 * len(comp) - 2:
+            codes.append(_path_code(len(comp)))
+            continue
+        local = {x: i for i, x in enumerate(sorted(comp))}  # in vertex order
+        lists = [sorted(map(local.__getitem__, adj[x])) for x in local]
+        try:
+            codes.append(connected_code(lists, max_vertices))
+        except CanonicalizationError as exc:
+            return exc
+    return tuple(sorted(codes))
+
+
 def class_signatures(
     classes: Sequence[np.ndarray], n: int, max_vertices: int = 10
 ) -> list:
@@ -625,9 +667,14 @@ def class_signatures(
     keyed c * n + v.  Paths are coded by their order alone, every other
     component by `connected_code`; a class with a component that cannot be
     coded gets the CanonicalizationError of the first, by smallest vertex,
-    instead."""
+    instead.  A batch of at most `_SMALL_BATCH` edges is signed in Python."""
     if not classes:
         return []
+    if sum(map(len, classes)) <= _SMALL_BATCH:
+        rows = [c.tolist() for c in classes]
+        if max(chain.from_iterable(rows), default=0) >= _UNRANK_LIMIT:
+            _unrank_pairs(np.concatenate(classes))  # refuses, naming the maximum
+        return [_small_signature(r, max_vertices) for r in rows]
     tags = np.repeat(np.arange(len(classes)), [len(c) for c in classes])
     us, vs = _unrank_pairs(np.concatenate(classes))
     keyed = np.concatenate((tags * n + us, tags * n + vs)).reshape(2, -1).T

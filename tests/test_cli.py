@@ -82,6 +82,8 @@ _SPARSE = ["--regime", "sparse", "--n", "50", "--p-over-n", "3", "--seed", "1"]
         (["experiment", "--regime", "sparse", "--n", "15", "--p", "0.5", "--seed", "1",
           "--trials", "1"], "--n"),
         (["embed", "--n", "1", "--p", "0.5", "--seed", "0"], "--n"),
+        # above tau_exact's ceiling, len(GRAPHS_WITH_EDGES)
+        (["tau-exact", "--bundled", "k3", "--max-edges", "13"], "--max-edges"),
     ],
 )
 def test_bad_flag_values_exit_1(capsys, tmp_path, argv, flag):
@@ -243,9 +245,11 @@ def test_tau_exact_ceiling_fails_fast(capsys, tmp_path):
     f = str(tmp_path / "c20.edges")
     write_edgelist(Graph.from_edges(20, [(i, (i + 1) % 20) for i in range(20)]), f)
     t0 = time.perf_counter()
-    assert main(["tau-exact", "--in", f, "--max-edges", "13"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["tau-exact", "--in", f, "--max-edges", "13"])
+    assert exc.value.code == 1  # a flag rule, like --max-edges -1
     assert time.perf_counter() - t0 < 1.0
-    assert "max_edges <= 12" in capsys.readouterr().err
+    assert "--max-edges must be between 0 and 12" in capsys.readouterr().err
 
 
 # --- bounds ----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import itertools
 import math
@@ -207,6 +208,40 @@ def test_lone_twin_class_is_individualised_without_refining(monkeypatch, parts, 
     assert (got, before, after) == (want, earlier, now)
 
 
+def from_nx(x: nx.Graph) -> Graph:
+    x = nx.convert_node_labels_to_integers(x)
+    return Graph.from_edges(x.number_of_nodes(), x.edges)
+
+
+# twin-free symmetric graphs and the _refine calls of their search
+TWIN_FREE = {
+    "Q3": (lambda: nx.hypercube_graph(3), 81),
+    "Petersen": (nx.petersen_graph, 191),
+    "C10(1,3)": (lambda: nx.circulant_graph(10, [1, 3]), 411),
+    "C12(1,2,5)": (lambda: nx.circulant_graph(12, [1, 2, 5]), 253),
+    "icosahedron": (nx.icosahedral_graph, 193),
+    "K4xK3": (lambda: nx.cartesian_product(nx.complete_graph(4), nx.complete_graph(3)), 229),
+    "Paley 13": (lambda: nx.paley_graph(13).to_undirected(), 92),
+    # K_{6,6} minus a perfect matching
+    "crown 12": (lambda: nx.Graph((i, 6 + j) for i in range(6) for j in range(6) if i != j),
+                 2473),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWIN_FREE))
+def test_twin_free_symmetric_graphs_stay_inside_the_leaf_budget(monkeypatch, name):
+    # with no twins to prune, every leaf is reached by refinement; all stay
+    # far inside _LEAF_LIMIT.  At 14 vertices the crown graph and K7 x K2
+    # take 17,319 calls and about 1.2 s each, too slow to test here
+    build, calls = TWIN_FREE[name]
+    g = from_nx(build())
+    pairs = itertools.combinations(range(g.n), 2)
+    assert not any(set(g.adj[u]) - {v} == set(g.adj[v]) - {u} for u, v in pairs)
+    assert refines(monkeypatch, graphmod, graphmod._canonical_bits, g)[1] == calls
+    perm = rngmod.stream(len(name), 7).permutation(g.n).tolist()
+    assert canonical_form(relabel(g, perm), 13) == canonical_form(g, 13)
+
+
 def test_canonical_leaf_budget_still_fires(monkeypatch):
     petersen = Graph.from_edges(10, nx.edges(nx.petersen_graph()))
     cert = canonical_form(petersen)  # twin-free, so it is searched leaf by leaf
@@ -408,6 +443,22 @@ def _part_edges(kind: str, size: int, rng) -> list[tuple[int, int]]:
 
 _POOL = 80  # vertex ids shared by every class of a batch
 
+# graph._SMALL_BATCH values that send every batch down one of
+# class_signatures' two paths: numpy, or one class at a time in Python
+SIGNING_PATHS = {"numpy": 0, "python": 1 << 62}
+
+
+@contextlib.contextmanager
+def signing_path(name: str):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphmod, "_SMALL_BATCH", SIGNING_PATHS[name])
+        yield
+
+
+def outcomes(sigs: list) -> list:
+    """Signatures, with each CanonicalizationError replaced by its message."""
+    return [f"error: {s}" if isinstance(s, CanonicalizationError) else s for s in sigs]
+
 
 def _batch_class(parts, seed: int) -> list[tuple[int, int]]:
     """One class: its parts laid on disjoint vertices of a seeded
@@ -441,31 +492,89 @@ def _batch_class(parts, seed: int) -> list[tuple[int, int]]:
 @settings(max_examples=200, deadline=None)
 def test_class_signatures_match_class_signature(batch):
     classes = [_batch_class(parts, seed) for parts, seed in batch]
-    got = class_signatures(
-        [np.sort(pair_ranks(cls)) for cls in classes], _POOL
-    )
-    assert len(got) == len(classes)
-    for cls, sig in zip(classes, got):
+    want = []
+    for cls in classes:
         try:
-            want = bfs_class_signature(cls)
+            want.append(bfs_class_signature(cls))
         except CanonicalizationError as exc:
             # only this class fails, with the oracle's message
-            assert isinstance(sig, CanonicalizationError)
-            assert str(sig) == str(exc)
-        else:
-            assert sig == want
+            want.append(f"error: {exc}")
+    for path in SIGNING_PATHS:
+        with signing_path(path):
+            got = class_signatures([np.sort(pair_ranks(cls)) for cls in classes], _POOL)
+        assert outcomes(got) == want, path
+
+
+@given(
+    st.integers(0, 2**31),
+    st.integers(3, 16),
+    st.sampled_from([None, 1, 3]),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_signing_paths_agree_around_the_threshold(seed, max_vertices, leaf_limit, beyond):
+    # batches of about 0 to twice graph._SMALL_BATCH edges; a tiny leaf
+    # budget makes symmetric components fail as well as large ones, and one
+    # rank of 2**52 or more must be refused on either path
+    rng = rngmod.stream(seed, 6)
+    n, count = int(rng.integers(6, 17)), int(rng.integers(1, 7))
+    pairs = np.sort(pair_ranks(list(itertools.combinations(range(n), 2))))
+    edges = int(rng.integers(0, 2 * graphmod._SMALL_BATCH + 1))
+    sizes = np.minimum(rng.multinomial(edges, [1 / count] * count), len(pairs))
+    classes = [np.sort(rng.choice(pairs, size, replace=False)) for size in sizes.tolist()]
+    if beyond:
+        classes[-1] = np.append(classes[-1], 2**52 + int(rng.integers(0, 2**40)))
+    total = sum(map(len, classes))
+    event("python" if total <= graphmod._SMALL_BATCH else "numpy")
+    code, sign = graphmod.connected_code, graphmod._small_signature
+    seen = {}
+    for path in (None, *SIGNING_PATHS):  # None: the path the threshold picks
+        calls, small = [], []  # neighbour lists coded, classes signed alone
+
+        def recorded_code(adj, cap):
+            calls.append(adj)
+            return code(adj, cap)
+
+        def recorded_sign(ranks, cap):
+            small.append(ranks)
+            return sign(ranks, cap)
+
+        with pytest.MonkeyPatch.context() as mp:
+            if path is not None:
+                mp.setattr(graphmod, "_SMALL_BATCH", SIGNING_PATHS[path])
+            if leaf_limit is not None:
+                mp.setattr(graphmod, "_LEAF_LIMIT", leaf_limit)
+            mp.setattr(graphmod, "connected_code", recorded_code)
+            mp.setattr(graphmod, "_small_signature", recorded_sign)
+            try:
+                got = outcomes(class_signatures(classes, n, max_vertices))
+            except ValueError as exc:
+                got = f"refused: {exc}"
+        # the same results from the same neighbour lists, coded in order
+        seen[path] = (got, calls)
+        if path is None:
+            assert bool(small) == (total <= graphmod._SMALL_BATCH and not beyond)
+            event("refused" if beyond else "failed" if "error" in str(got) else "signed")
+    assert seen[None] == seen["numpy"] == seen["python"]
+    if beyond:
+        top = max(int(c.max()) for c in classes if len(c))
+        assert seen[None][0] == (
+            f"refused: pair rank {top} is beyond the exact unranking limit 2**52"
+        )
 
 
 def test_class_signatures_code_paths_by_order():
     # a path on 300 vertices takes the AHU string of its order
     long_path = [(i, i + 1) for i in range(299)]
-    (sig,) = class_signatures([pair_ranks(long_path)], 300)
-    assert sig == bfs_class_signature(long_path)
     # classes on the same host vertices stay apart
     a = [(0, 1), (1, 2)]
     b = [(0, 3), (1, 2), (2, 3)]
-    sa, sb = class_signatures([np.sort(pair_ranks(a)), np.sort(pair_ranks(b))], 4)
-    assert sa == bfs_class_signature(a) and sb == bfs_class_signature(b)
+    for path in SIGNING_PATHS:
+        with signing_path(path):
+            (sig,) = class_signatures([pair_ranks(long_path)], 300)
+            sa, sb = class_signatures([np.sort(pair_ranks(a)), np.sort(pair_ranks(b))], 4)
+        assert sig == bfs_class_signature(long_path), path
+        assert sa == bfs_class_signature(a) and sb == bfs_class_signature(b), path
 
 
 def _dense_spec(n: int, seed: int) -> cli.TrialSpec:
@@ -482,13 +591,15 @@ def test_pipeline_signatures_match_class_signature(regime):
         n = 400
         col, _, _ = cli._REGIMES["dense"](_dense_spec(n, 7))
     assert col.num_classes > 20
-    for cls, sig in zip(col.classes, class_signatures(col.classes, n)):
+    want = []
+    for cls in col.classes:
         try:
-            want = bfs_class_signature(edge_tuples(cls))
+            want.append(bfs_class_signature(edge_tuples(cls)))
         except CanonicalizationError as exc:
-            assert str(sig) == str(exc)  # the leftover, one big cyclic part
-        else:
-            assert sig == want
+            want.append(f"error: {exc}")  # the leftover, one big cyclic part
+    for path in SIGNING_PATHS:
+        with signing_path(path):
+            assert outcomes(class_signatures(col.classes, n)) == want, path
 
 
 # --- colourings and verification ------------------------------------------
@@ -999,7 +1110,14 @@ def test_tau_exact_matches_unpruned_search(seed):
     pairs = list(itertools.combinations(range(nv), 2))
     pick = rng.choice(len(pairs), size=8, replace=False)
     g = Graph.from_edges(nv, [pairs[i] for i in pick])
-    assert tau_exact(g) == oracle_tau(g)
+    assert_tau_exact_on_both_paths(g, 8)
+
+
+def assert_tau_exact_on_both_paths(g: Graph, max_edges: int) -> None:
+    want = oracle_tau(g)
+    for path in SIGNING_PATHS:
+        with signing_path(path):
+            assert tau_exact(g, max_edges) == want, path
 
 
 @given(st.integers(0, 2**31), st.integers(1, 8), st.integers(3, 16))
@@ -1008,7 +1126,7 @@ def test_tau_exact_matches_oracle_on_seeded_graphs(seed, m, nv):
     g = seeded_graph(seed, min(m, nv * (nv - 1) // 2), nv)
     parts = nx.number_connected_components(nx.Graph(g.edges))
     event("connected" if parts == 1 else "disconnected")
-    assert tau_exact(g) == oracle_tau(g)
+    assert_tau_exact_on_both_paths(g, 8)
 
 
 NINE_EDGES = {
@@ -1032,7 +1150,7 @@ def test_tau_exact_matches_oracle_on_nine_edge_families(name, seed):
     n = 1 + max(v for e in edges for v in e)
     g = relabel(Graph.from_edges(n, edges), rngmod.stream(seed, 4).permutation(n).tolist())
     assert g.edge_count == 9
-    assert tau_exact(g, max_edges=9) == oracle_tau(g)
+    assert_tau_exact_on_both_paths(g, 9)
 
 
 def test_tau_exact_twelve_edges_within_budget():

@@ -63,17 +63,25 @@ def test_regime_sweep_runs(tmp_path):
 def test_exact_profile_runs(tmp_path):
     out = run_script("exact_profile.py", "--decks", "1", cwd=tmp_path)
     assert out[0].split() == ["shape", "n", "canonical_ms"]
-    rows = [row.split() for row in out[1:-2]]
+    rows = [row.split() for row in out[1:22]]
     assert len(rows) == 21  # the part-size shapes of 4 to 9 vertices
     assert rows[0][:2] == ["2,2", "4"] and rows[-1][:2] == ["3,2,2,2", "9"]
     assert all(float(row[2]) > 0 for row in rows)
-    (label, tau), (trial_label, trial) = (row.split() for row in out[-2:])
+    (label, tau), (trial_label, trial) = (row.split() for row in out[22:24])
     assert label == "tau_exact_ms" and float(tau) > 0
     # each trial is one canonical form plus the tau drawn with it, so its
     # median is no less than either part's
     assert trial_label == "trial_ms" and float(trial) >= float(tau)
     assert float(trial) >= min(float(row[2]) for row in rows)
+    # the crossover table: each kind of batch at each size, on both paths
+    assert out[24].split() == ["batch", "edges", "numpy_us", "python_us"]
+    table = [row.split() for row in out[25:]]
+    sizes = ["8", "16", "32", "64", "128", "256"]
+    assert [row[:2] for row in table] == [
+        [kind, size] for kind in ("two-edge", "multipartite") for size in sizes
+    ]
+    assert all(float(us) > 0 for row in table for us in row[2:])
     out = run_script("exact_profile.py", "--tau-edges", "12", "--decks", "1", cwd=tmp_path)
-    (label, tau), (trial_label, trial) = (row.split() for row in out[-2:])
+    (label, tau), (trial_label, trial) = (row.split() for row in out[22:24])
     assert label == "tau_exact_ms" and float(tau) > 0
     assert trial_label == "trial_ms" and float(trial) >= float(tau)
