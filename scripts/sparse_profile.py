@@ -3,10 +3,11 @@
 G(n, c/n) by rank (`gen`), the CSR arrays the path finder slices its
 residual neighbour lists from (`csr`), the DFS path harvest on them (`dfs`),
 laying one linear forest per partition of k along the paths (`pack`),
-ranking the forest classes and splitting off the leftover class
-(`leftover`), and certifying the colouring (`verify`).  The stages and
-their parameters are those of `taulab color --regime sparse`: paths of
-floor(c_path n) edges, at most floor(c) of them, and k = ceil(ln^2 n).
+cutting the forest classes from the ranked paths and splitting off the
+leftover class (`leftover`), and certifying the colouring (`verify`).  The
+stages and their parameters are those of `taulab color --regime sparse`:
+paths of floor(c_path n) edges, at most floor(c) of them, and
+k = ceil(ln^2 n).
 Each column is the median over the seeds, in milliseconds.
 
 Runs from a checkout: python3 scripts/sparse_profile.py --sizes 5000 20000
@@ -23,9 +24,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from taulab.bounds import sparse_k
 from taulab.catalog import LinearForest, partitions
-from taulab.coloring import Coloring, _append_leftover, _ranked_classes, verify_distinct
+from taulab.coloring import Coloring, _append_leftover, verify_distinct
 from taulab.graph import gen_gnp
-from taulab.pathpack import dfs_path_pack, pack_forests
+from taulab.pathpack import _forest_classes, dfs_path_pack, pack_forests
 
 STAGES = ("gen", "csr", "dfs", "pack", "leftover", "verify")
 
@@ -50,7 +51,7 @@ def one(n: int, c: float, c_path: float, seed: int) -> tuple[int, dict[str, floa
     forests = (LinearForest(lengths) for lengths in partitions(k))
     placed = pack_forests(pack.paths, forests).placements
     lap("pack")
-    classes = _ranked_classes([pl.edges for pl in placed])
+    classes = _forest_classes(pack.paths, placed)
     labels = [f"forest:{i}" for i in range(len(classes))]
     _append_leftover(g, classes, labels, "placed")
     lap("leftover")

@@ -25,7 +25,6 @@ from .catalog import (
     catalan,
     enumerate_rooted_binary,
     forest_code,
-    free_trees,
     partition_count,
     partitions,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "enumerate_rooted_binary",
     "f_dense",
     "forest_code",
-    "free_trees",
     "gen_gnp",
     "greedy_embed",
     "materialize",

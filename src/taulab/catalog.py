@@ -149,36 +149,22 @@ def ahu_code(g: Graph) -> bytes:
     return tree_code(g.adj)
 
 
-def free_trees(t: int) -> list[Graph]:
-    """All unlabelled trees on t vertices, in a fixed enumeration order."""
-    return _trees_up_to_degree(t, t)
-
-
 @lru_cache(maxsize=None)
 def _coded_maxdeg3_trees(t: int) -> tuple[tuple[Graph, bytes], ...]:
-    """The max-degree-3 trees on t vertices with their codes, enumerated once
-    per t; their rank arrays are read-only, since every caller shares them."""
-    out = []
-    for g in _trees_up_to_degree(t, 3):
-        g.ranks.setflags(write=False)
-        out.append((g, ahu_code(g)))
-    return tuple(out)
-
-
-def _trees_up_to_degree(t: int, max_degree: int) -> list[Graph]:
-    """The free trees on t vertices with no degree above max_degree, checked
-    before a Graph is built for each."""
-    if t < 1:
-        raise ValueError("t must be at least 1")
+    """The max-degree-3 trees on 1 <= t <= 16 vertices with their codes,
+    enumerated once per t, each checked before a Graph is built for it;
+    their rank arrays are read-only, since every caller shares them."""
     if t == 1:
-        return [Graph.from_edges(1, [])]
-    if t > _EXHAUSTIVE_TREE_CAP:
-        raise ValueError(f"exhaustive tree enumeration refused for t={t}")
-    return [
-        Graph.from_edges(t, [tuple(sorted(e)) for e in tree.edges()])
-        for tree in nx.nonisomorphic_trees(t)
-        if max(d for _, d in tree.degree()) <= max_degree
-    ]
+        trees = [Graph.from_edges(1, [])]
+    else:
+        trees = [
+            Graph.from_edges(t, tree.edges())
+            for tree in nx.nonisomorphic_trees(t)
+            if max(d for _, d in tree.degree()) <= 3
+        ]
+    for g in trees:
+        g.ranks.setflags(write=False)
+    return tuple((g, ahu_code(g)) for g in trees)
 
 
 def iter_distinct_maxdeg3_trees(

@@ -50,7 +50,7 @@ from .graph import (
     parse_count,
     parse_edge_line,
 )
-from .pathpack import dfs_path_pack, pack_forests
+from .pathpack import _forest_classes, dfs_path_pack, pack_forests
 
 Edge = tuple[int, int]
 
@@ -331,7 +331,7 @@ def build_sparse_coloring(
     # nowhere, and p(k) is far too large to materialise
     forests = (LinearForest(lengths) for lengths in partitions(k))
     packed = pack_forests(pack.paths, forests)
-    classes = _ranked_classes([pl.edges for pl in packed.placements])
+    classes = _forest_classes(pack.paths, packed.placements)
     labels = ["forest:" + ",".join(map(str, pl.lengths)) for pl in packed.placements]
     _append_leftover(g, classes, labels, "placed")
     return Coloring(host=g, classes=tuple(classes), labels=tuple(labels))
@@ -425,7 +425,11 @@ def build_verysparse_coloring(
         takes = []
         for i, c in enumerate(counts):
             take = pools[i][cursors[i] : cursors[i] + c]
-            assert len(take) == c, "supply clamp failed"
+            if len(take) != c:
+                raise RuntimeError(
+                    f"supply clamp failed: {c} paths on {i + 2} vertices wanted, "
+                    f"{len(take)} left"
+                )
             cursors[i] += c
             takes.append(take.ravel())
         classes.append(np.sort(_joined(takes)))

@@ -6,9 +6,12 @@ u < v, is kept as its colexicographic pair rank C(v, 2) + u, and a graph's
 edge set is one strictly increasing int64 array of those ranks.  Samplers
 and the colouring builders work on rank arrays directly: `has_edge` is a
 binary search, set differences and cover checks are array operations, and
-adjacency is built from the ranks only when a caller asks for it: `csr`
-sorts both orientations of every edge once into offsets and targets, and
-`adj` reads its neighbour tuples off them.  `_csr` is the one CSR builder.
+adjacency is built from the ranks only when a caller asks for it.  `csr`
+reads each edge's larger endpoint v off the ascending ranks with one
+searchsorted of the triangular numbers C(v, 2), so the arcs from v down
+are already in CSR order; only the arcs up are sorted, and one stable
+(timsort) pass merges the two runs into offsets and targets.  `adj` reads
+its neighbour tuples off them.  `_csr` is the one CSR builder.
 Pairs from outside the program, the (u, v) pairs given to `Graph.from_edges`
 and the edges of a colouring file, are checked and ranked in one place,
 `_checked_ranks`.
@@ -18,7 +21,9 @@ Bernoulli per pair (vectorised, small or dense inputs) or draws the edge
 count from a binomial and then a uniform random subset of pair ranks
 (sparse inputs), which yields the same distribution without touching all
 ~n^2/2 pairs; repeated rank draws are found by one plain sort of packed
-(draw, position) keys.  An input expecting more than 2^25 edges is refused.
+(draw, position) keys, which also leaves the kept draws in value order, so
+they are never sorted again.  An input expecting more than 2^25 edges is
+refused.
 
 Components come from one vectorised labelling pass over the edge arrays
 (root hooking plus pointer jumping).  `components` groups all n vertices by
@@ -155,7 +160,13 @@ def _csr(n: int, us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     targets[offsets[v]:offsets[v + 1]]."""
     # both orientations as source * n + target, sorted: CSR order, with the
     # arcs leaving v in [v * n, (v + 1) * n)
-    arcs = np.sort(np.concatenate((us * n + vs, vs * n + us)))
+    arcs = np.concatenate((vs * n + us, us * n + vs))
+    down, up = np.split(arcs, 2)  # views: the arcs vs[i] -> us[i], then back
+    if (down[1:] >= down[:-1]).all():  # edges in colex order, as from Graph.csr
+        up.sort()
+        arcs.sort(kind="stable")  # one timsort pass merges the two runs
+    else:
+        arcs.sort()
     return np.searchsorted(arcs, np.arange(n + 1) * n), arcs % n
 
 
@@ -208,8 +219,13 @@ class Graph:
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """(offsets, targets): the neighbours of vertex v, ascending, are
-        targets[offsets[v]:offsets[v + 1]]."""
-        return _csr(self.n, *_unrank_pairs(self.ranks))
+        targets[offsets[v]:offsets[v + 1]].  The ranks ascend, so one
+        searchsorted of the triangular numbers C(v, 2) counts the edges
+        whose larger endpoint is each v, with no unranking."""
+        ranks, v = self.ranks, np.arange(self.n + 1, dtype=np.int64)
+        tri = v * (v - 1) // 2
+        vs = np.repeat(v[:-1], np.diff(ranks.searchsorted(tri)))
+        return _csr(self.n, ranks - tri[vs], vs)
 
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
@@ -271,7 +287,10 @@ def _first_distinct_draws(gen: np.random.Generator, npairs: int, m: int) -> np.n
     drawn in batches of a little more than the number still missing.  The
     first key of each run in one plain sort of the keys (draw << b) |
     position, b the bit length of the batch size, holds that draw's first
-    position; keys wider than 63 bits fall back to a stable `np.unique`."""
+    position; keys wider than 63 bits fall back to a stable `np.unique`.
+    Each batch keeps, of its values not yet picked, the ones first drawn
+    earliest, found by one `np.partition` of the positions, and stays in
+    value order, so picking ends with a merge, not a sort."""
     picked = np.empty(0, dtype=np.int64)
     while len(picked) < m:
         need = m - len(picked)
@@ -279,17 +298,25 @@ def _first_distinct_draws(gen: np.random.Generator, npairs: int, m: int) -> np.n
         batch = gen.integers(0, npairs, size=size)
         b = size.bit_length()
         if npairs.bit_length() + b > 63:
-            _, first = np.unique(batch, return_index=True)
+            values, first = np.unique(batch, return_index=True)
         else:
-            keys = np.sort((batch << b) | np.arange(size))
-            run_start = np.concatenate(([True], np.diff(keys >> b) != 0))
-            first = keys[run_start] & ((1 << b) - 1)
-        keep = np.zeros(size, dtype=bool)
-        keep[first] = True
-        fresh = batch[keep]
-        fresh = fresh[~np.isin(fresh, picked)]
-        picked = np.concatenate((picked, fresh[:need]))
-    return np.sort(picked)
+            keys = batch  # packed in place: the draws are read back off the keys
+            keys <<= b
+            keys |= np.arange(size)
+            keys.sort()
+            draws = keys >> b
+            head = np.ones(size, dtype=bool)  # the first key of each run
+            np.not_equal(draws[1:], draws[:-1], out=head[1:])
+            heads = keys[head]
+            values, first = heads >> b, heads & ((1 << b) - 1)
+        if len(picked):
+            fresh = ~np.isin(values, picked)
+            values, first = values[fresh], first[fresh]
+        if len(values) > need:
+            values = values[first <= np.partition(first, need - 1)[need - 1]]
+        picked = np.concatenate((picked, values))
+        picked.sort(kind="stable")  # one timsort pass merges the two runs
+    return picked
 
 
 def _component_labels(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:

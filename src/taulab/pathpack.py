@@ -13,18 +13,25 @@ Each vertex keeps its residual neighbours, sliced out of the graph's CSR
 arrays on its first visit; a harvest deletes the path's edges from both
 endpoints, so a sweep only asks whether a neighbour is still in U.
 
-Forests are then placed along the harvested paths, first fit in path order:
-a sub-path of length x consumes x + 1 consecutive path vertices, so a forest
-with lengths (x_1 >= ... >= x_l) occupies k + l consecutive vertices and the
-next placement starts right after it.  Sub-paths of one forest never share a
-vertex, so each class really is the disjoint union its label promises.
+Forests, of any sizes, are then placed along the harvested paths, first fit
+in path order: a sub-path of length x consumes x + 1 consecutive path
+vertices, so a forest with lengths (x_1 >= ... >= x_l) occupies k + l
+consecutive vertices and the next placement starts right after it.  Sub-paths
+of one forest never share a vertex, so each class really is the disjoint
+union its label promises.  A placement is only its layout (path, offset,
+lengths).  The classes are cut afterwards: the consecutive vertex pairs of
+all the paths are ranked once, in one array, and a forest's class is one
+slice of it per sub-path.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .catalog import LinearForest
 from .graph import Graph
@@ -103,7 +110,8 @@ def dfs_path_pack(g: Graph, target_len: int, max_paths: int) -> PathPack:
         if found is None:
             break
         path, ptr = found
-        assert len(set(path)) == len(path)
+        if len(set(path)) != len(path):
+            raise RuntimeError("harvested path repeats a vertex")
         for a in path[:-1]:
             # forward deletions first: each leaves the other path vertices'
             # scan pointers valid, which a reverse removal could shift
@@ -119,13 +127,13 @@ def dfs_path_pack(g: Graph, target_len: int, max_paths: int) -> PathPack:
 
 @dataclass(frozen=True)
 class ForestPlacement:
-    """One forest realised on one harvested path."""
+    """One forest laid along one harvested path: its sub-paths, of the given
+    lengths, take path vertices from offset on, one vertex apart."""
 
     forest_index: int
     path_index: int
     offset: int
     lengths: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
 
 
 @dataclass
@@ -138,50 +146,43 @@ class PackResult:
 def pack_forests(
     paths: Sequence[Sequence[int]], forests: Iterable[LinearForest]
 ) -> PackResult:
-    """Lay forests along the paths, first fit, stopping at the first forest
-    that fits nowhere (reported in stopped_at; later forests untouched).
-
-    All forests must share the same total edge count k.
-    """
+    """Lay forests of any sizes along the paths, each on the first path with
+    room for its order, stopping at the first forest that fits nowhere
+    (reported in stopped_at; later forests untouched).  Only the layout is
+    computed; `_forest_classes` cuts the edges."""
     cursors = [0] * len(paths)
     placements: list[ForestPlacement] = []
-    k: Optional[int] = None
-    attempted = 0
-    stopped_at: Optional[int] = None
     for idx, forest in enumerate(forests):
-        attempted += 1
         if not isinstance(forest, LinearForest):
             raise ValueError("forests must be LinearForest instances")
-        if k is None:
-            k = forest.k
-        elif forest.k != k:
-            raise ValueError("forests must share one edge count k")
-        footprint = forest.order
-        target = None
-        for i, path in enumerate(paths):
-            if len(path) - cursors[i] >= footprint:
-                target = i
-                break
-        if target is None:
-            stopped_at = idx
-            break
-        path = paths[target]
-        pos = cursors[target]
-        offset = pos
-        edges: list[tuple[int, int]] = []
-        for x in forest.path_lengths:
-            for j in range(x):
-                a, b = path[pos + j], path[pos + j + 1]
-                edges.append((a, b) if a < b else (b, a))
-            pos += x + 1
-        cursors[target] = pos
-        placements.append(
-            ForestPlacement(
-                forest_index=idx,
-                path_index=target,
-                offset=offset,
-                lengths=forest.path_lengths,
-                edges=tuple(edges),
-            )
+        order = forest.order
+        target = next(
+            (i for i, path in enumerate(paths) if len(path) - cursors[i] >= order), None
         )
-    return PackResult(placements=placements, stopped_at=stopped_at, attempted=attempted)
+        if target is None:
+            return PackResult(placements, stopped_at=idx, attempted=idx + 1)
+        placements.append(
+            ForestPlacement(idx, target, cursors[target], forest.path_lengths)
+        )
+        cursors[target] += order
+    return PackResult(placements, stopped_at=None, attempted=len(placements))
+
+
+def _forest_classes(
+    paths: Sequence[Sequence[int]], placements: Sequence[ForestPlacement]
+) -> list[np.ndarray]:
+    """The sorted pair ranks of each placed forest's edges.  The consecutive
+    vertex pairs of all the paths, laid end to end, are ranked once, and a
+    forest's class is one slice of those ranks per sub-path."""
+    starts = np.cumsum([0, *map(len, paths)]).tolist()
+    flat = np.fromiter(chain.from_iterable(paths), dtype=np.int64, count=starts[-1])
+    lo, hi = np.minimum(flat[:-1], flat[1:]), np.maximum(flat[:-1], flat[1:])
+    ranks = hi * (hi - 1) // 2 + lo  # pairs across two paths are never cut
+    classes = []
+    for pl in placements:
+        pos, parts = starts[pl.path_index] + pl.offset, []
+        for x in pl.lengths:
+            parts.append(ranks[pos : pos + x])
+            pos += x + 1
+        classes.append(np.sort(np.concatenate(parts)))
+    return classes

@@ -12,10 +12,17 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+import networkx as nx
 import numpy as np
 
 from taulab import rng as rngmod
-from taulab.catalog import RootedBinaryTree, _unrank_shape, ahu_code, catalan
+from taulab.catalog import (
+    LinearForest,
+    RootedBinaryTree,
+    _unrank_shape,
+    ahu_code,
+    catalan,
+)
 from taulab.embed import (
     EmbeddedTree,
     EmbedResult,
@@ -28,6 +35,7 @@ from taulab.graph import (
     CanonicalizationError,
     Graph,
     _component_code,
+    _unrank_pairs,
     connected_code,
     pair_rank,
     pair_ranks,
@@ -90,6 +98,71 @@ def first_distinct_draws(gen, npairs: int, m: int) -> list[int]:
                 if len(picked) == m:
                     break
     return sorted(picked)
+
+
+def sorted_first_distinct_draws(gen, npairs: int, m: int) -> np.ndarray:
+    """The earlier `graph._first_distinct_draws`: each batch marks the first
+    position of every draw, keeps the unpicked ones in position order up to
+    the number missing, and the picks are sorted at the end."""
+    picked = np.empty(0, dtype=np.int64)
+    while len(picked) < m:
+        need = m - len(picked)
+        size = need + max(16, need // 8)
+        batch = gen.integers(0, npairs, size=size)
+        b = size.bit_length()
+        if npairs.bit_length() + b > 63:
+            _, first = np.unique(batch, return_index=True)
+        else:
+            keys = np.sort((batch << b) | np.arange(size))
+            run_start = np.concatenate(([True], np.diff(keys >> b) != 0))
+            first = keys[run_start] & ((1 << b) - 1)
+        keep = np.zeros(size, dtype=bool)
+        keep[first] = True
+        fresh = batch[keep]
+        fresh = fresh[~np.isin(fresh, picked)]
+        picked = np.concatenate((picked, fresh[:need]))
+    return np.sort(picked)
+
+
+def sorted_csr(n: int, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The earlier `Graph.csr`: the ranks unranked by float square root and
+    both orientations of every edge put in CSR order by one plain sort."""
+    us, vs = _unrank_pairs(ranks)
+    arcs = np.sort(np.concatenate((us * n + vs, vs * n + us)))
+    return np.searchsorted(arcs, np.arange(n + 1) * n), arcs % n
+
+
+def tuple_forest_edges(
+    paths: Sequence[Sequence[int]], forests: Iterable[LinearForest]
+) -> tuple[list[list[tuple[int, int]]], Optional[int]]:
+    """The earlier forest layout, without its one-size rule: each forest,
+    first fit in path order, as its (u, v) edge tuples, u < v, and the index
+    of the first forest that fits nowhere (None if all fit)."""
+    cursors = [0] * len(paths)
+    placed: list[list[tuple[int, int]]] = []
+    for idx, forest in enumerate(forests):
+        target = next(
+            (i for i, path in enumerate(paths) if len(path) - cursors[i] >= forest.order),
+            None,
+        )
+        if target is None:
+            return placed, idx
+        path, pos, edges = paths[target], cursors[target], []
+        for x in forest.path_lengths:
+            for j in range(x):
+                a, b = path[pos + j], path[pos + j + 1]
+                edges.append((a, b) if a < b else (b, a))
+            pos += x + 1
+        cursors[target] = pos
+        placed.append(edges)
+    return placed, None
+
+
+def free_trees(t: int) -> list[Graph]:
+    """All unlabelled trees on t vertices, from networkx's enumeration."""
+    if t == 1:
+        return [Graph.from_edges(1, [])]
+    return [Graph.from_edges(t, tree.edges()) for tree in nx.nonisomorphic_trees(t)]
 
 
 def brute_isomorphic(a: Graph, b: Graph) -> bool:

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import brute_isomorphic
+from conftest import brute_isomorphic, free_trees
 from taulab import bounds as bnd
 from taulab import rng as rngmod
 from taulab.catalog import (
@@ -24,7 +24,6 @@ from taulab.catalog import (
     catalan,
     enumerate_rooted_binary,
     forest_code,
-    free_trees,
     iter_distinct_maxdeg3_trees,
     partition_count,
     partitions,

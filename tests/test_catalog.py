@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_isomorphic,
+    free_trees,
     prufer_tree,
     relabel,
     rooted_to_graph,
@@ -25,7 +26,6 @@ from taulab.catalog import (
     catalan,
     enumerate_rooted_binary,
     forest_code,
-    free_trees,
     iter_distinct_maxdeg3_trees,
     partition_count,
     partitions,

@@ -14,6 +14,7 @@ from conftest import (
     bfs_components,
     brute_isomorphic,
     coded,
+    free_trees,
     oracle_tau,
     prufer_tree,
     relabel,
@@ -28,7 +29,6 @@ from taulab import bounds as bnd
 from taulab import cli, coloring
 from taulab import graph as graphmod
 from taulab import rng as rngmod
-from taulab.catalog import free_trees
 from taulab.coloring import (
     Coloring,
     VerifyError,
@@ -62,7 +62,7 @@ from taulab.graph import (
     gen_gnp,
     pair_ranks,
 )
-from taulab.pathpack import ForestPlacement, PackResult
+from taulab.pathpack import ForestPlacement, PackResult, PathPack
 
 
 def ranked(*classes) -> tuple[np.ndarray, ...]:
@@ -902,10 +902,14 @@ def embedded_classes(host, edge_sets, monkeypatch):
 
 
 def placed_classes(host, edge_sets, monkeypatch):
-    placements = [
-        ForestPlacement(i, 0, 0, (len(es),), tuple(es))
-        for i, es in enumerate(edge_sets)
-    ]
+    # each single-edge class is laid on a two-vertex path of its own
+    paths = [edge for (edge,) in edge_sets]
+    monkeypatch.setattr(
+        coloring,
+        "dfs_path_pack",
+        lambda g, target_len, max_paths: PathPack(g.n, 1, paths),
+    )
+    placements = [ForestPlacement(i, i, 0, (1,)) for i in range(len(paths))]
     monkeypatch.setattr(
         coloring,
         "pack_forests",
@@ -1036,6 +1040,15 @@ def test_verysparse_classes_are_their_census_vectors(seed):
         assert Counter(c.order for c in comps) == Counter({2: c2, 3: c3})
         used.extend(c.edges for c in comps)
     assert len(used) == len(set(used)) > 0
+
+
+def test_verysparse_refuses_a_box_beyond_the_supply(monkeypatch):
+    # three P2s and two P3s; the box (2, 1) reaches its vector (2, 0) with
+    # only one P2 left
+    g = hand_box_graph()
+    monkeypatch.setattr(coloring, "verysparse_box", lambda *a, **kw: ([2, 1], [3, 2], 1.0))
+    with pytest.raises(RuntimeError, match="2 paths on 2 vertices wanted, 1 left"):
+        build_verysparse_coloring(g, census(g), 4)
 
 
 def test_verysparse_errors():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     blockwise_materialize,
     coded,
+    free_trees,
     oracle_revealed,
     rooted_to_graph,
     sample_rooted_binary,
@@ -15,7 +16,7 @@ from conftest import (
 )
 from taulab import embed
 from taulab import rng as rngmod
-from taulab.catalog import ahu_code, free_trees
+from taulab.catalog import ahu_code
 from taulab.embed import (
     LazyRandomGraph,
     diagnostics_check,

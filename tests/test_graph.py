@@ -14,6 +14,8 @@ from conftest import (
     brute_isomorphic,
     component_census,
     first_distinct_draws,
+    sorted_csr,
+    sorted_first_distinct_draws,
 )
 from taulab import graph
 from taulab import rng as rngmod
@@ -174,6 +176,72 @@ def test_first_distinct_draws_tells_apart_draws_beyond_the_key_width():
     got = _first_distinct_draws(FixedDraws(batch), 2**60, 3)
     assert got.tolist() == first_distinct_draws(FixedDraws(batch), 2**60, 3)
     assert got.tolist() == [5, 7, 5 + 2**59]
+
+
+@given(st.integers(0, 2**31), st.sampled_from([(100, 90), (50, 50), (60, 59), (2000, 1990)]))
+@settings(max_examples=40, deadline=None)
+def test_first_distinct_draws_match_earlier_sampler_over_many_batches(seed, case):
+    # m near npairs: each batch repeats many draws, so picking takes
+    # several batches and merges them
+    npairs, m = case
+    got = _first_distinct_draws(rngmod.stream(seed, 0), npairs, m)
+    want = sorted_first_distinct_draws(rngmod.stream(seed, 0), npairs, m)
+    assert got.tolist() == want.tolist() == sorted(set(got.tolist()))
+
+
+@given(st.integers(0, 2**31), st.integers(59, 62), st.integers(1, 300))
+@settings(max_examples=40, deadline=None)
+def test_first_distinct_draws_match_earlier_sampler_on_wide_keys(seed, bits, m):
+    # a batch takes at least 5 position bits, so draws below an npairs of
+    # 59..62 bits make keys wider than 63 bits and go through np.unique
+    npairs = 2**bits - seed % 1000
+    got = _first_distinct_draws(rngmod.stream(seed, 0), npairs, m)
+    want = sorted_first_distinct_draws(rngmod.stream(seed, 0), npairs, m)
+    assert got.tolist() == want.tolist()
+
+
+def assert_csr_matches_sorted(g: Graph) -> None:
+    got, want = g.csr, sorted_csr(g.n, g.ranks)
+    for a, b in zip(got, want):
+        assert a.dtype == np.int64 and a.tolist() == b.tolist()
+
+
+@given(
+    st.integers(2, 40).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.sets(st.integers(0, n * (n - 1) // 2 - 1), max_size=200)
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_csr_matches_sorted_csr(case):
+    n, ranks = case
+    assert_csr_matches_sorted(Graph.from_ranks(n, np.array(sorted(ranks), dtype=np.int64)))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph.from_edges(0, []),
+        Graph.from_edges(1, []),
+        Graph.from_edges(7, []),
+        Graph.from_edges(9, [(2, 5), (5, 7)]),  # isolated vertices around a path
+        Graph.from_edges(12, [(u, v) for v in range(12) for u in range(v)]),
+        Graph.from_edges(10, [(0, v) for v in range(1, 10)]),  # hub: only upper
+        Graph.from_edges(10, [(u, 9) for u in range(9)]),  # hub: only lower
+        Graph.from_edges(8, [(u, v) for u in range(4) for v in range(4, 8)]),
+    ],
+    ids=["n0", "n1", "edgeless", "isolated", "complete", "upper", "lower", "bipartite"],
+)
+def test_csr_on_edge_cases_matches_sorted_csr(g):
+    assert_csr_matches_sorted(g)
+    assert g.adj == tuple(
+        tuple(sorted({w for e in g.edges if v in e for w in e} - {v})) for v in range(g.n)
+    )
+
+
+def test_csr_of_a_sparse_host_matches_sorted_csr():
+    assert_csr_matches_sorted(gen_gnp(3000, 20 / 3000, 4))
 
 
 def test_gen_gnp_extremes():

@@ -1,13 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import prufer_tree, relabel, scalar_dfs_path_pack
-from taulab.catalog import LinearForest
-from taulab.graph import Graph, gen_gnp
+from conftest import prufer_tree, relabel, scalar_dfs_path_pack, tuple_forest_edges
+from taulab.catalog import LinearForest, partitions
+from taulab.graph import Graph, edge_tuples, gen_gnp, pair_ranks
 from taulab import pathpack
-from taulab.pathpack import dfs_path_pack, pack_forests
+from taulab.pathpack import _forest_classes, dfs_path_pack, pack_forests
 
 
 def path_graph(n: int) -> Graph:
@@ -77,6 +79,12 @@ def test_reused_edge_is_refused(monkeypatch):
     with pytest.raises(ValueError, match="not in array"):
         dfs_path_pack(path_graph(4), 1, 2)
     assert len(calls) == 2
+
+
+def test_path_with_a_repeated_vertex_is_refused(monkeypatch):
+    monkeypatch.setattr(pathpack, "_sweep", lambda *args: ([0, 1, 0], [1, 1, 0, 0]))
+    with pytest.raises(RuntimeError, match="repeats a vertex"):
+        dfs_path_pack(path_graph(4), 2, 1)
 
 
 def test_input_validation():
@@ -152,6 +160,11 @@ def test_sparse_host_matches_scalar_dfs():
     assert_matches_oracle(gen_gnp(n, 30 / n, 5), 100, 1000)
 
 
+def placed_edges(paths, placement) -> tuple[tuple[int, int], ...]:
+    """The (u, v) edges of one placement, cut from the ranked paths."""
+    return edge_tuples(_forest_classes(paths, [placement])[0])
+
+
 def test_forest_layout_on_one_path():
     path = tuple(range(11))
     res = pack_forests([path], [LinearForest((2, 1)), LinearForest((2, 1))])
@@ -159,9 +172,9 @@ def test_forest_layout_on_one_path():
     assert res.attempted == 2
     first, second = res.placements
     assert first.offset == 0
-    assert first.edges == ((0, 1), (1, 2), (3, 4))
+    assert placed_edges([path], first) == ((0, 1), (1, 2), (3, 4))
     assert second.offset == 5
-    assert second.edges == ((5, 6), (6, 7), (8, 9))
+    assert placed_edges([path], second) == ((5, 6), (6, 7), (8, 9))
 
 
 def test_forest_layout_stops_when_full():
@@ -188,10 +201,21 @@ def test_forest_layout_is_lazy():
     assert pulled == 3
 
 
-def test_mixed_edge_counts_rejected():
-    path = tuple(range(20))
-    with pytest.raises(ValueError):
-        pack_forests([path], [LinearForest((2, 1)), LinearForest((2, 2))])
+def test_mixed_sizes_first_fit():
+    # a smaller forest goes back to an earlier path that still has room
+    paths = [tuple(range(8)), tuple(range(10, 21))]
+    sizes = [(2, 1), (3, 2), (1,), (2,), (1,), (1,)]  # orders 5, 7, 2, 3, 2, 2
+    res = pack_forests(paths, map(LinearForest, sizes))
+    assert [(p.path_index, p.offset) for p in res.placements] == [
+        (0, 0), (1, 0), (0, 5), (1, 7)
+    ]
+    assert res.stopped_at == 4 and res.attempted == 5
+    assert [placed_edges(paths, p) for p in res.placements] == [
+        ((0, 1), (1, 2), (3, 4)),
+        ((10, 11), (11, 12), (12, 13), (14, 15), (15, 16)),
+        ((5, 6),),
+        ((17, 18), (18, 19)),
+    ]
 
 
 def test_first_fit_across_paths():
@@ -207,8 +231,9 @@ def test_subpaths_within_forest_are_vertex_disjoint():
     path = tuple(range(10, 22))
     res = pack_forests([path], [LinearForest((1, 1, 1))])
     (placement,) = res.placements
-    assert placement.edges == ((10, 11), (12, 13), (14, 15))
-    ends = [v for e in placement.edges for v in e]
+    edges = placed_edges([path], placement)
+    assert edges == ((10, 11), (12, 13), (14, 15))
+    ends = [v for e in edges for v in e]
     assert len(set(ends)) == len(ends)
 
 
@@ -220,3 +245,43 @@ def test_empty_inputs():
     assert empty.placements == []
     assert empty.stopped_at is None
     assert empty.attempted == 0
+
+
+def check_forest_cut(paths, forests) -> None:
+    """The classes cut from the ranked paths are the pair ranks of the
+    edges the tuple route lays out, and both stop at the same forest."""
+    res = pack_forests(paths, forests)
+    want, stop = tuple_forest_edges(paths, forests)
+    assert res.stopped_at == stop
+    assert res.attempted == (len(forests) if stop is None else stop + 1)
+    got = _forest_classes(paths, res.placements)
+    assert [cls.tolist() for cls in got] == [
+        sorted(pair_ranks(edges).tolist()) for edges in want
+    ]
+
+
+@given(
+    st.lists(st.lists(st.integers(0, 40), min_size=1, max_size=30), max_size=5),
+    st.lists(
+        st.lists(st.integers(1, 9), min_size=1, max_size=4).map(
+            lambda xs: LinearForest(tuple(sorted(xs, reverse=True)))
+        ),
+        max_size=12,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_forest_classes_match_tuple_route(walks, forests):
+    # vertex i of a path is shifted by 41 i, so no path repeats a vertex
+    paths = [tuple(v + i * 41 for i, v in enumerate(walk)) for walk in walks]
+    check_forest_cut(paths, forests)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_forest_classes_of_a_sparse_pack_match_tuple_route(seed):
+    # the forests of a sparse trial, one per partition of k, up to and
+    # including the first that fits nowhere
+    g = gen_gnp(600, 12 / 600, seed)
+    pack = dfs_path_pack(g, 30, 12)
+    forests = [LinearForest(lengths) for lengths in itertools.islice(partitions(13), 80)]
+    check_forest_cut(pack.paths, forests)
+    assert pack_forests(pack.paths, forests).stopped_at is not None
