@@ -3,11 +3,11 @@
 G(n, c/n) by rank (`gen`), the CSR arrays the path finder slices its
 residual neighbour lists from (`csr`), the DFS path harvest on them (`dfs`),
 laying one linear forest per partition of k along the paths (`pack`),
-cutting the forest classes from the ranked paths and splitting off the
-leftover class (`leftover`), and certifying the colouring (`verify`).  The
-stages and their parameters are those of `taulab color --regime sparse`:
-paths of floor(c_path n) edges, at most floor(c) of them, and
-k = ceil(ln^2 n).
+cutting the forest classes from the ranked paths, splitting off the leftover
+class and checking that the classes cover the host (`leftover`), and
+certifying the colouring (`verify`).  The stages and their parameters are
+those of `taulab color --regime sparse`: paths of floor(c_path n) edges, at
+most floor(c) of them, and k = ceil(ln^2 n).
 Each column is the median over the seeds, in milliseconds.
 
 Runs from a checkout: python3 scripts/sparse_profile.py --sizes 5000 20000
@@ -24,7 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from taulab.bounds import sparse_k
 from taulab.catalog import LinearForest, partitions
-from taulab.coloring import Coloring, _append_leftover, verify_distinct
+from taulab.coloring import _with_leftover, verify_distinct
 from taulab.graph import gen_gnp
 from taulab.pathpack import _forest_classes, dfs_path_pack, pack_forests
 
@@ -53,13 +53,13 @@ def one(n: int, c: float, c_path: float, seed: int) -> tuple[int, dict[str, floa
     lap("pack")
     classes = _forest_classes(pack.paths, placed)
     labels = [f"forest:{i}" for i in range(len(classes))]
-    _append_leftover(g, classes, labels, "placed")
+    coloring = _with_leftover(g, classes, labels, "placed")
     lap("leftover")
-    ok, _ = verify_distinct(Coloring(host=g, classes=tuple(classes), labels=tuple(labels)))
+    ok, _ = verify_distinct(coloring)
     lap("verify")
     if not ok:
         raise SystemExit(f"n={n} seed={seed}: colouring failed verification")
-    return len(classes), ms
+    return coloring.num_classes, ms
 
 
 def main() -> None:

@@ -4,9 +4,10 @@ A colouring here is a partition of the host's edge set; isolated vertices
 never matter, so each class is a sorted int64 array of the pair ranks its
 edges have in the host (see `taulab.graph`).  Three builders produce the
 classes for the three random-graph regimes (embedded trees, linear forests
-packed into long paths, unions of small path components), each followed by a
-single leftover class absorbing everything unused: each used rank is found
-in the host's by binary search, and the leftover is what remains.
+packed into long paths, unions of small path components), and one step adds
+the leftover class of every unused edge (each used rank is found in the
+host's by binary search); a leftover isomorphic to a class is merged into the
+largest class, which then outsizes every other class and so stays distinct.
 Constructing a `Coloring` checks with one sort that the classes cover the
 host disjointly.  `verify_distinct` then certifies pairwise non-isomorphism
 from scratch: classes of different edge counts are trivially
@@ -221,13 +222,13 @@ def verify_distinct(
     return True, None
 
 
-def _append_leftover(
+def _with_leftover(
     host: Graph, classes: list[np.ndarray], labels: list[str], what: str
-) -> None:
-    """Check that the classes take distinct host edges, then add the leftover
-    class, merging it into the largest existing class if it happens to be
-    isomorphic to one (possible only on tiny inputs).  what names the class
-    edges in error messages."""
+) -> Coloring:
+    """The colouring of host by the classes, which must take distinct host
+    edges (what names them in error messages), plus a leftover class of the
+    unused edges.  A leftover isomorphic to a class (only on tiny inputs) is
+    merged into the largest, which then outsizes the rest and stays distinct."""
     ranks = host.ranks
     used = _joined(classes)
     at = np.searchsorted(ranks, used)  # where each used rank sits in host
@@ -242,34 +243,25 @@ def _append_leftover(
             f"{what} edge {{}} used twice",
             f"{what} edge {{}} missing from host graph",
         )
-    if not len(leftover):
-        return
-    same = [cls for cls in classes if len(cls) == len(leftover)]
-    left, *sigs = class_signatures([leftover, *same], host.n) if same else [None]
-    for sig in sigs:  # same-size classes in index order, up to the first match
-        bad = next((s for s in (sig, left) if isinstance(s, Exception)), None)
-        if bad is not None:
-            raise VerifyError(
-                "leftover class matches an existing class in size "
-                "but neither can be canonicalised"
-            ) from bad
-        if sig == left:
-            break
-    else:
-        classes.append(leftover)
-        labels.append("leftover")
-        return
-    big = max(range(len(classes)), key=lambda i: (len(classes[i]), -i))
-    classes[big] = np.union1d(classes[big], leftover)
-    labels[big] = labels[big] + "+leftover"
-    # a merge can only happen on tiny inputs, so a full recheck is cheap
-    probe = Coloring(host=host, classes=tuple(classes), labels=tuple(labels))
-    ok, pair = verify_distinct(probe)
-    if not ok:
-        raise VerifyError(
-            f"degenerate input: classes {pair} still isomorphic after merging "
-            "the leftover"
-        )
+    if len(leftover):
+        same = [cls for cls in classes if len(cls) == len(leftover)]
+        left, *sigs = class_signatures([leftover, *same], host.n) if same else [None]
+        for sig in sigs:  # same-size classes in index order, up to the first match
+            bad = next((s for s in (sig, left) if isinstance(s, Exception)), None)
+            if bad is not None:
+                raise VerifyError(
+                    "leftover class matches an existing class in size "
+                    "but neither can be canonicalised"
+                ) from bad
+            if sig == left:
+                big = max(range(len(classes)), key=lambda i: (len(classes[i]), -i))
+                classes[big] = np.union1d(classes[big], leftover)
+                labels[big] += "+leftover"
+                break
+        else:
+            classes.append(leftover)
+            labels.append("leftover")
+    return Coloring(host=host, classes=tuple(classes), labels=tuple(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +288,7 @@ def build_dense_coloring(result: EmbedResult, host: Graph) -> Coloring:
         raise ValueError("embedded trees repeat a shape")
     classes = _ranked_classes([tree.edges for tree in trees])
     labels = ["tree:" + tree.code.decode("ascii") for tree in trees]
-    _append_leftover(host, classes, labels, "embedded")
-    return Coloring(host=host, classes=tuple(classes), labels=tuple(labels))
+    return _with_leftover(host, classes, labels, "embedded")
 
 
 def build_sparse_coloring(
@@ -315,8 +306,6 @@ def build_sparse_coloring(
     when p is given, else to an estimate of the mean degree.  If the DFS
     finds no path at all the whole edge set becomes a single class.
     """
-    if g.edge_count == 0:
-        return Coloring(host=g, classes=(), labels=())
     if target_len is None:
         target_len = max(1, math.floor(c_path * g.n))
     if max_paths is None:
@@ -325,16 +314,16 @@ def build_sparse_coloring(
         else:
             max_paths = max(1, round(2 * g.edge_count / max(1, g.n - 1)))
     pack = dfs_path_pack(g, target_len, max_paths)
-    if not pack.paths:
-        return Coloring(host=g, classes=(g.ranks,), labels=("leftover",))
     # lazy: pack_forests stops consuming at the first forest that fits
     # nowhere, and p(k) is far too large to materialise
     forests = (LinearForest(lengths) for lengths in partitions(k))
     packed = pack_forests(pack.paths, forests)
     classes = _forest_classes(pack.paths, packed.placements)
     labels = ["forest:" + ",".join(map(str, pl.lengths)) for pl in packed.placements]
-    _append_leftover(g, classes, labels, "placed")
-    return Coloring(host=g, classes=tuple(classes), labels=tuple(labels))
+    return _with_leftover(g, classes, labels, "placed")
+
+
+_SAFETY = 0.5  # the share of each observed path count the box budgets
 
 
 def verysparse_box(
@@ -342,14 +331,13 @@ def verysparse_box(
     tally: ComponentCensus,
     k: int,
     *,
-    safety: float = 0.5,
     p: Optional[float] = None,
     xi: Optional[Sequence[int]] = None,
 ) -> tuple[list[int], list[int], float]:
     """Per-order class budgets for the very sparse regime.
 
     Reads the path components of each order 2..l off tally, the census of
-    g, scales each count by safety / theta, subtracts one, and clamps so
+    g, scales each count by _SAFETY / theta, subtracts one, and clamps so
     that realising every vector in the resulting box cannot exceed the
     observed supply.  Returns (xi, observed, theta) with xi[i] the budget
     for order i + 2.
@@ -357,8 +345,6 @@ def verysparse_box(
     An explicit xi skips the density estimate and is used as the starting
     box instead; the supply clamp still applies.
     """
-    if not 0 < safety <= 1:
-        raise ValueError("safety must be in (0, 1]")
     L = ell(k)
     if L < 2:
         raise ValueError(f"k={k} needs no census (single path order)")
@@ -375,7 +361,7 @@ def verysparse_box(
             )
         xi = list(xi)
     else:
-        xi = [max(0, math.floor(safety * obs / theta) - 1) for obs in observed]
+        xi = [max(0, math.floor(_SAFETY * obs / theta) - 1) for obs in observed]
     while True:
         box = 1
         for x in xi:
@@ -399,7 +385,6 @@ def build_verysparse_coloring(
     tally: ComponentCensus,
     k: int,
     *,
-    safety: float = 0.5,
     p: Optional[float] = None,
     xi: Optional[Sequence[int]] = None,
 ) -> Coloring:
@@ -407,7 +392,7 @@ def build_verysparse_coloring(
     union of small path components, plus the leftover class.  A class takes
     the next unused rows of tally.paths (tally is the census of g), whose
     rows are the edge ranks of one path each, and sorts their ranks."""
-    xi, observed, _ = verysparse_box(g, tally, k, safety=safety, p=p, xi=xi)
+    xi, observed, _ = verysparse_box(g, tally, k, p=p, xi=xi)
     if all(x == 0 for x in xi):
         raise RuntimeError(
             "census too small: no census vector is realisable "
@@ -434,8 +419,7 @@ def build_verysparse_coloring(
             takes.append(take.ravel())
         classes.append(np.sort(_joined(takes)))
         labels.append("vector:" + ",".join(map(str, counts)))
-    _append_leftover(g, classes, labels, "census")
-    return Coloring(host=g, classes=tuple(classes), labels=tuple(labels))
+    return _with_leftover(g, classes, labels, "census")
 
 
 # ---------------------------------------------------------------------------

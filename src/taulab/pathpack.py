@@ -101,7 +101,7 @@ def dfs_path_pack(g: Graph, target_len: int, max_paths: int) -> PathPack:
     if max_paths < 0:
         raise ValueError("max_paths must be nonnegative")
     offsets, targets = g.csr
-    # array slices, unlike lists, are not tracked by the garbage collector
+    # an array copies the CSR bytes as they are, with no Python int per arc
     bounds, targets = offsets.tolist(), array("q", targets.tobytes())
     residual: list[Optional[array]] = [None] * g.n
     paths: list[tuple[int, ...]] = []

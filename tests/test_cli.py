@@ -5,9 +5,9 @@ import time
 
 import pytest
 
-from taulab import graph
+from taulab import cli, graph
 from taulab.cli import CSV_COLUMNS, main, trial_seed
-from taulab.coloring import read_coloring
+from taulab.coloring import Coloring, read_coloring
 from taulab.graph import Graph, write_edgelist
 
 
@@ -160,6 +160,30 @@ def test_construction_failure_exits_2(capsys, tmp_path):
     )
     assert rc == 2
     assert "census too small" in capsys.readouterr().err
+
+
+def isomorphic_pair(*args, **kwargs) -> Coloring:
+    # a faulty builder: two single-edge classes
+    host = Graph.from_edges(4, [(0, 1), (2, 3)])
+    return Coloring(host=host, classes=(host.ranks[:1], host.ranks[1:]), labels=("a", "b"))
+
+
+def test_color_reports_a_builder_fault(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "build_sparse_coloring", isomorphic_pair)
+    out = tmp_path / "c.col"
+    assert main(["color", *_SPARSE, "--out", str(out)]) == 2
+    got = lines(capsys)
+    assert "verify_distinct false" in got
+    assert got[-1] == "isomorphic_pair 0 1"
+    assert not out.exists()
+
+
+def test_experiment_reports_a_builder_fault(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "build_sparse_coloring", isomorphic_pair)
+    out = str(tmp_path / "runs.csv")
+    assert main(["experiment", *_SPARSE, "--trials", "2", "--out", out]) == 2
+    assert json.loads(lines(capsys)[0])["all_ok"] is False
+    assert [row["ok"] for row in read_rows(out)] == ["false", "false"]
 
 
 @pytest.mark.parametrize(

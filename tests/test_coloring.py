@@ -949,6 +949,58 @@ def test_builders_name_a_repeated_or_stray_edge(
     assert str(exc.value) == message.format(what)
 
 
+@pytest.mark.parametrize(
+    "builder, classes", [(embedded_classes, 3), (placed_classes, 3), (census_classes, 2)]
+)
+def test_builders_add_no_leftover_when_the_classes_cover_the_host(
+    builder, classes, monkeypatch
+):
+    edge_sets = [[(2, 3)], [(4, 5)], [(6, 7)]]
+    host = Graph.from_edges(8, [(2, 3), (4, 5), (6, 7)])
+    col = builder(host, edge_sets, monkeypatch)
+    assert col.num_classes == classes
+    assert not any("leftover" in label for label in col.labels)
+
+
+def test_leftover_matching_an_uncodeable_class_raises(monkeypatch):
+    # the leftover, the second 11-cycle, has the size of the class holding
+    # the first, and a cycle on 11 vertices is past the canonicaliser's cap
+    first = [(i, i + 1) for i in range(10)] + [(0, 10)]
+    second = [(u + 11, v + 11) for u, v in first]
+    with pytest.raises(VerifyError, match="neither can be canonicalised"):
+        embedded_classes(Graph.from_edges(22, first + second), [first], monkeypatch)
+
+
+@given(
+    st.sampled_from(list(itertools.product(range(3), repeat=2))[1:]),
+    st.integers(0, 3),
+    st.integers(0, 2),
+    st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_merged_leftover_is_the_strictly_largest_class(xi, spare2, spare3, triangle):
+    # the box xi over paths on 2 and 3 vertices uses up all but spare2 P2s
+    # and spare3 P3s of the host, and those spares and the triangle, if
+    # any, are the leftover
+    x2, x3 = xi
+    p2 = x2 * (x2 + 1) // 2 * (x3 + 1) + spare2
+    p3 = x3 * (x3 + 1) // 2 * (x2 + 1) + spare3
+    edges = [(2 * i, 2 * i + 1) for i in range(p2)]
+    for n in range(2 * p2, 2 * p2 + 3 * p3, 3):
+        edges += [(n, n + 1), (n + 1, n + 2)]
+    n = 2 * p2 + 3 * p3
+    if triangle:
+        edges += [(n, n + 1), (n + 1, n + 2), (n, n + 2)]
+    g = Graph.from_edges(n + 3, edges)
+    col = build_verysparse_coloring(g, census(g), 4, p=0.01, xi=xi)
+    sizes = [len(cls) for cls in col.classes]
+    for i, label in enumerate(col.labels):
+        if label.endswith("+leftover"):
+            event("merged")
+            assert all(sizes[i] > size for j, size in enumerate(sizes) if j != i)
+    assert verify_distinct(col) == (True, None)
+
+
 # --- very sparse builder ---------------------------------------------------
 
 

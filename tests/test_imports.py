@@ -1,16 +1,18 @@
 """No linter is configured for this repository, so these scans stand in for
-flake8's F401, for an import-placement rule and for a dead-code check.
+flake8's F401, for an import-placement rule and for dead-code checks.
 Every name a library module imports must be used in it, unless the import
 statement carries `# noqa: F401`.  Imports sit at module level, with no
 exception.  Every module-level private name must be read somewhere in the
-library."""
+library, and every defaulted parameter of a public library function must be
+passed by some call in the repository's code."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "taulab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "taulab"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -101,3 +103,52 @@ def test_scan_finds_an_unreferenced_private_name():
 def test_every_private_name_is_referenced():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+def unpassed_defaults(library: list[str], callers: list[str]) -> list[str]:
+    """'function: parameter' for each defaulted parameter of a public
+    module-level function in library that no call in callers passes, by
+    position or by name.  Calls match by the called name alone, and one
+    with *args or **kwargs passes every parameter."""
+    params: list[tuple[str, str, int]] = []
+    for source in library:
+        for fn in ast.parse(source).body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            params += [(fn.name, a.arg, i) for i, a in enumerate(positional) if i >= first]
+            params += [(fn.name, a.arg, -1)
+                       for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    passed: set[tuple[str, object]] = set()
+    for source in callers:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            passed.update((name, i) for i in range(len(call.args)))
+            passed.update((name, k.arg) for k in call.keywords)
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            if starred or any(k.arg is None for k in call.keywords):
+                passed.add((name, "*"))
+    return [f"{fn}: {arg}" for fn, arg, i in params
+            if not {(fn, "*"), (fn, i), (fn, arg)} & passed]
+
+
+def test_scan_finds_an_unpassed_default():
+    library = [
+        "def f(a, b=1, *, c=2, d=3):\n    pass\n"
+        "def g(x=0):\n    pass\n"
+        "def h(y=0):\n    pass\n"
+        "def _k(z=0):\n    pass\n"
+    ]
+    callers = ["f(0, 5)\nm.f(0, d=4)\ng(**kw)\nh(*args)\n"]
+    assert unpassed_defaults(library, callers) == ["f: c"]
+
+
+def test_every_default_is_passed_somewhere():
+    library = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    callers = [p.read_text() for top in ("src", "scripts", "tests", "perfbench")
+               for p in sorted((ROOT / top).rglob("*.py"))]
+    assert unpassed_defaults(library, callers) == []
