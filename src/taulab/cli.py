@@ -518,12 +518,12 @@ _FLAG_RULES = {
 
 
 def _k_rule(args: argparse.Namespace) -> tuple:
-    """--k's rule: at least 2 where k sets the very sparse window (the
-    verysparse regime, and bounds given --n), at least 1 elsewhere."""
-    window = getattr(args, "regime", None) == "verysparse" or (
-        args.fn is _cmd_bounds and args.n is not None
-    )
-    return _at_least(2 if window else 1)
+    """--k's rule: at least 4 in the verysparse regime, whose upper bound
+    upper_F needs ell(k) >= 3; at least 2 for bounds given --n, where k sets
+    the very sparse window; at least 1 elsewhere."""
+    if getattr(args, "regime", None) == "verysparse":
+        return _at_least(4)
+    return _at_least(2 if args.fn is _cmd_bounds and args.n is not None else 1)
 
 
 def _n_rule(args: argparse.Namespace) -> tuple:

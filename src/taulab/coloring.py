@@ -4,10 +4,13 @@ A colouring here is a partition of the host's edge set; isolated vertices
 never matter, so each class is a sorted int64 array of the pair ranks its
 edges have in the host (see `taulab.graph`).  Three builders produce the
 classes for the three random-graph regimes (embedded trees, linear forests
-packed into long paths, unions of small path components), and one step adds
-the leftover class of every unused edge (each used rank is found in the
-host's by binary search); a leftover isomorphic to a class is merged into the
-largest class, which then outsizes every other class and so stays distinct.
+packed into long paths, unions of small path components).  The last two take
+the host's edge density p, which caps the path harvest at floor(n p) paths
+(of floor(c_path n) edges each) and scales the very sparse box by theta(n, p).
+One step adds the leftover class of every unused edge (each used rank is
+found in the host's by binary search); a leftover isomorphic to a class is
+merged into the largest class, which then outsizes every other class and so
+stays distinct.
 Constructing a `Coloring` checks with one sort that the classes cover the
 host disjointly.  `verify_distinct` then certifies pairwise non-isomorphism
 from scratch: classes of different edge counts are trivially
@@ -19,8 +22,8 @@ a graph's class signature plus one K1 per isolated vertex.
 
 `tau_exact` answers the inverse question for tiny graphs (8 edges by
 default, 12 at most) by branch and bound over whole classes, and
-`tau_matching` gives the closed form for a perfect obstruction-free case,
-a matching of m edges.
+`tau_matching` gives the trivial floor on tau of any m-edge graph (classes
+of distinct sizes), which a matching of m edges attains.
 """
 
 from __future__ import annotations
@@ -244,15 +247,17 @@ def _with_leftover(
             f"{what} edge {{}} missing from host graph",
         )
     if len(leftover):
-        same = [cls for cls in classes if len(cls) == len(leftover)]
-        left, *sigs = class_signatures([leftover, *same], host.n) if same else [None]
-        for sig in sigs:  # same-size classes in index order, up to the first match
-            bad = next((s for s in (sig, left) if isinstance(s, Exception)), None)
-            if bad is not None:
+        same = [i for i, cls in enumerate(classes) if len(cls) == len(leftover)]
+        batch = [leftover, *(classes[i] for i in same)]
+        left, *sigs = class_signatures(batch, host.n) if same else [None]
+        for i, sig in zip(same, sigs):  # in index order, up to the first match
+            bad = [(name, s) for name, s in (("the leftover", left), (f"class {i}", sig))
+                   if isinstance(s, Exception)]
+            if bad:
+                who = "neither can" if len(bad) == 2 else f"{bad[0][0]} cannot"
                 raise VerifyError(
-                    "leftover class matches an existing class in size "
-                    "but neither can be canonicalised"
-                ) from bad
+                    f"leftover class matches class {i} in size but {who} be canonicalised"
+                ) from bad[0][1]
             if sig == left:
                 big = max(range(len(classes)), key=lambda i: (len(classes[i]), -i))
                 classes[big] = np.union1d(classes[big], leftover)
@@ -292,28 +297,14 @@ def build_dense_coloring(result: EmbedResult, host: Graph) -> Coloring:
 
 
 def build_sparse_coloring(
-    g: Graph,
-    k: int,
-    *,
-    c_path: float = 0.05,
-    p: Optional[float] = None,
-    target_len: Optional[int] = None,
-    max_paths: Optional[int] = None,
+    g: Graph, k: int, *, p: float, c_path: float = 0.05
 ) -> Coloring:
-    """Pack one linear forest per partition of k into harvested long paths.
-
-    target_len defaults to floor(c_path * n); max_paths to floor(n * p)
-    when p is given, else to an estimate of the mean degree.  If the DFS
-    finds no path at all the whole edge set becomes a single class.
+    """Pack one linear forest per partition of k into long paths: at most
+    max(1, floor(n * p)) harvested paths of max(1, floor(c_path * n)) edges
+    each.  If the DFS finds no path the whole edge set becomes a single class.
     """
-    if target_len is None:
-        target_len = max(1, math.floor(c_path * g.n))
-    if max_paths is None:
-        if p is not None:
-            max_paths = max(1, math.floor(g.n * p))
-        else:
-            max_paths = max(1, round(2 * g.edge_count / max(1, g.n - 1)))
-    pack = dfs_path_pack(g, target_len, max_paths)
+    target_len = max(1, math.floor(c_path * g.n))
+    pack = dfs_path_pack(g, target_len, max(1, math.floor(g.n * p)))
     # lazy: pack_forests stops consuming at the first forest that fits
     # nowhere, and p(k) is far too large to materialise
     forests = (LinearForest(lengths) for lengths in partitions(k))
@@ -327,72 +318,40 @@ _SAFETY = 0.5  # the share of each observed path count the box budgets
 
 
 def verysparse_box(
-    g: Graph,
-    tally: ComponentCensus,
-    k: int,
-    *,
-    p: Optional[float] = None,
-    xi: Optional[Sequence[int]] = None,
-) -> tuple[list[int], list[int], float]:
+    n: int, tally: ComponentCensus, k: int, p: float
+) -> tuple[list[int], list[int]]:
     """Per-order class budgets for the very sparse regime.
 
     Reads the path components of each order 2..l off tally, the census of
-    g, scales each count by _SAFETY / theta, subtracts one, and clamps so
-    that realising every vector in the resulting box cannot exceed the
-    observed supply.  Returns (xi, observed, theta) with xi[i] the budget
-    for order i + 2.
-
-    An explicit xi skips the density estimate and is used as the starting
-    box instead; the supply clamp still applies.
+    a host on n vertices with edge density p, scales each count by
+    _SAFETY / theta, subtracts one, and clamps so that realising every
+    vector in the resulting box cannot exceed the observed supply.  Returns
+    (xi, observed) with xi[i] the budget for order i + 2.
     """
     L = ell(k)
     if L < 2:
         raise ValueError(f"k={k} needs no census (single path order)")
-    if p is None:
-        if g.edge_count == 0:
-            raise ValueError("cannot infer edge density from an empty graph")
-        p = g.edge_count / (g.n * (g.n - 1) / 2)
-    theta = theta_verysparse(g.n, p, k)
+    theta = theta_verysparse(n, p, k)
     observed = [tally.path_counts.get(order, 0) for order in range(2, L + 1)]
-    if xi is not None:
-        if len(xi) != L - 1 or any(x < 0 for x in xi):
-            raise ValueError(
-                f"explicit xi needs {L - 1} nonnegative entries (orders 2..{L})"
-            )
-        xi = list(xi)
-    else:
-        xi = [max(0, math.floor(_SAFETY * obs / theta) - 1) for obs in observed]
+    xi = [max(0, math.floor(_SAFETY * obs / theta) - 1) for obs in observed]
     while True:
-        box = 1
-        for x in xi:
-            box *= x + 1
-        bad = None
-        for i, x in enumerate(xi):
-            if x == 0:
-                continue
-            # realising the whole box needs x*(x+1)/2 * (box/(x+1)) paths
-            need = x * (x + 1) // 2 * (box // (x + 1))
-            if need > observed[i]:
-                bad = i
-                break
+        box = math.prod(x + 1 for x in xi)
+        # realising the whole box needs x*(x+1)/2 * (box/(x+1)) paths
+        bad = next((i for i, x in enumerate(xi)
+                    if x and x * (x + 1) // 2 * (box // (x + 1)) > observed[i]), None)
         if bad is None:
-            return xi, observed, theta
+            return xi, observed
         xi[bad] -= 1
 
 
 def build_verysparse_coloring(
-    g: Graph,
-    tally: ComponentCensus,
-    k: int,
-    *,
-    p: Optional[float] = None,
-    xi: Optional[Sequence[int]] = None,
+    g: Graph, tally: ComponentCensus, k: int, *, p: float
 ) -> Coloring:
     """One colour class per nonzero census vector in the clamped box, each a
     union of small path components, plus the leftover class.  A class takes
     the next unused rows of tally.paths (tally is the census of g), whose
     rows are the edge ranks of one path each, and sorts their ranks."""
-    xi, observed, _ = verysparse_box(g, tally, k, p=p, xi=xi)
+    xi, observed = verysparse_box(g.n, tally, k, p)
     if all(x == 0 for x in xi):
         raise RuntimeError(
             "census too small: no census vector is realisable "
@@ -427,8 +386,10 @@ def build_verysparse_coloring(
 
 
 def tau_matching(m: int) -> int:
-    """Largest t with t*(t+1)/2 <= m: a matching of m edges splits into
-    classes of 1, 2, ..., t disjoint edges."""
+    """Largest t with t*(t+1)/2 <= m, a lower bound on tau of every graph
+    with m edges: they split into classes of 1, 2, ..., t - 1 edges plus one
+    of the rest (at least t), and classes of different sizes are never
+    isomorphic.  A matching attains it, since its classes are matchings."""
     if m < 0:
         raise ValueError("edge count must be nonnegative")
     return (math.isqrt(8 * m + 1) - 1) // 2

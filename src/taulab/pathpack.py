@@ -18,10 +18,11 @@ in path order: a sub-path of length x consumes x + 1 consecutive path
 vertices, so a forest with lengths (x_1 >= ... >= x_l) occupies k + l
 consecutive vertices and the next placement starts right after it.  Sub-paths
 of one forest never share a vertex, so each class really is the disjoint
-union its label promises.  A placement is only its layout (path, offset,
-lengths).  The classes are cut afterwards: the consecutive vertex pairs of
-all the paths are ranked once, in one array, and a forest's class is one
-slice of it per sub-path.
+union its label promises.  A pack is only its paths, a pack result only its
+placements, and a placement only its layout (path, offset, lengths).  The
+classes are cut afterwards: the consecutive vertex pairs of all the paths are
+ranked once, in one array, and a forest's class is one slice of it per
+sub-path.
 """
 
 from __future__ import annotations
@@ -39,10 +40,8 @@ from .graph import Graph
 
 @dataclass
 class PathPack:
-    """Harvested vertex-paths, each of exactly target_len edges."""
+    """Harvested vertex-paths, each of the target_len edges asked for."""
 
-    n: int
-    target_len: int
     paths: list[tuple[int, ...]]
 
     @property
@@ -122,7 +121,7 @@ def dfs_path_pack(g: Graph, target_len: int, max_paths: int) -> PathPack:
                 back = residual[b] = targets[bounds[b]:bounds[b + 1]]
             back.remove(a)  # raises if an earlier path took the edge
         paths.append(tuple(path))
-    return PathPack(n=g.n, target_len=target_len, paths=paths)
+    return PathPack(paths)
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,6 @@ class ForestPlacement:
     """One forest laid along one harvested path: its sub-paths, of the given
     lengths, take path vertices from offset on, one vertex apart."""
 
-    forest_index: int
     path_index: int
     offset: int
     lengths: tuple[int, ...]
@@ -138,9 +136,9 @@ class ForestPlacement:
 
 @dataclass
 class PackResult:
+    """The placed forests, in supply order."""
+
     placements: list[ForestPlacement]
-    stopped_at: Optional[int]
-    attempted: int
 
 
 def pack_forests(
@@ -148,11 +146,11 @@ def pack_forests(
 ) -> PackResult:
     """Lay forests of any sizes along the paths, each on the first path with
     room for its order, stopping at the first forest that fits nowhere
-    (reported in stopped_at; later forests untouched).  Only the layout is
-    computed; `_forest_classes` cuts the edges."""
+    (later forests untouched).  Only the layout is computed;
+    `_forest_classes` cuts the edges."""
     cursors = [0] * len(paths)
     placements: list[ForestPlacement] = []
-    for idx, forest in enumerate(forests):
+    for forest in forests:
         if not isinstance(forest, LinearForest):
             raise ValueError("forests must be LinearForest instances")
         order = forest.order
@@ -160,12 +158,10 @@ def pack_forests(
             (i for i, path in enumerate(paths) if len(path) - cursors[i] >= order), None
         )
         if target is None:
-            return PackResult(placements, stopped_at=idx, attempted=idx + 1)
-        placements.append(
-            ForestPlacement(idx, target, cursors[target], forest.path_lengths)
-        )
+            break
+        placements.append(ForestPlacement(target, cursors[target], forest.path_lengths))
         cursors[target] += order
-    return PackResult(placements, stopped_at=None, attempted=len(placements))
+    return PackResult(placements)
 
 
 def _forest_classes(

@@ -84,6 +84,11 @@ _SPARSE = ["--regime", "sparse", "--n", "50", "--p-over-n", "3", "--seed", "1"]
         (["embed", "--n", "1", "--p", "0.5", "--seed", "0"], "--n"),
         # above tau_exact's ceiling, len(GRAPHS_WITH_EDGES)
         (["tau-exact", "--bundled", "k3", "--max-edges", "13"], "--max-edges"),
+        # the verysparse upper bound upper_F needs ell(k) >= 3, so k >= 4
+        (["color", "--regime", "verysparse", "--n", "100", "--p", "0.01", "--seed", "1",
+          "--k", "3"], "--k"),
+        (["experiment", "--regime", "verysparse", "--n", "100", "--p", "0.01",
+          "--seed", "1", "--trials", "1", "--k", "2"], "--k"),
     ],
 )
 def test_bad_flag_values_exit_1(capsys, tmp_path, argv, flag):

@@ -854,20 +854,20 @@ def test_dense_builder_checks_host_edges():
 
 
 def test_sparse_builder_empty_graph():
-    col = build_sparse_coloring(Graph.from_edges(5, []), 3)
+    col = build_sparse_coloring(Graph.from_edges(5, []), 3, p=0.5)
     assert col.num_classes == 0
 
 
 def test_sparse_builder_no_paths():
     g = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
-    col = build_sparse_coloring(g, 3, target_len=5)
+    col = build_sparse_coloring(g, 3, c_path=5 / 6, p=1 / 6)
     assert col.labels == ("leftover",)
     assert class_edges(col) == (((0, 1), (2, 3), (4, 5)),)
 
 
 def test_sparse_builder_on_cycle():
     g = cycle_graph(60)
-    col = build_sparse_coloring(g, 3, target_len=10, max_paths=10)
+    col = build_sparse_coloring(g, 3, c_path=1 / 6, p=1 / 6)
     assert col.labels[:3] == ("forest:3", "forest:2,1", "forest:1,1,1")
     assert col.labels[-1] == "leftover"
     assert col.num_classes == 4
@@ -882,7 +882,7 @@ def test_sparse_builder_oversized_k():
     # no forest with 30 edges fits on an 11-vertex path, so everything
     # lands in the leftover class
     g = cycle_graph(24)
-    col = build_sparse_coloring(g, 30, target_len=10, max_paths=5)
+    col = build_sparse_coloring(g, 30, c_path=10 / 24, p=5 / 24)
     assert col.labels == ("leftover",)
 
 
@@ -907,15 +907,13 @@ def placed_classes(host, edge_sets, monkeypatch):
     monkeypatch.setattr(
         coloring,
         "dfs_path_pack",
-        lambda g, target_len, max_paths: PathPack(g.n, 1, paths),
+        lambda g, target_len, max_paths: PathPack(paths),
     )
-    placements = [ForestPlacement(i, i, 0, (1,)) for i in range(len(paths))]
+    placements = [ForestPlacement(i, 0, (1,)) for i in range(len(paths))]
     monkeypatch.setattr(
-        coloring,
-        "pack_forests",
-        lambda paths, forests: PackResult(placements, None, len(placements)),
+        coloring, "pack_forests", lambda paths, forests: PackResult(placements)
     )
-    return build_sparse_coloring(host, 3, target_len=4, max_paths=2)
+    return build_sparse_coloring(host, 3, p=0.5)
 
 
 def census_classes(host, edge_sets, monkeypatch):
@@ -923,7 +921,8 @@ def census_classes(host, edge_sets, monkeypatch):
     # the first for one class and the next two for another
     rows = np.array([pair_ranks(es) for es in edge_sets])
     tally = ComponentCensus(counts={}, paths={2: rows})
-    return build_verysparse_coloring(host, tally, 4, xi=(2, 0))
+    monkeypatch.setattr(coloring, "verysparse_box", lambda *args: ([2, 0], [3, 0]))
+    return build_verysparse_coloring(host, tally, 4, p=0.5)
 
 
 @pytest.mark.parametrize(
@@ -971,6 +970,23 @@ def test_leftover_matching_an_uncodeable_class_raises(monkeypatch):
         embedded_classes(Graph.from_edges(22, first + second), [first], monkeypatch)
 
 
+@pytest.mark.parametrize("cycle_is_the_class", [True, False])
+def test_leftover_error_names_the_side_that_cannot_be_coded(
+    cycle_is_the_class, monkeypatch
+):
+    # an 11-cycle, past the canonicaliser's cap, and an 11-edge path, a tree
+    # that codes at any size: one is the class, the other the leftover
+    cycle = [(i, i + 1) for i in range(10)] + [(0, 10)]
+    path = [(i, i + 1) for i in range(11, 22)]
+    host = Graph.from_edges(23, cycle + path)
+    side = "class 0" if cycle_is_the_class else "the leftover"
+    with pytest.raises(VerifyError) as exc:
+        embedded_classes(host, [cycle if cycle_is_the_class else path], monkeypatch)
+    assert str(exc.value) == (
+        f"leftover class matches class 0 in size but {side} cannot be canonicalised"
+    )
+
+
 @given(
     st.sampled_from(list(itertools.product(range(3), repeat=2))[1:]),
     st.integers(0, 3),
@@ -992,7 +1008,9 @@ def test_merged_leftover_is_the_strictly_largest_class(xi, spare2, spare3, trian
     if triangle:
         edges += [(n, n + 1), (n + 1, n + 2), (n, n + 2)]
     g = Graph.from_edges(n + 3, edges)
-    col = build_verysparse_coloring(g, census(g), 4, p=0.01, xi=xi)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coloring, "verysparse_box", lambda *args: (list(xi), [p2, p3]))
+        col = build_verysparse_coloring(g, census(g), 4, p=0.01)
     sizes = [len(cls) for cls in col.classes]
     for i, label in enumerate(col.labels):
         if label.endswith("+leftover"):
@@ -1015,11 +1033,13 @@ def hand_box_graph(extra_triangle: bool = False) -> Graph:
 
 
 def test_verysparse_hand_box():
+    # theta = 12^(5/3) p = 0.44 starts the box at (2, 1), and the clamp
+    # lowers it to (1, 1)
     g = hand_box_graph()
-    xi, observed, _ = verysparse_box(g, census(g), 4, xi=(1, 1))
+    xi, observed = verysparse_box(g.n, census(g), 4, 0.007)
     assert xi == [1, 1]
     assert observed == [3, 2]
-    col = build_verysparse_coloring(g, census(g), 4, xi=(1, 1))
+    col = build_verysparse_coloring(g, census(g), 4, p=0.007)
     # all three census vectors realised; the spare P2 is isomorphic to the
     # (1,0) class, so it merges into the largest class instead
     assert col.labels == ("vector:0,1", "vector:1,0", "vector:1,1+leftover")
@@ -1033,7 +1053,9 @@ def test_verysparse_hand_box():
 
 def test_verysparse_leftover_kept_separate():
     g = hand_box_graph(extra_triangle=True)
-    col = build_verysparse_coloring(g, census(g), 4, xi=(1, 1))
+    # theta = 15^(5/3) p = 0.46, so the box is (1, 1) as on the plain graph
+    assert verysparse_box(g.n, census(g), 4, 0.005) == ([1, 1], [3, 2])
+    col = build_verysparse_coloring(g, census(g), 4, p=0.005)
     assert col.labels == (
         "vector:0,1",
         "vector:1,0",
@@ -1047,15 +1069,17 @@ def test_verysparse_leftover_kept_separate():
 
 
 def test_verysparse_clamp_respects_supply():
+    # a tiny theta starts the box far beyond the supply
     g = hand_box_graph()
-    xi, observed, _ = verysparse_box(g, census(g), 4, xi=(50, 50))
+    xi, observed = verysparse_box(g.n, census(g), 4, 1e-6)
+    assert xi == [0, 1]
     box = 1
     for x in xi:
         box *= x + 1
     for i, x in enumerate(xi):
         # total components of order i+2 consumed over the whole box
         assert x * (x + 1) // 2 * (box // (x + 1)) <= observed[i]
-    col = build_verysparse_coloring(g, census(g), 4, xi=(50, 50))
+    col = build_verysparse_coloring(g, census(g), 4, p=1e-6)
     assert verify_distinct(col) == (True, None)
 
 
@@ -1098,9 +1122,9 @@ def test_verysparse_refuses_a_box_beyond_the_supply(monkeypatch):
     # three P2s and two P3s; the box (2, 1) reaches its vector (2, 0) with
     # only one P2 left
     g = hand_box_graph()
-    monkeypatch.setattr(coloring, "verysparse_box", lambda *a, **kw: ([2, 1], [3, 2], 1.0))
+    monkeypatch.setattr(coloring, "verysparse_box", lambda *args: ([2, 1], [3, 2]))
     with pytest.raises(RuntimeError, match="2 paths on 2 vertices wanted, 1 left"):
-        build_verysparse_coloring(g, census(g), 4)
+        build_verysparse_coloring(g, census(g), 4, p=0.007)
 
 
 def test_verysparse_errors():
@@ -1108,16 +1132,10 @@ def test_verysparse_errors():
     g = Graph.from_edges(4, [(0, 1)])
     with pytest.raises(RuntimeError, match="census too small"):
         build_verysparse_coloring(g, census(g), 4, p=0.5)
+    # on the hand graph, theta = 12^(5/3) * 0.05 = 3.1 leaves a (0, 0) box
     g = hand_box_graph()
     with pytest.raises(RuntimeError, match="census too small"):
-        build_verysparse_coloring(g, census(g), 4, xi=(0, 0))
-    with pytest.raises(ValueError, match="entries"):
-        verysparse_box(g, census(g), 4, xi=(1, 1, 1))
-    with pytest.raises(ValueError, match="entries"):
-        verysparse_box(g, census(g), 4, xi=(-1, 1))
-    g = Graph.from_edges(4, [])
-    with pytest.raises(ValueError, match="empty"):
-        verysparse_box(g, census(g), 4)
+        build_verysparse_coloring(g, census(g), 4, p=0.05)
 
 
 # --- exact tau -------------------------------------------------------------
@@ -1166,6 +1184,18 @@ def test_tau_exact_bounds_property(seed):
     tau = tau_exact(g)
     # splitting into parts of pairwise distinct sizes always works
     assert tau_matching(m) <= tau <= m
+
+
+@given(st.integers(0, 2**31), st.integers(2, 7), st.floats(0.1, 0.6), st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_tau_matching_is_a_floor_that_matchings_attain(seed, nv, p, m):
+    # any m edges split into classes of 1, 2, ..., t - 1 edges plus the rest,
+    # all of distinct sizes; the classes of a matching are matchings, equal
+    # in type exactly when equal in size, so no colouring does better
+    g = gen_gnp(nv, p, seed)
+    if g.edge_count <= 8:
+        assert tau_exact(g) >= tau_matching(g.edge_count)
+    assert tau_exact(matching(m)) == tau_matching(m)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -147,8 +147,25 @@ def test_scan_finds_an_unpassed_default():
     assert unpassed_defaults(library, callers) == ["f: c"]
 
 
+# defaults that no program call passes, each kept for the reason given
+TEST_ONLY_DEFAULTS = {
+    "main: argv": "the console script calls main() bare",
+    "canonical_form: max_vertices": "the canonicaliser cap takes three values "
+    "in the program (10, 12 and 2 * max_edges in tau_exact), and tests move it",
+    "verify_distinct: max_vertices": "the same canonicaliser cap",
+    "greedy_embed: record_log": "the scalar-oracle comparisons read the log",
+    "toy_lagrange_opt: tol": "the toy solver is one of the paper checks, "
+    "and its feasibility tolerance is the usual knob of a numerical solve",
+}
+
+
 def test_every_default_is_passed_somewhere():
+    # an option is justified only when callers other than tests need
+    # different values, so calls in tests (perfbench's too) do not count
     library = [p.read_text() for p in sorted(SRC.glob("*.py"))]
-    callers = [p.read_text() for top in ("src", "scripts", "tests", "perfbench")
-               for p in sorted((ROOT / top).rglob("*.py"))]
-    assert unpassed_defaults(library, callers) == []
+    callers = [p.read_text() for top in ("src", "scripts", "perfbench")
+               for p in sorted((ROOT / top).rglob("*.py"))
+               if "tests" not in p.relative_to(ROOT).parts]
+    unpassed = unpassed_defaults(library, callers)
+    assert [d for d in unpassed if d not in TEST_ONLY_DEFAULTS] == []
+    assert sorted(set(TEST_ONLY_DEFAULTS) - set(unpassed)) == []

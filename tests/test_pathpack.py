@@ -20,10 +20,10 @@ def cycle_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def check_pack(g: Graph, pack) -> None:
+def check_pack(g: Graph, pack, target_len: int) -> None:
     seen_edges = set()
     for path in pack.paths:
-        assert len(path) == pack.target_len + 1
+        assert len(path) == target_len + 1
         assert len(set(path)) == len(path)
         for a, b in zip(path, path[1:]):
             assert g.has_edge(a, b)
@@ -37,14 +37,14 @@ def test_path_graph_split():
     pack = dfs_path_pack(path_graph(11), 5, 10)
     assert pack.paths == [(0, 1, 2, 3, 4, 5), (5, 6, 7, 8, 9, 10)]
     assert len(pack.used_edges) == 10
-    check_pack(path_graph(11), pack)
+    check_pack(path_graph(11), pack, 5)
 
 
 def test_cycle_harvest():
     g = cycle_graph(12)
     pack = dfs_path_pack(g, 5, 10)
     assert len(pack.paths) == 2
-    check_pack(g, pack)
+    check_pack(g, pack, 5)
 
 
 def test_max_paths_cap():
@@ -99,7 +99,7 @@ def test_input_validation():
 def test_pack_invariants_property(seed, p):
     g = gen_gnp(30, p, seed)
     pack = dfs_path_pack(g, 4, 50)
-    check_pack(g, pack)
+    check_pack(g, pack, 4)
 
 
 def assert_matches_oracle(g: Graph, target_len: int, max_paths: int) -> None:
@@ -107,7 +107,7 @@ def assert_matches_oracle(g: Graph, target_len: int, max_paths: int) -> None:
     paths, used = scalar_dfs_path_pack(g, target_len, max_paths)
     assert pack.paths == paths
     assert pack.used_edges == used
-    check_pack(g, pack)
+    check_pack(g, pack, target_len)
 
 
 @given(
@@ -168,8 +168,6 @@ def placed_edges(paths, placement) -> tuple[tuple[int, int], ...]:
 def test_forest_layout_on_one_path():
     path = tuple(range(11))
     res = pack_forests([path], [LinearForest((2, 1)), LinearForest((2, 1))])
-    assert res.stopped_at is None
-    assert res.attempted == 2
     first, second = res.placements
     assert first.offset == 0
     assert placed_edges([path], first) == ((0, 1), (1, 2), (3, 4))
@@ -182,8 +180,6 @@ def test_forest_layout_stops_when_full():
     forests = [LinearForest((2, 1))] * 3  # footprint 5 each
     res = pack_forests([path], forests)
     assert len(res.placements) == 2
-    assert res.stopped_at == 2
-    assert res.attempted == 3
 
 
 def test_forest_layout_is_lazy():
@@ -197,7 +193,7 @@ def test_forest_layout_is_lazy():
             yield LinearForest((2, 1))
 
     res = pack_forests([path], supply())
-    assert res.stopped_at == 2
+    assert len(res.placements) == 2
     assert pulled == 3
 
 
@@ -209,7 +205,6 @@ def test_mixed_sizes_first_fit():
     assert [(p.path_index, p.offset) for p in res.placements] == [
         (0, 0), (1, 0), (0, 5), (1, 7)
     ]
-    assert res.stopped_at == 4 and res.attempted == 5
     assert [placed_edges(paths, p) for p in res.placements] == [
         ((0, 1), (1, 2), (3, 4)),
         ((10, 11), (11, 12), (12, 13), (14, 15), (15, 16)),
@@ -224,7 +219,6 @@ def test_first_fit_across_paths():
     res = pack_forests(paths, forests)
     assert [p.path_index for p in res.placements] == [0, 1, 1]
     assert [p.offset for p in res.placements] == [0, 0, 5]
-    assert res.stopped_at == 3
 
 
 def test_subpaths_within_forest_are_vertex_disjoint():
@@ -240,11 +234,7 @@ def test_subpaths_within_forest_are_vertex_disjoint():
 def test_empty_inputs():
     res = pack_forests([], [LinearForest((1,))])
     assert res.placements == []
-    assert res.stopped_at == 0
-    empty = pack_forests([tuple(range(5))], [])
-    assert empty.placements == []
-    assert empty.stopped_at is None
-    assert empty.attempted == 0
+    assert pack_forests([tuple(range(5))], []).placements == []
 
 
 def check_forest_cut(paths, forests) -> None:
@@ -252,8 +242,7 @@ def check_forest_cut(paths, forests) -> None:
     edges the tuple route lays out, and both stop at the same forest."""
     res = pack_forests(paths, forests)
     want, stop = tuple_forest_edges(paths, forests)
-    assert res.stopped_at == stop
-    assert res.attempted == (len(forests) if stop is None else stop + 1)
+    assert len(res.placements) == (len(forests) if stop is None else stop)
     got = _forest_classes(paths, res.placements)
     assert [cls.tolist() for cls in got] == [
         sorted(pair_ranks(edges).tolist()) for edges in want
@@ -284,4 +273,4 @@ def test_forest_classes_of_a_sparse_pack_match_tuple_route(seed):
     pack = dfs_path_pack(g, 30, 12)
     forests = [LinearForest(lengths) for lengths in itertools.islice(partitions(13), 80)]
     check_forest_cut(pack.paths, forests)
-    assert pack_forests(pack.paths, forests).stopped_at is not None
+    assert len(pack_forests(pack.paths, forests).placements) < len(forests)
