@@ -30,15 +30,13 @@ Bookkeeping mirrors the analysis:
 So rev(v) = rev+(v) + rev-(v) for every v, and the rev totals over all
 vertices add up to twice the step count.
 
-Candidates are drawn a block at a time (``rng.integers(0, n, size=512)``
-gives the same values as 512 scalar calls) and replayed exactly: before
-the tree supply, the fallback pick or the caller next sees the generator,
-it is rewound to the block's start and only the values used are drawn
-again.  Seeded results and the generator's final state are therefore those
-of one scalar draw per candidate.  The common step, an accepted first
-candidate, runs inline in `greedy_embed`: it reads the candidate block and
-the pair table through locals, ranks the candidate's pair before testing
-it, and counts the active vertex's reveals once per embedded edge.
+The picker's generator is read by the embedding alone, as one stream of
+``rng.integers(0, n, size=512)`` blocks, which give the same values as
+512 scalar calls; so seeded results are those of one scalar draw per
+candidate.  The common step, an accepted first candidate, runs inline in
+`greedy_embed`: it reads the candidate block and the pair table through
+locals, ranks the candidate's pair before testing it, and counts the
+active vertex's reveals once per embedded edge.
 """
 
 from __future__ import annotations
@@ -148,7 +146,6 @@ class EmbedTrace:
     spans: list[tuple[int, int]] = field(default_factory=list)
     failed: bool = False
     failure_step: Optional[int] = None
-    log: Optional[list[tuple[int, int, int, bool]]] = None
 
 
 @dataclass(frozen=True)
@@ -188,15 +185,10 @@ def _connected_order(tree: Graph) -> tuple[list[int], list[int]]:
 
 
 class _CandidateDraws:
-    """Candidate vertices ``int(rng.integers(0, n))``, drawn in blocks.
+    """Candidate vertices from ``rng.integers(0, n, size=512)`` blocks.
 
-    numpy gives ``rng.integers(0, n, size=k)`` the same values as k scalar
-    calls, so a block is read ahead and handed out one value at a time:
     ``block[taken]`` is the next candidate.  A caller that reads the block
-    through locals writes taken back before it calls a method.  `settle`
-    rewinds rng to the block's start and redraws only the values taken,
-    which leaves rng exactly where the scalar calls would.  It must run
-    before anything else draws from rng.
+    through locals writes taken back before it calls a method.
     """
 
     def __init__(self, rng: np.random.Generator, n: int):
@@ -204,11 +196,9 @@ class _CandidateDraws:
         self._n = n
         self.block: list[int] = []
         self.taken = 0
-        self._start: Optional[dict] = None  # rng's state before the block
 
     def refill(self) -> list[int]:
-        """Read the next block ahead, with none of it taken."""
-        self._start = self._rng.bit_generator.state
+        """Draw the next block, with none of it taken."""
         self.block = self._rng.integers(0, self._n, size=_DRAW_BLOCK).tolist()
         self.taken = 0
         return self.block
@@ -219,32 +209,26 @@ class _CandidateDraws:
         self.taken += 1
         return self.block[self.taken - 1]
 
-    def settle(self) -> None:
-        if self.taken < len(self.block):
-            self._rng.bit_generator.state = self._start
-            self._rng.integers(0, self._n, size=self.taken)
-        self.block = []
-        self.taken = 0
-
     def pick_after_rejection(
         self, g: LazyRandomGraph, active: int, image: set[int]
     ) -> Optional[int]:
-        """The pick after a rejected first candidate: up to _REJECTION_TRIES
-        draws in all, then a uniform choice among every allowed vertex, one
-        whose pair with active is not revealed and which is not in image."""
+        """The pick after a rejected first candidate: the first allowed
+        candidate, one whose pair with active is not revealed and which is
+        not in image.  After _REJECTION_TRIES draws in all it returns None
+        if no vertex is allowed, and otherwise draws on, which keeps the
+        pick uniform over the allowed vertices."""
+        def allowed(w: int) -> bool:
+            return w != active and not g.is_revealed(active, w) and w not in image
+
         for _ in range(_REJECTION_TRIES - 1):
             w = self.take()
-            if w != active and not g.is_revealed(active, w) and w not in image:
+            if allowed(w):
                 return w
-        allowed = [
-            w
-            for w in range(self._n)
-            if w != active and not g.is_revealed(active, w) and w not in image
-        ]
-        if not allowed:
+        if not any(allowed(w) for w in range(self._n)):
             return None
-        self.settle()
-        return allowed[int(self._rng.integers(0, len(allowed)))]
+        while not allowed(w := self.take()):
+            pass
+        return w
 
 
 def greedy_embed(
@@ -252,31 +236,26 @@ def greedy_embed(
     trees: Iterable[tuple[Graph, bytes]],
     step_budget: int,
     rng: np.random.Generator,
-    record_log: bool = False,
 ) -> EmbedResult:
     """Embed trees from the supply until the budget, the supply, or a
     candidate pool runs out.  One step = one revealed pair.
 
     The supply yields (tree, code) pairs, code being the tree's `ahu_code`,
     as `catalog.iter_distinct_maxdeg3_trees` does; the code is taken on
-    trust.  Whenever the supply, the fallback pick or the caller (on return
-    or on an exception) next sees rng, it is where one scalar
-    ``rng.integers(0, n)`` per candidate would have left it, so the supply
-    may draw from it too.
+    trust.  rng is the embedding's own: it draws blocks of candidates ahead
+    of use, so nothing else may draw from it.
     """
     if step_budget < 0:
         raise ValueError("step_budget must be nonnegative")
     n = g.n
     rev, rev_active, rev_inactive = [0] * n, [0] * n, [0] * n
     activations = [0] * n
-    log: Optional[list[tuple[int, int, int, bool]]] = [] if record_log else None
     trace = EmbedTrace(
         steps=0,
         rev=rev,
         rev_active=rev_active,
         rev_inactive=rev_inactive,
         activations=activations,
-        log=log,
     )
     embedded: list[EmbeddedTree] = []
     status = "supply_exhausted"
@@ -285,149 +264,120 @@ def greedy_embed(
     cells, hashed = g._cells, g._hashed
     steps = 0
     halt = False
-    try:
-        for tree, code in trees:
-            if halt:
+    for tree, code in trees:
+        if halt:
+            break
+        if tree.n < 2:
+            raise ValueError("trees must have at least 2 vertices")
+        if max(len(a) for a in tree.adj) > 3:
+            raise ValueError("trees must have maximum degree 3")
+        order, parent = _connected_order(tree)
+        start_step = steps + 1
+        try:
+            root_image = block[i]
+        except IndexError:
+            block, i = draws.refill(), 0
+            root_image = block[0]
+        i += 1
+        image = {order[0]: root_image}
+        image_set = {root_image}
+        activations[root_image] += 1
+        tree_edges: list[tuple[int, int]] = []
+        for v in order[1:]:
+            if steps >= step_budget:
+                status = "budget_exhausted"
+                halt = True
                 break
-            if tree.n < 2:
-                raise ValueError("trees must have at least 2 vertices")
-            if max(len(a) for a in tree.adj) > 3:
-                raise ValueError("trees must have maximum degree 3")
-            order, parent = _connected_order(tree)
-            start_step = steps + 1
-            try:
-                root_image = block[i]
-            except IndexError:
-                block, i = draws.refill(), 0
-                root_image = block[0]
-            i += 1
-            image = {order[0]: root_image}
-            image_set = {root_image}
-            activations[root_image] += 1
-            tree_edges: list[tuple[int, int]] = []
-            for v in order[1:]:
+            active = image[parent[v]]
+            edge_start = steps
+            while True:
+                try:
+                    w = block[i]
+                except IndexError:
+                    block, i = draws.refill(), 0
+                    w = block[0]
+                i += 1
+                if active < w:
+                    rank = w * (w - 1) // 2 + active
+                else:
+                    rank = active * (active - 1) // 2 + w
+                if w == active or cells[rank] & _REVEALED or w in image_set:
+                    draws.taken = i
+                    w = draws.pick_after_rejection(g, active, image_set)
+                    block, i = draws.block, draws.taken
+                    if w is None:
+                        status = "failed"
+                        trace.failed = True
+                        trace.failure_step = steps
+                        halt = True
+                        break
+                    rank = pair_rank(min(active, w), max(active, w))
+                # reveal (active, w): the test above is reveal's own
+                # self-pair and repeat check, and both are in range
+                if not hashed[rank >> _OUTCOME_BITS]:
+                    g._hash_block(rank >> _OUTCOME_BITS)
+                cell = cells[rank]
+                cells[rank] = cell | _REVEALED
+                steps += 1
+                rev[w] += 1
+                rev_inactive[w] += 1
+                if cell & 1:
+                    break
                 if steps >= step_budget:
                     status = "budget_exhausted"
                     halt = True
                     break
-                active = image[parent[v]]
-                edge_start = steps
-                while True:
-                    try:
-                        w = block[i]
-                    except IndexError:
-                        block, i = draws.refill(), 0
-                        w = block[0]
-                    i += 1
-                    if active < w:
-                        rank = w * (w - 1) // 2 + active
-                    else:
-                        rank = active * (active - 1) // 2 + w
-                    if w == active or cells[rank] & _REVEALED or w in image_set:
-                        draws.taken = i
-                        try:
-                            w = draws.pick_after_rejection(g, active, image_set)
-                        finally:
-                            block, i = draws.block, draws.taken
-                        if w is None:
-                            status = "failed"
-                            trace.failed = True
-                            trace.failure_step = steps
-                            halt = True
-                            break
-                        rank = pair_rank(min(active, w), max(active, w))
-                    # reveal (active, w): the test above is reveal's own
-                    # self-pair and repeat check, and both are in range
-                    if not hashed[rank >> _OUTCOME_BITS]:
-                        g._hash_block(rank >> _OUTCOME_BITS)
-                    cell = cells[rank]
-                    cells[rank] = cell | _REVEALED
-                    hit = cell & 1
-                    steps += 1
-                    rev[w] += 1
-                    rev_inactive[w] += 1
-                    if log is not None:
-                        log.append((steps, active, w, hit == 1))
-                    if hit:
-                        break
-                    if steps >= step_budget:
-                        status = "budget_exhausted"
-                        halt = True
-                        break
-                made = steps - edge_start  # reveals made while active was active
-                rev[active] += made
-                rev_active[active] += made
-                if halt:
-                    break
-                image[v] = w
-                image_set.add(w)
-                activations[w] += 1
-                tree_edges.append((active, w) if active < w else (w, active))
-            if not halt:
-                # an entry with a cycle passes the checks above and is walked
-                # along a spanning tree; it is refused here, after its draws
-                if tree.edge_count != tree.n - 1:
-                    raise ValueError("input is not a tree (wrong edge count)")
-                trace.spans.append((start_step, steps))
-                embedded.append(
-                    EmbeddedTree(code=code, mapping=image, edges=tuple(tree_edges))
-                )
-            draws.taken = i
-            draws.settle()  # the supply may draw from rng too
-            block, i = draws.block, draws.taken
-    finally:
-        draws.taken = i
-        draws.settle()
+            made = steps - edge_start  # reveals made while active was active
+            rev[active] += made
+            rev_active[active] += made
+            if halt:
+                break
+            image[v] = w
+            image_set.add(w)
+            activations[w] += 1
+            tree_edges.append((active, w) if active < w else (w, active))
+        if not halt:
+            # an entry with a cycle passes the checks above and is walked
+            # along a spanning tree; it is refused here, after its draws
+            if tree.edge_count != tree.n - 1:
+                raise ValueError("input is not a tree (wrong edge count)")
+            trace.spans.append((start_step, steps))
+            embedded.append(
+                EmbeddedTree(code=code, mapping=image, edges=tuple(tree_edges))
+            )
     trace.steps = steps
     return EmbedResult(n=n, p=g.p, status=status, embedded=embedded, trace=trace)
 
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
-    """Maxima of the trace counters against the analysis thresholds."""
+    """Maxima of the trace counters beside the analysis thresholds."""
 
     max_rev: int
     max_rev_active: int
-    max_rev_inactive: int
     rev_limit: float
     rev_active_limit: float
-    rev_ok: bool
-    rev_active_ok: bool
-    rev_inactive_ok: bool
-    max_activations: int
-    identity_ok: bool
     total_ok: bool
 
 
 def diagnostics_check(trace: EmbedTrace, epsilon: float, n: int) -> DiagnosticsReport:
-    """Compare the trace maxima with the rev <= 1000 eps n and
-    rev+ <= 500 eps n thresholds and re-check the counter identities."""
+    """The trace maxima beside the rev <= 1000 eps n and rev+ <= 500 eps n
+    thresholds; total_ok re-checks the counter identities, rev = rev+ + rev-
+    at every vertex and the rev totals at twice the step count."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if n < 1:
         raise ValueError("n must be positive")
-    max_rev = max(trace.rev, default=0)
-    max_pos = max(trace.rev_active, default=0)
-    max_neg = max(trace.rev_inactive, default=0)
-    rev_limit = 1000.0 * epsilon * n
-    half_limit = 500.0 * epsilon * n
     identity_ok = all(
         r == a + b
         for r, a, b in zip(trace.rev, trace.rev_active, trace.rev_inactive)
     )
-    total_ok = sum(trace.rev) == 2 * trace.steps
     return DiagnosticsReport(
-        max_rev=max_rev,
-        max_rev_active=max_pos,
-        max_rev_inactive=max_neg,
-        rev_limit=rev_limit,
-        rev_active_limit=half_limit,
-        rev_ok=max_rev <= rev_limit,
-        rev_active_ok=max_pos <= half_limit,
-        rev_inactive_ok=max_neg <= half_limit,
-        max_activations=max(trace.activations, default=0),
-        identity_ok=identity_ok,
-        total_ok=total_ok,
+        max_rev=max(trace.rev, default=0),
+        max_rev_active=max(trace.rev_active, default=0),
+        rev_limit=1000.0 * epsilon * n,
+        rev_active_limit=500.0 * epsilon * n,
+        total_ok=identity_ok and sum(trace.rev) == 2 * trace.steps,
     )
 
 

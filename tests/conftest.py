@@ -518,12 +518,11 @@ def scalar_greedy_embed(
     trees: Iterable[tuple[Graph, bytes]],
     step_budget: int,
     rng: np.random.Generator,
-    record_log: bool = False,
 ) -> EmbedResult:
-    """The earlier `greedy_embed`: one scalar ``rng.integers`` call per
-    candidate and a rejection-then-scan pick at every step.  It codes each
-    embedded tree itself, so a supplied code that is wrong shows as a
-    difference in the result."""
+    """The earlier `greedy_embed`: one scalar ``rng.integers(0, n)`` call per
+    candidate and the same pick rule, with partner sets in place of the
+    reveal bits, at every step.  It codes each embedded tree itself, so a
+    supplied code that is wrong shows as a difference in the result."""
     if step_budget < 0:
         raise ValueError("step_budget must be nonnegative")
     n = g.n
@@ -533,25 +532,20 @@ def scalar_greedy_embed(
         rev_active=[0] * n,
         rev_inactive=[0] * n,
         activations=[0] * n,
-        log=[] if record_log else None,
     )
     embedded: list[EmbeddedTree] = []
     status = "supply_exhausted"
 
     def pick_candidate(active: int, image: set[int]) -> Optional[int]:
         partners = oracle_partners(g).get(active, set())
-        for _ in range(40):
+        tries = 0
+        while True:
             w = int(rng.integers(0, n))
+            tries += 1
             if w != active and w not in partners and w not in image:
                 return w
-        allowed = [
-            w
-            for w in range(n)
-            if w != active and w not in partners and w not in image
-        ]
-        if not allowed:
-            return None
-        return allowed[int(rng.integers(0, len(allowed)))]
+            if tries == 40 and set(range(n)) <= partners | image | {active}:
+                return None
 
     halt = False
     for tree, _ in trees:
@@ -592,8 +586,6 @@ def scalar_greedy_embed(
                 trace.rev[w] += 1
                 trace.rev_active[active] += 1
                 trace.rev_inactive[w] += 1
-                if trace.log is not None:
-                    trace.log.append((trace.steps, active, w, hit))
                 if hit:
                     image[v] = w
                     image_set.add(w)

@@ -10,8 +10,6 @@ from conftest import (
     coded,
     free_trees,
     oracle_revealed,
-    rooted_to_graph,
-    sample_rooted_binary,
     scalar_greedy_embed,
 )
 from taulab import embed
@@ -181,26 +179,6 @@ def test_embedded_trees_live_in_host():
             used.add(e)
 
 
-def test_record_log():
-    lazy = LazyRandomGraph(40, 0.5, 13)
-    res = greedy_embed(
-        lazy, coded(maxdeg3_trees(5)), 10**4, rngmod.stream(13, 0), record_log=True
-    )
-    assert res.status == "supply_exhausted"
-    assert res.trace.log is not None
-    assert len(res.trace.log) == res.trace.steps
-    hits = sum(1 for _, _, _, hit in res.trace.log if hit)
-    assert hits == sum(len(t.edges) for t in res.embedded)
-    # without the flag no log is kept
-    quiet = greedy_embed(
-        LazyRandomGraph(40, 0.5, 13),
-        coded(maxdeg3_trees(5)),
-        10**4,
-        rngmod.stream(13, 0),
-    )
-    assert quiet.trace.log is None
-
-
 def test_diagnostics_thresholds():
     lazy = LazyRandomGraph(200, 0.2, 17)
     res = greedy_embed(lazy, coded(maxdeg3_trees(6)), 3000, rngmod.stream(17, 0))
@@ -209,11 +187,13 @@ def test_diagnostics_thresholds():
     assert diag.rev_active_limit == 500 * 0.01 * 200
     assert diag.max_rev == max(res.trace.rev)
     assert diag.max_rev_active == max(res.trace.rev_active)
-    assert diag.identity_ok
     assert diag.total_ok
-    assert diag.rev_ok == (diag.max_rev <= diag.rev_limit)
     with pytest.raises(ValueError):
         diagnostics_check(res.trace, 0.0, 200)
+    # total_ok covers rev = rev+ + rev- at each vertex, not just the sum
+    res.trace.rev[0] += 1
+    res.trace.rev[1] -= 1
+    assert not diagnostics_check(res.trace, 0.01, 200).total_ok
 
 
 def test_report_round_trip(tmp_path):
@@ -250,15 +230,6 @@ def test_embed_invariants_property(seed, p):
 # --- block draws against the scalar-draw oracle ----------------------------
 
 
-def plain(value):
-    """A generator state with its numpy arrays turned into lists."""
-    if isinstance(value, dict):
-        return {k: plain(v) for k, v in value.items()}
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    return value
-
-
 def make_rng(kind: str, seed: int) -> np.random.Generator:
     bits = {"philox": np.random.Philox, "pcg64": np.random.PCG64}[kind]
     return np.random.Generator(bits(seed))
@@ -275,10 +246,9 @@ BAD_TREES = {
 BAD_CODES = {"star": ahu_code(BAD_TREES["star"]), "cycle": ahu_code(path_tree(4))}
 
 
-def make_supply(kind: str, orders: list[int], rng: np.random.Generator):
-    """A supply of (tree, code) pairs.  "shared" draws from the picker's own
-    generator before each tree, in 64-bit, 32-bit and byte-sized amounts;
-    "star" and "cycle" put that bad entry in the middle of the supply."""
+def make_supply(kind: str, orders: list[int]):
+    """A supply of (tree, code) pairs: paths of the given orders, and for
+    "star" and "cycle" that bad entry in the middle of the supply."""
     if kind in BAD_TREES:
         half = len(orders) // 2
         return (
@@ -286,27 +256,16 @@ def make_supply(kind: str, orders: list[int], rng: np.random.Generator):
             + [(BAD_TREES[kind], BAD_CODES[kind])]
             + coded(path_tree(t) for t in orders[half:])
         )
-    if kind == "paths":
-        return coded(path_tree(t) for t in orders)
-
-    def shared():
-        for t in orders:
-            rng.random()
-            rng.integers(0, 7)
-            tree = rooted_to_graph(sample_rooted_binary(t, rng))
-            yield tree, ahu_code(tree)
-
-    return shared()
+    return coded(path_tree(t) for t in orders)
 
 
-def run_embed(embed, n, p, seed, supply, orders, budget, rng_kind, log):
-    """The outcome, the revealed pairs and the generator's final state.  The
-    scalar oracle keeps its own partner sets, and leaves the graph's reveal
-    bits clear."""
+def run_embed(embed, n, p, seed, supply, orders, budget, rng_kind):
+    """The outcome and the revealed pairs.  The scalar oracle keeps its own
+    partner sets, and leaves the graph's reveal bits clear."""
     lazy = LazyRandomGraph(n, p, seed)
-    rng = make_rng(rng_kind, seed)
     try:
-        outcome = embed(lazy, make_supply(supply, orders, rng), budget, rng, log)
+        outcome = embed(lazy, make_supply(supply, orders), budget,
+                        make_rng(rng_kind, seed))
     except ValueError as exc:
         outcome = ("raised", str(exc))
     if embed is scalar_greedy_embed:
@@ -315,68 +274,109 @@ def run_embed(embed, n, p, seed, supply, orders, budget, rng_kind, log):
     else:
         assert not oracle_revealed(lazy)
         revealed = revealed_pairs(lazy)
-    return outcome, revealed, plain(rng.bit_generator.state)
+    return outcome, revealed
 
 
 @given(
     n=st.integers(2, 80),
     p=st.floats(0.0, 1.0, exclude_min=True),
     seed=st.integers(0, 2**32 - 1),
-    supply=st.sampled_from(["paths", "shared", "star", "cycle"]),
+    supply=st.sampled_from(["paths", "star", "cycle"]),
     orders=st.lists(st.integers(2, 12), min_size=1, max_size=8),
     budget=st.one_of(st.just(0), st.integers(0, 30), st.integers(0, 3000)),
     rng_kind=st.sampled_from(["philox", "pcg64"]),
-    log=st.booleans(),
 )
 @example(n=2, p=1.0, seed=3, supply="paths", orders=[3], budget=100,
-         rng_kind="philox", log=True)  # candidates run out: "failed"
-@example(n=30, p=0.5, seed=2, supply="shared", orders=[5, 6, 7], budget=10**4,
-         rng_kind="philox", log=True)  # every tree is embedded
+         rng_kind="philox")  # candidates run out: "failed"
+@example(n=30, p=0.5, seed=2, supply="paths", orders=[5, 6, 7], budget=10**4,
+         rng_kind="philox")  # every tree is embedded
 @settings(max_examples=300, deadline=None)
 def test_greedy_embed_matches_scalar_oracle(
-    n, p, seed, supply, orders, budget, rng_kind, log
+    n, p, seed, supply, orders, budget, rng_kind
 ):
-    args = (n, p, seed, supply, orders, budget, rng_kind, log)
+    args = (n, p, seed, supply, orders, budget, rng_kind)
     assert run_embed(greedy_embed, *args) == run_embed(scalar_greedy_embed, *args)
 
 
 @pytest.mark.parametrize("n", [363, 700, 1500])
-@pytest.mark.parametrize("supply", ["paths", "shared"])
+@pytest.mark.parametrize("supply", ["paths"])
 def test_greedy_embed_matches_scalar_oracle_across_outcome_blocks(n, supply):
     # above n = 362 the pairs span several outcome blocks of 2**16 ranks
-    args = (n, 0.2, n, supply, [12, 9, 14, 7, 11, 10], 2000, "philox", True)
+    args = (n, 0.2, n, supply, [12, 9, 14, 7, 11, 10], 2000, "philox")
     assert run_embed(greedy_embed, *args) == run_embed(scalar_greedy_embed, *args)
 
 
-class CountingRng:
-    """A generator that records the upper bound of every integers call."""
+class RecordingRng:
+    """A generator with only an integers method, which records its
+    arguments: reading the bit generator, or any other draw, raises."""
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self.highs: list[int] = []
-
-    @property
-    def bit_generator(self):
-        return self._rng.bit_generator
+        self.calls: list[tuple] = []
 
     def integers(self, low, high, size=None):
-        self.highs.append(high)
+        self.calls.append((low, high, size))
         return self._rng.integers(low, high, size=size)
 
 
+def test_greedy_embed_draws_only_candidate_blocks():
+    n = 100
+    rng = RecordingRng(make_rng("philox", 3))
+    res = greedy_embed(LazyRandomGraph(n, 0.1, 3), coded(maxdeg3_trees(8)),
+                       10**5, rng)
+    assert res.status == "supply_exhausted" and len(res.embedded) > 1
+    assert len(rng.calls) > 1  # the run crosses a block boundary
+    assert set(rng.calls) == {(0, n, 512)}
+
+
 def test_fallback_pick_matches_scalar_oracle():
-    # p ~ 0 makes every reveal a miss, so the root's candidate pool shrinks
-    # until 40 draws in a row are rejected and the scan picks instead
+    # p ~ 0 makes every reveal a miss, so the root's pairs are revealed one
+    # by one, the last few picks draw past 40, and the check after 40 draws
+    # finally finds no vertex allowed
     n = 80
-    rng = CountingRng(make_rng("philox", 1))
+    rng = RecordingRng(make_rng("philox", 1))
     lazy = LazyRandomGraph(n, 1e-9, 1)
     res = greedy_embed(lazy, coded([path_tree(2)]), 10**4, rng)
-    assert any(high != n for high in rng.highs)  # the scan drew a pick
+    assert set(rng.calls) == {(0, n, 512)}
     assert res.status == "failed"
     assert res.trace.steps == n - 1
     want = run_embed(scalar_greedy_embed, n, 1e-9, 1, "paths", [2], 10**4,
-                     "philox", False)
-    assert (res, revealed_pairs(lazy), plain(rng.bit_generator.state)) == want
+                     "philox")
+    assert (res, revealed_pairs(lazy)) == want
+
+
+class CountingDraws(embed._CandidateDraws):
+    takes = 0
+
+    def take(self) -> int:
+        self.takes += 1
+        return super().take()
+
+
+@pytest.mark.parametrize("k", [0, 2, 3])
+def test_fallback_pick_is_uniform_over_the_allowed_vertices(k):
+    # all but k + 1 pairs at the active vertex are revealed and one of those
+    # k + 1 partners is in the image, so about 82% of the picks with k = 2
+    # and 75% with k = 3 come after the 40th draw (the rejected first
+    # candidate is the caller's)
+    n, active, seeds = 400, 5, 2000
+    allowed = [17, 250, 399][:k]
+    lazy = LazyRandomGraph(n, 0.5, 0)
+    for w in range(n):
+        if w not in (active, 100, *allowed):
+            lazy.reveal(active, w)
+    picks, late = [], 0
+    for seed in range(seeds):
+        draws = CountingDraws(np.random.default_rng(seed), n)
+        picks.append(draws.pick_after_rejection(lazy, active, {100}))
+        late += draws.takes >= embed._REJECTION_TRIES
+    if k == 0:
+        assert picks == [None] * seeds
+        return
+    assert late > seeds // 2
+    for w in allowed:
+        assert abs(picks.count(w) / seeds - 1 / k) < 0.05
+    assert sorted(set(picks)) == allowed
 
 
 @pytest.mark.parametrize(
@@ -386,8 +386,8 @@ def test_fallback_pick_matches_scalar_oracle():
         ("cycle", "input is not a tree (wrong edge count)"),
     ],
 )
-def test_bad_tree_mid_supply_leaves_rng_where_scalar_draws_would(bad, message):
-    args = (40, 0.4, 5, bad, [6, 7, 8, 9], 10**4, "philox", False)
+def test_bad_tree_mid_supply_matches_scalar_oracle(bad, message):
+    args = (40, 0.4, 5, bad, [6, 7, 8, 9], 10**4, "philox")
     got = run_embed(greedy_embed, *args)
     assert got[0] == ("raised", message)
     assert got == run_embed(scalar_greedy_embed, *args)
@@ -426,12 +426,10 @@ def test_materialize_after_reveals_matches_blockwise_oracle(n, p):
 @pytest.mark.parametrize("n", [60, 700])
 def test_reveal_refuses_pairs_greedy_embed_revealed(n):
     lazy = LazyRandomGraph(n, 0.3, 8)
-    res = greedy_embed(lazy, coded(maxdeg3_trees(7)), 400, rngmod.stream(8, 0),
-                       record_log=True)
-    logged = {(min(u, w), max(u, w)) for _, u, w, _ in res.trace.log}
-    assert len(logged) == res.trace.steps > 0
-    assert revealed_pairs(lazy) == logged
-    for u, w in logged:
+    res = greedy_embed(lazy, coded(maxdeg3_trees(7)), 400, rngmod.stream(8, 0))
+    revealed = revealed_pairs(lazy)
+    assert len(revealed) == res.trace.steps > 0
+    for u, w in revealed:
         assert lazy.is_revealed(w, u)
         with pytest.raises(ValueError, match="already revealed"):
             lazy.reveal(w, u)

@@ -153,7 +153,6 @@ TEST_ONLY_DEFAULTS = {
     "canonical_form: max_vertices": "the canonicaliser cap takes three values "
     "in the program (10, 12 and 2 * max_edges in tau_exact), and tests move it",
     "verify_distinct: max_vertices": "the same canonicaliser cap",
-    "greedy_embed: record_log": "the scalar-oracle comparisons read the log",
     "toy_lagrange_opt: tol": "the toy solver is one of the paper checks, "
     "and its feasibility tolerance is the usual knob of a numerical solve",
 }
