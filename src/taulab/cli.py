@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import statistics
 import sys
 import time
@@ -290,7 +291,7 @@ def _cmd_pack_paths(args) -> int:
     pack = dfs_path_pack(g, target, limit)
     print(f"paths {len(pack.paths)}")
     print(f"target_len {target}")
-    print(f"edges_used {len(pack.used_edges)}")
+    print(f"edges_used {len(pack.paths) * target}")  # the paths are edge-disjoint
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             for path in pack.paths:
@@ -382,8 +383,11 @@ def _cmd_experiment(args) -> int:
         replace(base, trial=i, seed=trial_seed(args.seed, i))
         for i in range(args.trials)
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # fork starts every worker at the first submit, so the pool is no
+    # larger than the trials or the CPUs; the output does not depend on it
+    jobs = min(args.jobs, args.trials, os.cpu_count() or 1)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(run_trial, specs))
     else:
         records = [run_trial(s) for s in specs]
@@ -505,7 +509,7 @@ def _at_least(floor: int) -> tuple:
 _FLAG_RULES = {
     "budget": ("nonnegative", lambda v: v >= 0),
     "c_path": ("positive", lambda v: v > 0),
-    "epsilon": ("nonnegative", lambda v: v >= 0),
+    "epsilon": ("positive", lambda v: v > 0),
     "jobs": _at_least(1),
     "max_edges": (f"between 0 and {len(bnd.GRAPHS_WITH_EDGES)}",
                   lambda v: 0 <= v <= len(bnd.GRAPHS_WITH_EDGES)),

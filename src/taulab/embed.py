@@ -33,17 +33,19 @@ vertices add up to twice the step count.
 The picker's generator is read by the embedding alone, as one stream of
 ``rng.integers(0, n, size=512)`` blocks, which give the same values as
 512 scalar calls; so seeded results are those of one scalar draw per
-candidate.  The common step, an accepted first candidate, runs inline in
-`greedy_embed`: it reads the candidate block and the pair table through
-locals, ranks the candidate's pair before testing it, and counts the
-active vertex's reveals once per embedded edge.
+candidate.  Every candidate, roots and fallback picks included, is the
+next item of one iterator over those blocks.  The common step, an accepted
+first candidate, runs inline in `greedy_embed`: it reads the pair table
+through locals, ranks the candidate's pair before testing it, and counts
+the active vertex's reveals once per embedded edge.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from itertools import chain
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -184,51 +186,26 @@ def _connected_order(tree: Graph) -> tuple[list[int], list[int]]:
     return order, parent
 
 
-class _CandidateDraws:
-    """Candidate vertices from ``rng.integers(0, n, size=512)`` blocks.
+def _pick_after_rejection(
+    take: Callable[[], int], g: LazyRandomGraph, active: int, image: set[int]
+) -> Optional[int]:
+    """The pick after a rejected first candidate: the first allowed
+    candidate, one whose pair with active is not revealed and which is not
+    in image.  After _REJECTION_TRIES draws in all it returns None if no
+    vertex is allowed, and otherwise draws on, which keeps the pick uniform
+    over the allowed vertices."""
+    def allowed(w: int) -> bool:
+        return w != active and not g.is_revealed(active, w) and w not in image
 
-    ``block[taken]`` is the next candidate.  A caller that reads the block
-    through locals writes taken back before it calls a method.
-    """
-
-    def __init__(self, rng: np.random.Generator, n: int):
-        self._rng = rng
-        self._n = n
-        self.block: list[int] = []
-        self.taken = 0
-
-    def refill(self) -> list[int]:
-        """Draw the next block, with none of it taken."""
-        self.block = self._rng.integers(0, self._n, size=_DRAW_BLOCK).tolist()
-        self.taken = 0
-        return self.block
-
-    def take(self) -> int:
-        if self.taken == len(self.block):
-            self.refill()
-        self.taken += 1
-        return self.block[self.taken - 1]
-
-    def pick_after_rejection(
-        self, g: LazyRandomGraph, active: int, image: set[int]
-    ) -> Optional[int]:
-        """The pick after a rejected first candidate: the first allowed
-        candidate, one whose pair with active is not revealed and which is
-        not in image.  After _REJECTION_TRIES draws in all it returns None
-        if no vertex is allowed, and otherwise draws on, which keeps the
-        pick uniform over the allowed vertices."""
-        def allowed(w: int) -> bool:
-            return w != active and not g.is_revealed(active, w) and w not in image
-
-        for _ in range(_REJECTION_TRIES - 1):
-            w = self.take()
-            if allowed(w):
-                return w
-        if not any(allowed(w) for w in range(self._n)):
-            return None
-        while not allowed(w := self.take()):
-            pass
-        return w
+    for _ in range(_REJECTION_TRIES - 1):
+        w = take()
+        if allowed(w):
+            return w
+    if not any(allowed(w) for w in range(g.n)):
+        return None
+    while not allowed(w := take()):
+        pass
+    return w
 
 
 def greedy_embed(
@@ -259,8 +236,10 @@ def greedy_embed(
     )
     embedded: list[EmbeddedTree] = []
     status = "supply_exhausted"
-    draws = _CandidateDraws(rng, n)
-    block, i = draws.block, draws.taken  # the candidates, read through locals
+    # the next candidate, a root's or not, from the blocks in draw order
+    take = chain.from_iterable(
+        iter(lambda: rng.integers(0, n, size=_DRAW_BLOCK).tolist(), None)
+    ).__next__
     cells, hashed = g._cells, g._hashed
     steps = 0
     halt = False
@@ -273,12 +252,7 @@ def greedy_embed(
             raise ValueError("trees must have maximum degree 3")
         order, parent = _connected_order(tree)
         start_step = steps + 1
-        try:
-            root_image = block[i]
-        except IndexError:
-            block, i = draws.refill(), 0
-            root_image = block[0]
-        i += 1
+        root_image = take()
         image = {order[0]: root_image}
         image_set = {root_image}
         activations[root_image] += 1
@@ -291,20 +265,13 @@ def greedy_embed(
             active = image[parent[v]]
             edge_start = steps
             while True:
-                try:
-                    w = block[i]
-                except IndexError:
-                    block, i = draws.refill(), 0
-                    w = block[0]
-                i += 1
+                w = take()
                 if active < w:
                     rank = w * (w - 1) // 2 + active
                 else:
                     rank = active * (active - 1) // 2 + w
                 if w == active or cells[rank] & _REVEALED or w in image_set:
-                    draws.taken = i
-                    w = draws.pick_after_rejection(g, active, image_set)
-                    block, i = draws.block, draws.taken
+                    w = _pick_after_rejection(take, g, active, image_set)
                     if w is None:
                         status = "failed"
                         trace.failed = True

@@ -44,11 +44,6 @@ class PathPack:
 
     paths: list[tuple[int, ...]]
 
-    @property
-    def used_edges(self) -> set[tuple[int, int]]:
-        """The host edges the paths consumed, as (u, v) pairs with u < v."""
-        return {(min(e), max(e)) for p in self.paths for e in zip(p, p[1:])}
-
 
 def _sweep(
     residual: list[Optional[array]],

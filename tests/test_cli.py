@@ -89,6 +89,11 @@ _SPARSE = ["--regime", "sparse", "--n", "50", "--p-over-n", "3", "--seed", "1"]
           "--k", "3"], "--k"),
         (["experiment", "--regime", "verysparse", "--n", "100", "--p", "0.01",
           "--seed", "1", "--trials", "1", "--k", "2"], "--k"),
+        # epsilon scales the dense step budget and its diagnostics thresholds
+        (["color", "--regime", "dense", "--n", "100", "--p", "0.5", "--seed", "1",
+          "--epsilon", "0"], "--epsilon"),
+        (["embed", "--n", "100", "--p", "0.5", "--seed", "1", "--epsilon", "0"],
+         "--epsilon"),
     ],
 )
 def test_bad_flag_values_exit_1(capsys, tmp_path, argv, flag):
@@ -387,9 +392,11 @@ def test_pack_paths_cli(capsys, tmp_path):
     count = int(info["paths"])
     assert count >= 2
     assert info["target_len"] == "5"
-    rows = open(out).read().splitlines()
+    rows = [list(map(int, r.split())) for r in open(out).read().splitlines()]
     assert len(rows) == count
-    assert all(len(r.split()) == 6 for r in rows)
+    assert all(len(r) == 6 for r in rows)
+    used = {frozenset(e) for r in rows for e in zip(r, r[1:])}
+    assert info["edges_used"] == str(len(used)) == str(5 * count)
 
 
 # --- color -----------------------------------------------------------------
@@ -554,6 +561,53 @@ def test_experiment_deterministic_and_parallel(capsys, tmp_path):
     third = lines(capsys)[0]
     assert first == second == third
     assert strip_millis(a) == strip_millis(b) == strip_millis(c)
+
+
+class SerialPool:
+    """A stand-in for ProcessPoolExecutor that records its size and maps
+    in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs, trials, cpus, size",
+    [
+        (100000, 3, 4, 3),
+        (100000, 5, 4, 4),
+        (3, 5, 4, 3),
+        (2, 1, 4, None),  # one trial runs serially
+        (8, 5, None, None),  # an unknown CPU count counts as one
+        (8, 5, 1, None),
+    ],
+)
+def test_experiment_pool_size(capsys, monkeypatch, tmp_path, jobs, trials, cpus, size):
+    # no real process is started: the pool is stubbed, so even a huge --jobs
+    # only records the size it would have asked for
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(SerialPool, "sizes", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    base = ["experiment", "--regime", "sparse", "--n", "200", "--p-over-n", "3",
+            "--seed", "4", "--trials", str(trials)]
+    serial, pooled = str(tmp_path / "serial.csv"), str(tmp_path / "pooled.csv")
+    assert main(base + ["--out", serial]) == 0
+    assert main(base + ["--out", pooled, "--jobs", str(jobs)]) == 0
+    assert SerialPool.sizes == ([] if size is None else [size])
+    first, second = lines(capsys)
+    assert first == second
+    assert strip_millis(serial) == strip_millis(pooled)
 
 
 def test_experiment_trials_cap(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import json
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -345,12 +346,49 @@ def test_fallback_pick_matches_scalar_oracle():
     assert (res, revealed_pairs(lazy)) == want
 
 
-class CountingDraws(embed._CandidateDraws):
-    takes = 0
+def test_fallback_pick_across_a_block_boundary_matches_scalar_oracle(monkeypatch):
+    # four draws of one fallback pick straddle the second block boundary,
+    # and two trees are embedded before a candidate pool empties, so a
+    # candidate read out of order changes the result
+    args = (80, 0.03, 4, "paths", [12] * 6, 10**4, "philox")
+    n, p, seed, supply, orders, budget, rng_kind = args
+    rng = RecordingRng(make_rng(rng_kind, seed))
+    real = embed._pick_after_rejection
+    picks = []  # per fallback pick, the block of each candidate it took
 
-    def take(self) -> int:
+    def pick(take, g, active, image):
+        blocks = []
+
+        def recorded_take():
+            w = take()
+            blocks.append(len(rng.calls))
+            return w
+
+        picks.append(blocks)
+        return real(recorded_take, g, active, image)
+
+    monkeypatch.setattr(embed, "_pick_after_rejection", pick)
+    lazy = LazyRandomGraph(n, p, seed)
+    res = greedy_embed(lazy, make_supply(supply, orders), budget, rng)
+    assert set(rng.calls) == {(0, n, 512)}
+    assert any(blocks[0] < blocks[-1] for blocks in picks)
+    assert len(res.embedded) == 2
+    assert (res, revealed_pairs(lazy)) == run_embed(scalar_greedy_embed, *args)
+
+
+class CountingTake:
+    """Candidates from generator blocks of 512, as `greedy_embed` takes
+    them, counting the calls."""
+
+    def __init__(self, rng: np.random.Generator, n: int):
+        self._next = chain.from_iterable(
+            iter(lambda: rng.integers(0, n, size=512).tolist(), None)
+        ).__next__
+        self.takes = 0
+
+    def __call__(self) -> int:
         self.takes += 1
-        return super().take()
+        return self._next()
 
 
 @pytest.mark.parametrize("k", [0, 2, 3])
@@ -367,9 +405,9 @@ def test_fallback_pick_is_uniform_over_the_allowed_vertices(k):
             lazy.reveal(active, w)
     picks, late = [], 0
     for seed in range(seeds):
-        draws = CountingDraws(np.random.default_rng(seed), n)
-        picks.append(draws.pick_after_rejection(lazy, active, {100}))
-        late += draws.takes >= embed._REJECTION_TRIES
+        take = CountingTake(np.random.default_rng(seed), n)
+        picks.append(embed._pick_after_rejection(take, lazy, active, {100}))
+        late += take.takes >= embed._REJECTION_TRIES
     if k == 0:
         assert picks == [None] * seeds
         return
