@@ -202,13 +202,20 @@ _REGIMES = {
 }
 
 
+def _verdict(spec: TrialSpec) -> tuple[Coloring, float, Optional[tuple[int, int]], bool]:
+    """(colouring, upper bound, verify_distinct's isomorphic pair or None,
+    ok) of spec's trial: ok when the builder's checks held and the classes,
+    at least one, are pairwise non-isomorphic."""
+    coloring, ok, upper = _REGIMES[spec.regime](spec)
+    distinct, pair = verify_distinct(coloring)
+    return coloring, upper, pair, ok and distinct and coloring.num_classes >= 1
+
+
 def run_trial(spec: TrialSpec) -> TrialRecord:
     """One seeded end-to-end trial: build the regime's colouring, verify it,
     and compare the class count against the regime's upper bound."""
     start = time.perf_counter()
-    coloring, ok, upper = _REGIMES[spec.regime](spec)
-    distinct, _ = verify_distinct(coloring)
-    ok = ok and distinct and coloring.num_classes >= 1
+    coloring, upper, _, ok = _verdict(spec)
     millis = int((time.perf_counter() - start) * 1000)
     return TrialRecord(
         seed=spec.seed,
@@ -324,17 +331,17 @@ def _cmd_color(args) -> int:
     spec = _trial_spec(args, _resolve_p(args.parser, args))
     if spec is None:
         return 1
-    coloring, ok, upper = _REGIMES[args.regime](spec)
+    coloring, upper, pair, ok = _verdict(spec)
     print(f"classes {coloring.num_classes}")
     print(f"upper_bound {upper!r}")
-    distinct, pair = verify_distinct(coloring)
-    print(f"verify_distinct {'true' if distinct else 'false'}")
-    if not distinct:
+    print(f"verify_distinct {'true' if pair is None else 'false'}")
+    if pair is not None:
         print(f"isomorphic_pair {pair[0]} {pair[1]}")
+    if not ok:
         return 2
     if args.out:
         write_coloring(coloring, args.out)
-    return 0 if ok else 2
+    return 0
 
 
 def _cmd_tau_exact(args) -> int:

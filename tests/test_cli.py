@@ -196,6 +196,24 @@ def test_experiment_reports_a_builder_fault(capsys, monkeypatch, tmp_path):
     assert [row["ok"] for row in read_rows(out)] == ["false", "false"]
 
 
+_EDGELESS = ["--regime", "sparse", "--n", "16", "--p", "0.01"]
+
+
+def test_color_and_experiment_agree_on_an_edgeless_host(capsys, tmp_path):
+    # trial 0 of experiment --seed 1 is color --seed 1000003; its host has
+    # no edges, so the colouring has no classes and neither command passes it
+    out = tmp_path / "c.col"
+    assert main(["color", *_EDGELESS, "--seed", str(trial_seed(1, 0)),
+                 "--out", str(out)]) == 2
+    assert kv(lines(capsys))["classes"] == "0"
+    assert not out.exists()
+    csv_out = str(tmp_path / "runs.csv")
+    assert main(["experiment", *_EDGELESS, "--seed", "1", "--trials", "1",
+                 "--out", csv_out]) == 2
+    assert json.loads(lines(capsys)[0])["all_ok"] is False
+    assert [(r["classes"], r["ok"]) for r in read_rows(csv_out)] == [("0", "false")]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

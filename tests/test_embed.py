@@ -330,31 +330,14 @@ def test_greedy_embed_draws_only_candidate_blocks():
     assert set(rng.calls) == {(0, n, 512)}
 
 
-def test_fallback_pick_matches_scalar_oracle():
-    # p ~ 0 makes every reveal a miss, so the root's pairs are revealed one
-    # by one, the last few picks draw past 40, and the check after 40 draws
-    # finally finds no vertex allowed
-    n = 80
-    rng = RecordingRng(make_rng("philox", 1))
-    lazy = LazyRandomGraph(n, 1e-9, 1)
-    res = greedy_embed(lazy, coded([path_tree(2)]), 10**4, rng)
-    assert set(rng.calls) == {(0, n, 512)}
-    assert res.status == "failed"
-    assert res.trace.steps == n - 1
-    want = run_embed(scalar_greedy_embed, n, 1e-9, 1, "paths", [2], 10**4,
-                     "philox")
-    assert (res, revealed_pairs(lazy)) == want
-
-
-def test_fallback_pick_across_a_block_boundary_matches_scalar_oracle(monkeypatch):
-    # four draws of one fallback pick straddle the second block boundary,
-    # and two trees are embedded before a candidate pool empties, so a
-    # candidate read out of order changes the result
-    args = (80, 0.03, 4, "paths", [12] * 6, 10**4, "philox")
+def embed_recording_picks(monkeypatch, args):
+    """greedy_embed's outcome and revealed pairs on the scenario args (as
+    run_embed takes them), with, per fallback pick, the generator block of
+    each candidate it took and the vertex it returned."""
     n, p, seed, supply, orders, budget, rng_kind = args
     rng = RecordingRng(make_rng(rng_kind, seed))
     real = embed._pick_after_rejection
-    picks = []  # per fallback pick, the block of each candidate it took
+    picks = []
 
     def pick(take, g, active, image):
         blocks = []
@@ -364,16 +347,40 @@ def test_fallback_pick_across_a_block_boundary_matches_scalar_oracle(monkeypatch
             blocks.append(len(rng.calls))
             return w
 
-        picks.append(blocks)
-        return real(recorded_take, g, active, image)
+        w = real(recorded_take, g, active, image)
+        picks.append((blocks, w))
+        return w
 
     monkeypatch.setattr(embed, "_pick_after_rejection", pick)
     lazy = LazyRandomGraph(n, p, seed)
     res = greedy_embed(lazy, make_supply(supply, orders), budget, rng)
     assert set(rng.calls) == {(0, n, 512)}
-    assert any(blocks[0] < blocks[-1] for blocks in picks)
-    assert len(res.embedded) == 2
-    assert (res, revealed_pairs(lazy)) == run_embed(scalar_greedy_embed, *args)
+    return (res, revealed_pairs(lazy)), picks
+
+
+def test_fallback_pick_matches_scalar_oracle(monkeypatch):
+    # five 15-vertex paths are embedded in 30 vertices before the sixth runs
+    # out of candidates, so the result depends on the vertex each of the 118
+    # fallback picks returns; one pick returns after 137 draws, and the last
+    # finds no vertex allowed at the check after 40 draws
+    args = (30, 0.3, 7, "paths", [15] * 6, 10**4, "philox")
+    got, picks = embed_recording_picks(monkeypatch, args)
+    res = got[0]
+    assert res.status == "failed" and len(res.embedded) == 5
+    assert any(len(blocks) > 40 and w is not None for blocks, w in picks)
+    assert picks[-1][1] is None
+    assert got == run_embed(scalar_greedy_embed, *args)
+
+
+def test_fallback_pick_across_a_block_boundary_matches_scalar_oracle(monkeypatch):
+    # four draws of one fallback pick straddle the second block boundary,
+    # and two trees are embedded before a candidate pool empties, so a
+    # candidate read out of order changes the result
+    args = (80, 0.03, 4, "paths", [12] * 6, 10**4, "philox")
+    got, picks = embed_recording_picks(monkeypatch, args)
+    assert any(blocks[0] < blocks[-1] for blocks, _ in picks)
+    assert len(got[0].embedded) == 2
+    assert got == run_embed(scalar_greedy_embed, *args)
 
 
 class CountingTake:
