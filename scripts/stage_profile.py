@@ -7,9 +7,11 @@ point is trial i of `taulab experiment --seed 1`, seeded trial_seed(1, i).
 While a trial runs, the library names it looks up are rebound to timers, so
 each stage's column is its self time in milliseconds: the time of its calls
 less that of the timed calls inside them.  `supply` is the tree supply's
-draws, `harvest` the DFS path harvest with the CSR arrays it builds, and
-`build` the rest of the builder: cutting the classes and the leftover step,
-and any stage a builder adds later.  `other` is the trial's wall time
+draws, `hash` the hashing of pair outcomes (`rng.pair_outcomes`) that the
+embedding's reveals and `materialize` ask for, `harvest` the DFS path
+harvest with the CSR arrays it builds, and `build` the rest of the builder:
+cutting the classes and the leftover step, and any stage a builder adds
+later.  `other` is the trial's wall time
 (`wall`) less the sum of the stages.  Dense rows also give the embedding's
 steps and the `diagnostics_check` maxima beside their limits.
 
@@ -25,7 +27,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from taulab import cli, coloring
+from taulab import cli, coloring, rng
 
 # (module, name, stage) for every name the trial looks up that is timed;
 # diagnostics_check is rebound too, only to keep its report
@@ -34,6 +36,7 @@ TIMED = (
     (cli, "gen_gnp", "gen"),
     (cli, "greedy_embed", "embed"),
     (cli, "materialize", "materialize"),
+    (rng, "pair_outcomes", "hash"),
     (cli, "census", "census"),
     (coloring, "dfs_path_pack", "harvest"),
     (coloring, "pack_forests", "pack"),

@@ -169,11 +169,13 @@ def most_classes(r: int, free: Sequence[int]) -> int:
 
 
 def tau_counting_bound(m: int) -> int:
-    """Upper bound on tau of any graph with m <= 12 edges: its classes are
-    pairwise non-isomorphic, so at most GRAPHS_WITH_EDGES[s - 1] of them
-    have s edges, and `most_classes` under those counts is the bound."""
-    if not 0 <= m <= len(GRAPHS_WITH_EDGES):
-        raise ValueError(f"counting bound tabulated for 0..12 edges, got {m}")
+    """Upper bound on tau of any graph with m <= 867,935 edges, one class of
+    every tabulated graph: its classes are pairwise non-isomorphic, so at
+    most GRAPHS_WITH_EDGES[s - 1] of them have s edges, and `most_classes`
+    under those counts is the bound, which needs no size above the table."""
+    cap = sum(s * a for s, a in enumerate(GRAPHS_WITH_EDGES, 1))
+    if not 0 <= m <= cap:
+        raise ValueError(f"counting bound tabulated for 0..{cap:,} edges, got {m}")
     return most_classes(m, GRAPHS_WITH_EDGES)
 
 

@@ -11,7 +11,10 @@ non-isomorphic max-degree-3 trees without enumerating anything.
 Shapes are ranked by one split rule: the shapes on t nodes are ordered by
 the size i of the left subtree, and then by the left and the right subtree's
 ranks, so a rank falls into the block of catalan(i) * catalan(t - 1 - i)
-shapes found by bisecting the cached cumulative block sizes.  The sampler
+shapes found by bisecting the cumulative block sizes.  One cached split
+table per t holds, for every size up to t, those cumulative sizes and the
+right subtrees' Catalan numbers.  The sampler takes its shape ranks from
+`rng.bigints_below`, which reads the generator a block of draws at a time,
 unranks straight into the tree's pair ranks and sorted neighbour lists,
 numbering the nodes in preorder, left subtree first, and hands each tree
 over with its code, so nothing downstream codes it again.
@@ -86,29 +89,25 @@ def enumerate_rooted_binary(t: int) -> Iterator[RootedBinaryTree]:
 
 
 @lru_cache(maxsize=None)
-def _split_bounds(t: int) -> tuple[int, ...]:
-    """Cumulative counts of the shapes on t nodes whose left subtree has at
-    most 0, 1, ..., t - 1 nodes."""
-    return tuple(accumulate(catalan(i) * catalan(t - 1 - i) for i in range(t)))
-
-
-def _split(t: int, r: int) -> tuple[int, int, int]:
-    """(i, left rank, right rank) of the shape of rank r on t >= 1 nodes,
-    whose left subtree has i nodes."""
-    bounds = _split_bounds(t)
-    i = bisect_right(bounds, r)
-    if i == t:
-        raise AssertionError("rank out of range")
-    if i:
-        r -= bounds[i - 1]
-    left, right = divmod(r, catalan(t - 1 - i))
-    return i, left, right
+def _split_table(t: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Row s, for each size s <= t: the cumulative counts of the shapes on
+    s nodes whose left subtree has at most 0, 1, ..., s - 1 nodes, and
+    catalan(s - 1 - i), the right subtree's shape count, for each i."""
+    return tuple(
+        (tuple(accumulate(catalan(i) * catalan(s - 1 - i) for i in range(s))),
+         tuple(catalan(s - 1 - i) for i in range(s)))
+        for s in range(t + 1)
+    )
 
 
 def _unrank_shape(t: int, r: int) -> Optional[RootedBinaryTree]:
     if t == 0:
         return None
-    i, left, right = _split(t, r)
+    bounds, rights = _split_table(t)[t]
+    i = bisect_right(bounds, r)
+    if i:
+        r -= bounds[i - 1]
+    left, right = divmod(r, rights[i])
     return RootedBinaryTree(_unrank_shape(i, left), _unrank_shape(t - 1 - i, right))
 
 
@@ -119,11 +118,16 @@ def _unrank_tree(t: int, r: int) -> Graph:
     at k + 1 and its right child at k + 1 + i.  Each node's neighbours are
     its parent, its left and its right child, which is their sorted
     order."""
+    table = _split_table(t)
     adj: list[list[int]] = [[] for _ in range(t)]
     stack = [(0, t, r)]  # (node, subtree size, subtree rank)
     while stack:
         k, size, rank = stack.pop()
-        i, left, right = _split(size, rank)
+        bounds, rights = table[size]
+        i = bisect_right(bounds, rank)
+        if i:
+            rank -= bounds[i - 1]
+        left, right = divmod(rank, rights[i])
         if i:
             adj[k].append(k + 1)
             adj[k + 1].append(k)
@@ -185,11 +189,10 @@ def iter_distinct_maxdeg3_trees(
         return
     if rng is None:
         raise ValueError("sampling path needs an rng")
-    shapes = catalan(t)
     seen: set[bytes] = set()
     misses = 0
-    while True:
-        g = _unrank_tree(t, rngmod.bigint_below(rng, shapes))
+    for rank in rngmod.bigints_below(rng, catalan(t)):
+        g = _unrank_tree(t, rank)
         code = ahu_code(g)
         if code in seen:
             misses += 1

@@ -5,11 +5,12 @@ The host graph is G(n, p), but no pair is revealed until the process asks:
 comes from a stateless hash of (seed, pair), so outcomes depend only on the
 seed and the pair, never on the order or number of other reveals.  Each
 pair may be revealed at most once.  The graph keeps one byte per pair rank:
-bit 0 is the pair's outcome and bit 1 is set once the pair is revealed, so
-there are no per-vertex partner sets.  The outcomes are hashed a block of
-2^16 pair ranks at a time, the first time a pair in the block is revealed;
-a block not yet hashed holds no reveal bits.  `materialize` reads bit 0 of
-the blocks already hashed and hashes only the rest.
+bit 0 is the pair's outcome, bit 1 is set once the pair is revealed and
+bit 2 once its block is hashed, so there are no per-vertex partner sets and
+no other table.  The outcomes are hashed a block of 2^16 pair ranks at a
+time by `rng.pair_outcomes`, the first time a pair in the block is
+revealed, so a zero byte means its block is not hashed yet.  `materialize`
+reads bit 0 of the blocks already hashed and hashes only the rest.
 
 The embedding walks a supply of trees, each handed over with its canonical
 code.  A tree's vertices are taken in an order where each prefix is
@@ -35,9 +36,11 @@ The picker's generator is read by the embedding alone, as one stream of
 512 scalar calls; so seeded results are those of one scalar draw per
 candidate.  Every candidate, roots and fallback picks included, is the
 next item of one iterator over those blocks.  The common step, an accepted
-first candidate, runs inline in `greedy_embed`: it reads the pair table
-through locals, ranks the candidate's pair before testing it, and counts
-the active vertex's reveals once per embedded edge.
+first candidate, runs inline in `greedy_embed`: it ranks the candidate's
+pair from a list of triangular numbers, tests the candidate against the
+active vertex and the image, then reads the pair's byte once for the
+reveal, hashed and outcome tests, and counts the active vertex's reveals
+once per embedded edge.
 """
 
 from __future__ import annotations
@@ -58,9 +61,10 @@ from .graph import Graph, pair_rank
 
 _REJECTION_TRIES = 40
 _DRAW_BLOCK = 512  # a tree of order 34 takes about 310 candidate draws
-_OUTCOME_BITS = 16  # blocks of 2^16 pairs: the hash temporaries stay in cache
+_OUTCOME_BITS = 16  # blocks of 2^16 pairs: each hash scratch row stays in cache
 _MAX_PAIRS = 1 << 30  # the pair table takes one byte per pair
 _REVEALED = 2  # bit 1 of a pair's byte; bit 0 is its outcome
+_HASHED = 4  # bit 2, set in every byte of a hashed block
 
 REPORT_VERSION = 1
 
@@ -83,22 +87,21 @@ class LazyRandomGraph:
         self.p = p
         self.seed = seed
         self._key = rngmod.derive_key(seed, 0)
-        # one byte per pair rank: bit 0 is the outcome, valid in the blocks
-        # of 2^16 ranks marked hashed, and bit 1 is set once the pair is
-        # revealed.  A reveal hashes its block first, so an unhashed block
-        # holds no reveal bits.  calloc'd: a block takes memory only once
-        # it is hashed.
+        # one byte per pair rank: bit 0 the outcome, bit 1 revealed, bit 2
+        # hashed.  A reveal hashes its block first, so an unhashed block is
+        # all zero.  calloc'd: a block takes memory only once it is hashed.
         self._table = np.zeros(npairs, dtype=np.uint8)
         self._cells = memoryview(self._table)  # indexes to a Python int
-        self._hashed = bytearray(-(-npairs // (1 << _OUTCOME_BITS)))
+        self._scratch = rngmod.pair_scratch(min(npairs, 1 << _OUTCOME_BITS))
 
-    def _hash_block(self, b: int) -> None:
-        """Hash the outcomes of block b into bit 0 of the table."""
-        start = b << _OUTCOME_BITS
-        stop = min(start + (1 << _OUTCOME_BITS), len(self._table))
-        ranks = np.arange(start, stop, dtype=np.int64)
-        self._table[start:stop] = rngmod.pair_uniform_array(self._key, ranks) < self.p
-        self._hashed[b] = 1
+    def _hash(self, rank: int) -> int:
+        """Hash the outcomes of rank's block into bit 0 of the table, mark
+        each of the block's bytes hashed and return rank's byte."""
+        start = rank >> _OUTCOME_BITS << _OUTCOME_BITS
+        block = self._table[start : start + (1 << _OUTCOME_BITS)]
+        rngmod.pair_outcomes(self._key, self.p, start, block.view(bool), self._scratch)
+        block |= _HASHED
+        return self._cells[rank]
 
     def is_revealed(self, u: int, v: int) -> bool:
         """False for self-pairs and pairs out of range."""
@@ -114,9 +117,7 @@ class LazyRandomGraph:
             raise ValueError(f"pair ({u}, {v}) out of range")
         a, b = (u, v) if u < v else (v, u)
         rank = pair_rank(a, b)
-        if not self._hashed[rank >> _OUTCOME_BITS]:
-            self._hash_block(rank >> _OUTCOME_BITS)
-        cell = self._cells[rank]
+        cell = self._cells[rank] or self._hash(rank)
         if cell & _REVEALED:
             raise ValueError(f"pair ({a}, {b}) already revealed")
         self._cells[rank] = cell | _REVEALED
@@ -129,9 +130,9 @@ def materialize(g: LazyRandomGraph) -> Graph:
 
     Revealed pairs keep their outcomes because the same table decides them.
     """
-    for b, hashed in enumerate(g._hashed):
-        if not hashed:
-            g._hash_block(b)
+    for b in np.flatnonzero(g._table[:: 1 << _OUTCOME_BITS] == 0).tolist():
+        g._hash(b << _OUTCOME_BITS)
+    g._scratch = None  # every block is hashed, so no reveal needs it again
     # the outcome bits read as bools, where numpy's nonzero is fastest
     return Graph.from_ranks(g.n, np.flatnonzero((g._table & 1).view(np.bool_)))
 
@@ -240,7 +241,8 @@ def greedy_embed(
     take = chain.from_iterable(
         iter(lambda: rng.integers(0, n, size=_DRAW_BLOCK).tolist(), None)
     ).__next__
-    cells, hashed = g._cells, g._hashed
+    cells = g._cells
+    tri = [v * (v - 1) // 2 for v in range(n)]  # tri[v] + u ranks (u, v), u < v
     steps = 0
     halt = False
     for tree, code in trees:
@@ -266,11 +268,8 @@ def greedy_embed(
             edge_start = steps
             while True:
                 w = take()
-                if active < w:
-                    rank = w * (w - 1) // 2 + active
-                else:
-                    rank = active * (active - 1) // 2 + w
-                if w == active or cells[rank] & _REVEALED or w in image_set:
+                rank = tri[w] + active if active < w else tri[active] + w
+                if w == active or w in image_set or (cell := cells[rank]) & _REVEALED:
                     w = _pick_after_rejection(take, g, active, image_set)
                     if w is None:
                         status = "failed"
@@ -278,12 +277,11 @@ def greedy_embed(
                         trace.failure_step = steps
                         halt = True
                         break
-                    rank = pair_rank(min(active, w), max(active, w))
-                # reveal (active, w): the test above is reveal's own
-                # self-pair and repeat check, and both are in range
-                if not hashed[rank >> _OUTCOME_BITS]:
-                    g._hash_block(rank >> _OUTCOME_BITS)
-                cell = cells[rank]
+                    rank = tri[w] + active if active < w else tri[active] + w
+                    cell = cells[rank]
+                # reveal (active, w): the tests above are reveal's own
+                # self-pair and repeat checks, and both are in range
+                cell = cell or g._hash(rank)
                 cells[rank] = cell | _REVEALED
                 steps += 1
                 rev[w] += 1

@@ -11,10 +11,17 @@ separate:
   only on the seed material and the pair, never on the order of reveals.
 
 The splitmix64 scalar and vector paths must agree bit for bit; the tests
-cross-check them.
+cross-check them.  `pair_outcomes` decides a block of pairs without
+floats: u = (z >> 11) 2^-53 is exact, so u < p holds exactly when
+z < ceil(p 2^53) << 11 for p < 1, and every pair is an edge at p = 1.
+`bigints_below` reads ``rng.bytes`` in blocks: ``Generator.bytes(k)`` takes
+ceil(k / 4) whole uint32 words, so slots of that width give the same values.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Iterator
 
 import numpy as np
 
@@ -22,6 +29,7 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_BYTE_DRAWS = 64  # draws per rng.bytes call: 512 bytes at the dense order 34
 
 
 def seed_sequence(seed: int, *path: int) -> np.random.SeedSequence:
@@ -48,35 +56,64 @@ def pair_uniform(key: int, rank: int) -> float:
     return (z >> 11) * 2.0 ** -53
 
 
+def _mix(z: np.ndarray, t: np.ndarray) -> None:
+    """The splitmix64 finaliser of pair_uniform, in place on the uint64
+    array z of key + (rank + 1) gamma values; t is scratch of z's size."""
+    np.right_shift(z, np.uint64(30), out=t)
+    z ^= t
+    z *= np.uint64(_MIX1)
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= np.uint64(_MIX2)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+
+
 def pair_uniform_array(key: int, ranks: np.ndarray) -> np.ndarray:
-    """Vectorised pair_uniform; bitwise identical to the scalar path.  The
-    steps work in place on one uint64 array, so a block of ranks costs one
-    temporary of its size besides the result."""
+    """Vectorised pair_uniform; bitwise identical to the scalar path."""
     z = ranks.astype(np.uint64)
     z += np.uint64(1)
     z *= np.uint64(_GAMMA)
     z += np.uint64(key)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
+    _mix(z, np.empty_like(z))
     z >>= np.uint64(11)
     return z * 2.0 ** -53
 
 
-def bigint_below(rng: np.random.Generator, bound: int) -> int:
-    """Uniform integer in [0, bound) for arbitrary-precision bounds.
+def pair_scratch(size: int) -> np.ndarray:
+    """Scratch for `pair_outcomes` on blocks of up to size ranks: row 0
+    holds i gamma for i < size, rows 1 and 2 are overwritten by each call."""
+    scratch = np.empty((3, size), dtype=np.uint64)
+    np.multiply(np.arange(size, dtype=np.uint64), np.uint64(_GAMMA), out=scratch[0])
+    return scratch
 
-    Draws fixed-width blocks from ``rng`` and rejects values >= bound, so the
-    result is exactly uniform and deterministic given the generator state.
-    """
-    if bound <= 0:
-        raise ValueError("bound must be positive")
+
+def pair_outcomes(
+    key: int, p: float, start: int, out: np.ndarray, scratch: np.ndarray
+) -> None:
+    """out[i] = pair_uniform(key, start + i) < p for each i, written in
+    place into the bool array out by one integer compare per pair, with
+    `pair_scratch` rows as the only arrays, so no block allocates."""
+    if p >= 1.0:
+        out[:] = True
+        return
+    steps, z, t = scratch[:, : len(out)]
+    np.add(steps, np.uint64((key + (start + 1) * _GAMMA) & _MASK), out=z)
+    _mix(z, t)
+    np.less(z, np.uint64(math.ceil(p * 2.0**53) << 11), out=out)
+
+
+def bigints_below(rng: np.random.Generator, bound: int) -> Iterator[int]:
+    """Endless uniform integers in [0, bound), bound >= 1: each draw is the
+    top bits of the first ceil(bits / 8) big-endian bytes of its slot, and
+    is rejected if >= bound.  It draws ahead, so nothing else may read rng."""
     bits = bound.bit_length()
     nbytes = (bits + 7) // 8
     excess = 8 * nbytes - bits
+    width = -(-nbytes // 4) * 4
     while True:
-        raw = int.from_bytes(rng.bytes(nbytes), "big") >> excess
-        if raw < bound:
-            return raw
+        block = rng.bytes(width * _BYTE_DRAWS)
+        for at in range(0, len(block), width):
+            raw = int.from_bytes(block[at : at + nbytes], "big") >> excess
+            if raw < bound:
+                yield raw

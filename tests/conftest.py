@@ -431,9 +431,28 @@ def component_census(g: Graph) -> tuple[dict, dict]:
     return counts, {k: np.array(rows) for k, rows in sorted(paths.items())}
 
 
+def bigint_below(rng: np.random.Generator, bound: int) -> int:
+    """Uniform integer in [0, bound) for arbitrary-precision bounds, one
+    ``rng.bytes`` call per draw: the earlier per-call draw, and the oracle
+    for `rng.bigints_below`.
+
+    Draws fixed-width blocks from ``rng`` and rejects values >= bound, so the
+    result is exactly uniform and deterministic given the generator state.
+    """
+    if bound <= 0:
+        raise ValueError("bound must be positive")
+    bits = bound.bit_length()
+    nbytes = (bits + 7) // 8
+    excess = 8 * nbytes - bits
+    while True:
+        raw = int.from_bytes(rng.bytes(nbytes), "big") >> excess
+        if raw < bound:
+            return raw
+
+
 def sample_rooted_binary(t: int, rng: np.random.Generator) -> RootedBinaryTree:
     """Uniform shape among the catalan(t), by exact big-integer unranking."""
-    shape = _unrank_shape(t, rngmod.bigint_below(rng, catalan(t)))
+    shape = _unrank_shape(t, bigint_below(rng, catalan(t)))
     assert shape is not None
     return shape
 

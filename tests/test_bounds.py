@@ -364,8 +364,11 @@ def test_tau_counting_bound_values():
     assert [tau_counting_bound(m) for m in range(13)] == [
         0, 1, 1, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5
     ]
-    for m in (-1, 13):
-        with pytest.raises(ValueError, match="0..12"):
+    # the table covers every m up to one class of each tabulated graph
+    assert tau_counting_bound(13) == 5
+    assert tau_counting_bound(867_935) == sum(GRAPHS_WITH_EDGES) == 75_036
+    for m in (-1, 867_936):
+        with pytest.raises(ValueError, match="0..867,935 edges"):
             tau_counting_bound(m)
 
 

@@ -502,3 +502,44 @@ def test_lazy_graph_refuses_a_table_above_the_cap(monkeypatch):
     assert LazyRandomGraph(5, 0.5, 0).n == 5
     with pytest.raises(ValueError, match="n=6 "):
         LazyRandomGraph(6, 0.5, 0)
+
+
+def hashed_blocks(lazy: LazyRandomGraph) -> set[int]:
+    """The blocks of 2^16 pair ranks whose bytes carry the hashed bit;
+    every byte of a block has it, or none has and the block is all zero."""
+    table = lazy._table
+    bits = table & embed._HASHED
+    blocks = set((np.flatnonzero(bits) >> embed._OUTCOME_BITS).tolist())
+    for b in range(-(-len(table) // (1 << embed._OUTCOME_BITS))):
+        block = slice(b << embed._OUTCOME_BITS, (b + 1) << embed._OUTCOME_BITS)
+        if b in blocks:
+            assert bits[block].all()
+        else:
+            assert not table[block].any()
+    return blocks
+
+
+def test_hashing_stays_lazy_per_block():
+    # n = 2000 has 1,999,000 pairs, 31 blocks: one reveal hashes its own
+    # block alone, materialize hashes the other 30
+    lazy = LazyRandomGraph(2000, 0.3, 10)
+    assert hashed_blocks(lazy) == set()
+    rank = 1500 * 1499 // 2 + 7
+    hit = lazy.reveal(7, 1500)
+    assert hashed_blocks(lazy) == {rank >> embed._OUTCOME_BITS}
+    host = materialize(lazy)
+    assert hashed_blocks(lazy) == set(range(31))
+    assert host == blockwise_materialize(lazy)
+    assert host.has_edge(7, 1500) == hit
+    # every block is hashed, so later reveals read the table alone
+    assert lazy.reveal(8, 1500) == host.has_edge(8, 1500)
+
+
+def test_greedy_embed_hashes_only_the_blocks_it_reveals_in():
+    lazy = LazyRandomGraph(2000, 0.01, 11)
+    res = greedy_embed(lazy, coded(maxdeg3_trees(7)), 10, rngmod.stream(11, 0))
+    assert res.trace.steps == 10
+    blocks = hashed_blocks(lazy)
+    assert 1 <= len(blocks) <= 10
+    revealed = np.flatnonzero(lazy._table & embed._REVEALED)
+    assert set((revealed >> embed._OUTCOME_BITS).tolist()) == blocks

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import bigint_below
 from taulab import rng as rngmod
 
 
@@ -51,14 +54,14 @@ def test_pair_uniform_order_invariant():
 
 def test_bigint_below_bounds_and_coverage():
     r = rngmod.stream(0, 9)
-    seen = {rngmod.bigint_below(r, 7) for _ in range(500)}
+    seen = {bigint_below(r, 7) for _ in range(500)}
     assert seen == set(range(7))
 
 
 def test_bigint_below_large_bound():
     r = rngmod.stream(0, 10)
     bound = 10**40
-    vals = [rngmod.bigint_below(r, bound) for _ in range(50)]
+    vals = [bigint_below(r, bound) for _ in range(50)]
     assert all(0 <= v < bound for v in vals)
     assert any(v > bound // 10 for v in vals)
 
@@ -66,4 +69,64 @@ def test_bigint_below_large_bound():
 def test_bigint_below_rejects_nonpositive():
     r = rngmod.stream(0, 11)
     with pytest.raises(ValueError):
-        rngmod.bigint_below(r, 0)
+        bigint_below(r, 0)
+
+
+def unmix(z: int) -> int:
+    """The inverse of pair_uniform's splitmix64 finaliser: the value
+    key + (rank + 1) * gamma that mixes to z."""
+
+    def unshift(y: int, s: int) -> int:  # inverts y = x ^ (x >> s)
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(z, 31)
+    z = z * pow(rngmod._MIX2, -1, 2**64) % 2**64
+    z = unshift(z, 27)
+    z = z * pow(rngmod._MIX1, -1, 2**64) % 2**64
+    return unshift(z, 30)
+
+
+def nudged(p: float, way: int) -> float:
+    return p if way == 0 else math.nextafter(p, way * math.inf)
+
+
+# the p of the threshold test: the listed values and k 2^-53, each also
+# one double above and below, kept in [0, 1]
+THRESHOLD_PS = st.builds(
+    nudged,
+    st.sampled_from([0.0, 2.0**-60, 0.5, 40 * math.log(3000) / 3000, 1 - 2.0**-53, 1.0])
+    | st.integers(0, 2**53).map(lambda k: k * 2.0**-53),
+    st.sampled_from([-1, 0, 1]),
+).filter(lambda p: 0.0 <= p <= 1.0)
+
+
+@given(THRESHOLD_PS, st.integers(0, 2**40), st.integers(1, 64), st.data())
+def test_pair_outcomes_equal_the_float_compare(p, start, length, data):
+    # the key is solved so that one pair of the block mixes to a value at
+    # the threshold: (z >> 11) within one of ceil(p 2^53), any low bits
+    at = data.draw(st.integers(0, length - 1))
+    top = math.ceil(p * 2.0**53) + data.draw(st.sampled_from([-1, 0, 1]))
+    low = data.draw(st.sampled_from([0, 2047]) | st.integers(0, 2047))
+    z = min(max(top, 0), 2**53 - 1) << 11 | low
+    key = (unmix(z) - (start + at + 1) * rngmod._GAMMA) % 2**64
+    assert rngmod.pair_uniform(key, start + at) == (z >> 11) * 2.0**-53
+    out = np.zeros(length, dtype=np.bool_)
+    rngmod.pair_outcomes(key, p, start, out, rngmod.pair_scratch(64))
+    ranks = np.arange(start, start + length, dtype=np.uint64)
+    assert np.array_equal(out, rngmod.pair_uniform_array(key, ranks) < p)
+    assert out.tolist() == [rngmod.pair_uniform(key, r) < p for r in ranks.tolist()]
+
+
+@pytest.mark.parametrize("nbytes", [1, 3, 5, 8, 9, 17])
+def test_bigints_below_equal_per_call_draws(nbytes):
+    # the block reads yield the values of one bytes call per draw, across
+    # block ends and rejections, with and without excess low bits
+    for bound in (2 ** (8 * nbytes) // 3 * 2, 2 ** (8 * nbytes - 5) + 1, 2 ** (8 * nbytes - 7)):
+        assert (bound.bit_length() + 7) // 8 == nbytes
+        oracle = rngmod.stream(nbytes, 12)
+        draws = rngmod.bigints_below(rngmod.stream(nbytes, 12), bound)
+        want = [bigint_below(oracle, bound) for _ in range(300)]
+        assert [next(draws) for _ in range(300)] == want

@@ -82,7 +82,7 @@ def test_every_script_is_tested_and_public():
 
 # the stages each regime's trial runs
 REGIME_STAGES = {
-    "dense": ["supply", "embed", "materialize", "build", "verify"],
+    "dense": ["supply", "embed", "materialize", "hash", "build", "verify"],
     "sparse": ["gen", "harvest", "pack", "build", "verify"],
     "verysparse": ["gen", "census", "build", "verify"],
 }
