@@ -98,7 +98,7 @@ def crossover(decks: int) -> dict[tuple[str, int], dict[str, list[float]]]:
                 for path in sorted(PATHS, reverse=draw % 2 == 1):
                     graphmod._SMALL_BATCH = PATHS[path]
                     t0 = time.perf_counter()
-                    class_signatures(batch, 9)
+                    class_signatures(batch)
                     row[path].append(1e6 * (time.perf_counter() - t0))
     finally:
         graphmod._SMALL_BATCH = saved

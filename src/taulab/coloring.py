@@ -18,7 +18,8 @@ non-isomorphic, and classes of equal size are compared by their
 `graph.class_signatures`, the sorted codes of their components, computed
 for a whole batch of classes in one labelling pass.  `class_signature`
 signs one class given as (u, v) pairs through it, and `canonical_form` is
-a graph's class signature plus one K1 per isolated vertex.
+a graph's class signature plus one K1 per isolated vertex.  Each of them
+certifies a non-tree component only up to `graph._CERT_CAP` vertices.
 
 `tau_exact` answers the inverse question for tiny graphs (8 edges by
 default, 12 at most) by branch and bound over whole classes, and
@@ -172,47 +173,44 @@ def read_coloring(path: str) -> Coloring:
 # distinctness
 
 
-def class_signature(edges: Sequence[Edge], max_vertices: int = 10) -> tuple:
+def class_signature(edges: Sequence[Edge]) -> tuple:
     """`class_signatures` of the one class with these (u, v) edges,
     0 <= u < v: the sorted codes of its components.  Raises the
     class's CanonicalizationError if a component cannot be coded."""
-    n = 1 + max((v for _, v in edges), default=0)
-    (sig,) = class_signatures([pair_ranks(edges)], n, max_vertices)
+    (sig,) = class_signatures([pair_ranks(edges)])
     if isinstance(sig, CanonicalizationError):
         raise sig
     return sig
 
 
-def canonical_form(g: Graph, max_vertices: int = 10) -> bytes:
+def canonical_form(g: Graph) -> bytes:
     """Canonical certificate of a graph: equal bytes iff isomorphic.  The
     `class_signature` of its edges, with one K1 per isolated vertex so that
     graphs on the same vertex count compare exactly, sorted inside G{...}.
     Tree components of any size get their AHU string; every other
-    component must have at most max_vertices vertices."""
+    component must have at most `graph._CERT_CAP` vertices."""
     us, vs = map(np.ndarray.tolist, _unrank_pairs(g.ranks))
     isolated = [b"K1"] * (g.n - len({*us, *vs}))
-    certs = sorted((*class_signature(list(zip(us, vs)), max_vertices), *isolated))
+    certs = sorted((*class_signature(list(zip(us, vs))), *isolated))
     return b"G{" + b"|".join(certs) + b"}"
 
 
-def verify_distinct(
-    coloring: Coloring, max_vertices: int = 10
-) -> tuple[bool, Optional[tuple[int, int]]]:
+def verify_distinct(coloring: Coloring) -> tuple[bool, Optional[tuple[int, int]]]:
     """Certify that all colour classes are pairwise non-isomorphic.
 
     Returns (True, None), or (False, (i, j)) naming the first two classes
     found isomorphic.  Every class that shares its edge count with another
     is signed, all in one `class_signatures` call, and the classes are then
     walked by ascending edge count and index; reaching one with a component
-    that is neither a tree nor of at most max_vertices vertices raises
-    VerifyError.
+    that is neither a tree nor of at most `graph._CERT_CAP` vertices
+    raises VerifyError.
     """
     classes = coloring.classes
     by_count: dict[int, list[int]] = {}
     for i, cls in enumerate(classes):
         by_count.setdefault(len(cls), []).append(i)
     signed = [i for c in sorted(by_count) if len(by_count[c]) > 1 for i in by_count[c]]
-    sigs = class_signatures([classes[i] for i in signed], coloring.host.n, max_vertices)
+    sigs = class_signatures([classes[i] for i in signed])
     seen: dict[tuple, int] = {}  # classes of different sizes never match
     for i, sig in zip(signed, sigs):
         if isinstance(sig, CanonicalizationError):
@@ -249,7 +247,7 @@ def _with_leftover(
     if len(leftover):
         same = [i for i, cls in enumerate(classes) if len(cls) == len(leftover)]
         batch = [leftover, *(classes[i] for i in same)]
-        left, *sigs = class_signatures(batch, host.n) if same else [None]
+        left, *sigs = class_signatures(batch) if same else [None]
         for i, sig in zip(same, sigs):  # in index order, up to the first match
             bad = [(name, s) for name, s in (("the leftover", left), (f"class {i}", sig))
                    if isinstance(s, Exception)]
@@ -418,7 +416,7 @@ def tau_exact(g: Graph, max_edges: int = 8) -> int:
     def signed(s: int) -> dict[int, tuple]:
         if s not in sigs:
             idx = np.array(list(combinations(range(m), s)))
-            got = class_signatures(list(g.ranks[idx]), g.n, 2 * max_edges)
+            got = class_signatures(list(g.ranks[idx]))
             failed = next((x for x in got if isinstance(x, CanonicalizationError)), None)
             if failed is not None:
                 raise failed

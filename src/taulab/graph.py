@@ -58,8 +58,8 @@ search.  A cell that is one twin class is individualised without refining:
 one member alone in a new colour splits no other cell, so a chain of twins
 costs no refinement.  A complete multipartite graph is searched only
 across its parts of equal size, and refined only where the search
-branches.  The census gives a non-tree component above 12 vertices a
-coarse code of its order, size and degree sequence instead.
+branches.  Signing fails on a non-tree above `_CERT_CAP` vertices, which
+the census gives a coarse code of order, size and degree sequence instead.
 """
 
 from __future__ import annotations
@@ -242,9 +242,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.ranks)
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
@@ -542,17 +539,25 @@ def tree_code(adj: Sequence[Sequence[int]]) -> bytes:
     return halves[0] if len(halves) == 1 else b"[" + b"".join(halves) + b"]"
 
 
-def connected_code(adj: Sequence[Sequence[int]], max_vertices: int) -> bytes:
+# Most vertices of a non-tree component with an exact certificate, for every
+# caller.  A connected non-tree has at least as many edges as vertices, so
+# tau_exact, which signs a size s only when two classes of that size meet
+# (2s <= m <= 12), signs none above 6 vertices; the census certifies up to
+# 12; and the builders' classes have none (trees, linear forests, paths).
+_CERT_CAP = 12
+
+
+def connected_code(adj: Sequence[Sequence[int]]) -> bytes:
     """Code of the connected graph on 0..n-1 with these neighbour lists:
     equal codes exactly when isomorphic.  A tree of any size gets its AHU
     string (starting with "(" or "["), anything else its exact certificate
-    (starting with "K", "C" or "B"), which needs n <= max_vertices."""
+    (starting with "K", "C" or "B"), which needs n <= `_CERT_CAP`."""
     n = len(adj)
     if sum(map(len, adj)) == 2 * (n - 1):
         return tree_code(adj)
-    if n > max_vertices:
+    if n > _CERT_CAP:
         raise CanonicalizationError(
-            f"component has {n} vertices, canonical form capped at {max_vertices}"
+            f"component has {n} vertices, canonical form capped at {_CERT_CAP}"
         )
     degrees = sorted(map(len, adj))
     # two shapes common enough to special-case: complete graphs and cycles
@@ -589,19 +594,16 @@ class ComponentCensus:
         return {order: len(rows) for order, rows in self.paths.items()}
 
 
-_EXACT_CENSUS_CAP = 12
-
-
 def _component_code(adj: list[list[int]]) -> bytes:
     """Census code of the connected graph with these neighbour lists: a
-    tree's AHU string, b"G{cert}" for any other component of at most 12
-    vertices, where cert is its exact certificate (`connected_code` both
-    times), and a coarse b"L..." code above that."""
+    tree's AHU string, b"G{cert}" for any other component of at most
+    `_CERT_CAP` vertices, where cert is its exact certificate
+    (`connected_code` both times), and a coarse b"L..." code above that."""
     order, size = len(adj), sum(map(len, adj)) // 2
     if size == order - 1:
-        return connected_code(adj, _EXACT_CENSUS_CAP)
-    if order <= _EXACT_CENSUS_CAP:
-        return b"G{" + connected_code(adj, _EXACT_CENSUS_CAP) + b"}"
+        return connected_code(adj)
+    if order <= _CERT_CAP:
+        return b"G{" + connected_code(adj) + b"}"
     # too large to classify exactly; the coarse code is isomorphism-invariant
     # but may merge types (census never errors, exactness is promised only
     # for trees and small components)
@@ -650,7 +652,7 @@ def census(g: Graph) -> ComponentCensus:
 _SMALL_BATCH = 64
 
 
-def _small_signature(ranks: list[int], max_vertices: int):
+def _small_signature(ranks: list[int]):
     """`class_signatures` of one class in plain Python: each component from
     its smallest vertex, numbered 0.. in vertex order as `_component_lists` does."""
     adj: dict[int, list[int]] = {}
@@ -679,19 +681,17 @@ def _small_signature(ranks: list[int], max_vertices: int):
         local = {x: i for i, x in enumerate(sorted(comp))}  # in vertex order
         lists = [sorted(map(local.__getitem__, adj[x])) for x in local]
         try:
-            codes.append(connected_code(lists, max_vertices))
+            codes.append(connected_code(lists))
         except CanonicalizationError as exc:
             return exc
     return tuple(sorted(codes))
 
 
-def class_signatures(
-    classes: Sequence[np.ndarray], n: int, max_vertices: int = 10
-) -> list:
-    """Signature of every class, a rank array on vertices below n: the
-    sorted codes of its components, so equal signatures mean isomorphic
-    classes.  One labelling pass covers them all, with vertex v of class c
-    keyed c * n + v.  Paths are coded by their order alone, every other
+def class_signatures(classes: Sequence[np.ndarray]) -> list:
+    """Signature of every class, a rank array: the sorted codes of its
+    components, so equal signatures mean isomorphic classes.  One labelling
+    pass covers them all, keying vertex v of class c as c * n + v, n above
+    every vertex.  Paths are coded by their order alone, every other
     component by `connected_code`; a class with a component that cannot be
     coded gets the CanonicalizationError of the first, by smallest vertex,
     instead.  A batch of at most `_SMALL_BATCH` edges is signed in Python."""
@@ -701,9 +701,10 @@ def class_signatures(
         rows = [c.tolist() for c in classes]
         if max(chain.from_iterable(rows), default=0) >= _UNRANK_LIMIT:
             _unrank_pairs(np.concatenate(classes))  # refuses, naming the maximum
-        return [_small_signature(r, max_vertices) for r in rows]
+        return [_small_signature(r) for r in rows]
     tags = np.repeat(np.arange(len(classes)), [len(c) for c in classes])
     us, vs = _unrank_pairs(np.concatenate(classes))
+    n = int(vs.max()) + 1
     keyed = np.concatenate((tags * n + us, tags * n + vs)).reshape(2, -1).T
     keys, edges, labels, roots, order, path = _component_shapes(keyed)
     owner = keys[roots] // n  # class of each component
@@ -715,7 +716,7 @@ def class_signatures(
     for c, adj in zip(owner[~path].tolist(), others):
         if c not in failed:
             try:
-                codes[c].append(connected_code(adj, max_vertices))
+                codes[c].append(connected_code(adj))
             except CanonicalizationError as exc:
                 failed[c] = exc
     return [failed.get(c) or tuple(sorted(cs)) for c, cs in enumerate(codes)]

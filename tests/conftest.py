@@ -362,13 +362,13 @@ def bfs_components(g: Graph) -> list[Component]:
     return out
 
 
-def bfs_class_signature(edges: Sequence[tuple[int, int]], max_vertices: int = 10) -> tuple:
+def bfs_class_signature(edges: Sequence[tuple[int, int]]) -> tuple:
     """Signature of an edge set with its components found by `bfs_components`:
     the sorted `connected_code` of each component with edges."""
     n = 1 + max((v for _, v in edges), default=0)
     return tuple(
         sorted(
-            connected_code(comp.local_adj(), max_vertices)
+            connected_code(comp.local_adj())
             for comp in bfs_components(Graph.from_edges(n, edges))
             if comp.edges
         )
@@ -392,9 +392,7 @@ def oracle_tau(g: Graph) -> int:
 
     def sig(mask: int) -> tuple:
         if mask not in memo:
-            memo[mask] = bfs_class_signature(
-                [edges[i] for i in range(m) if mask >> i & 1], max_vertices=16
-            )
+            memo[mask] = bfs_class_signature([edges[i] for i in range(m) if mask >> i & 1])
         return memo[mask]
 
     best = 0

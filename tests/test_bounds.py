@@ -347,7 +347,7 @@ def graphs_with_edges(top: int) -> list[int]:
             v = 1 + max((b for _, b in edges), default=-1)
             ends = [*itertools.combinations(range(v + 1), 2), (v, v + 1)]
             grown.extend(edges + [e] for e in ends if e not in edges)
-        sigs = class_signatures([np.sort(pair_ranks(g)) for g in grown], 2 * top + 2)
+        sigs = class_signatures([np.sort(pair_ranks(g)) for g in grown])
         first = {}
         for edges, sig in zip(grown, sigs):
             first.setdefault(sig, edges)

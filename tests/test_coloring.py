@@ -120,16 +120,17 @@ def test_canonical_agrees_with_brute_force():
         assert same == brute_isomorphic(a, b)
 
 
-def test_canonical_size_cap():
+def test_canonical_size_cap(monkeypatch):
     with pytest.raises(CanonicalizationError):
-        canonical_form(cycle_graph(11))
-    assert canonical_form(cycle_graph(11), max_vertices=11) == b"G{C11}"
+        canonical_form(cycle_graph(13))
+    monkeypatch.setattr(graphmod, "_CERT_CAP", 13)
+    assert canonical_form(cycle_graph(13)) == b"G{C13}"
 
 
 @given(st.integers(0, 2**31))
 @settings(max_examples=100, deadline=None)
 def test_canonical_form_on_forests_beyond_the_cap(seed):
-    # trees get their AHU string at any size, so the cap of 10 binds none
+    # trees get their AHU string at any size, so the cap of 12 binds none
     rng = rngmod.stream(seed, 0)
     sizes = [int(rng.integers(11, 21)), *rng.integers(2, 6, int(rng.integers(0, 4))).tolist()]
     isolated = int(rng.integers(0, 3))
@@ -239,7 +240,8 @@ def test_twin_free_symmetric_graphs_stay_inside_the_leaf_budget(monkeypatch, nam
     assert not any(set(g.adj[u]) - {v} == set(g.adj[v]) - {u} for u, v in pairs)
     assert refines(monkeypatch, graphmod, graphmod._canonical_bits, g)[1] == calls
     perm = rngmod.stream(len(name), 7).permutation(g.n).tolist()
-    assert canonical_form(relabel(g, perm), 13) == canonical_form(g, 13)
+    monkeypatch.setattr(graphmod, "_CERT_CAP", 13)
+    assert canonical_form(relabel(g, perm)) == canonical_form(g)
 
 
 def test_canonical_leaf_budget_still_fires(monkeypatch):
@@ -418,8 +420,8 @@ def test_class_signature_agrees_with_networkx(seed, kind, partner):
     assert same == nx.is_isomorphic(_nx_graph(a), _nx_graph(b))
 
 
-# shapes for the batched signature test; "big cycle" has more vertices than
-# the default cap, so its class cannot be signed
+# shapes for the batched signature test; "big cycle" has 11 to 14 vertices,
+# and a class holding one above graph._CERT_CAP cannot be signed
 _PART_KINDS = ["path", "cycle", "star", "k4", "tree", "gnp", "big cycle"]
 
 
@@ -501,7 +503,7 @@ def test_class_signatures_match_class_signature(batch):
             want.append(f"error: {exc}")
     for path in SIGNING_PATHS:
         with signing_path(path):
-            got = class_signatures([np.sort(pair_ranks(cls)) for cls in classes], _POOL)
+            got = class_signatures([np.sort(pair_ranks(cls)) for cls in classes])
         assert outcomes(got) == want, path
 
 
@@ -512,7 +514,7 @@ def test_class_signatures_match_class_signature(batch):
     st.booleans(),
 )
 @settings(max_examples=200, deadline=None)
-def test_signing_paths_agree_around_the_threshold(seed, max_vertices, leaf_limit, beyond):
+def test_signing_paths_agree_around_the_threshold(seed, cap, leaf_limit, beyond):
     # batches of about 0 to twice graph._SMALL_BATCH edges; a tiny leaf
     # budget makes symmetric components fail as well as large ones, and one
     # rank of 2**52 or more must be refused on either path
@@ -531,23 +533,24 @@ def test_signing_paths_agree_around_the_threshold(seed, max_vertices, leaf_limit
     for path in (None, *SIGNING_PATHS):  # None: the path the threshold picks
         calls, small = [], []  # neighbour lists coded, classes signed alone
 
-        def recorded_code(adj, cap):
+        def recorded_code(adj):
             calls.append(adj)
-            return code(adj, cap)
+            return code(adj)
 
-        def recorded_sign(ranks, cap):
+        def recorded_sign(ranks):
             small.append(ranks)
-            return sign(ranks, cap)
+            return sign(ranks)
 
         with pytest.MonkeyPatch.context() as mp:
             if path is not None:
                 mp.setattr(graphmod, "_SMALL_BATCH", SIGNING_PATHS[path])
             if leaf_limit is not None:
                 mp.setattr(graphmod, "_LEAF_LIMIT", leaf_limit)
+            mp.setattr(graphmod, "_CERT_CAP", cap)
             mp.setattr(graphmod, "connected_code", recorded_code)
             mp.setattr(graphmod, "_small_signature", recorded_sign)
             try:
-                got = outcomes(class_signatures(classes, n, max_vertices))
+                got = outcomes(class_signatures(classes))
             except ValueError as exc:
                 got = f"refused: {exc}"
         # the same results from the same neighbour lists, coded in order
@@ -571,8 +574,8 @@ def test_class_signatures_code_paths_by_order():
     b = [(0, 3), (1, 2), (2, 3)]
     for path in SIGNING_PATHS:
         with signing_path(path):
-            (sig,) = class_signatures([pair_ranks(long_path)], 300)
-            sa, sb = class_signatures([np.sort(pair_ranks(a)), np.sort(pair_ranks(b))], 4)
+            (sig,) = class_signatures([pair_ranks(long_path)])
+            sa, sb = class_signatures([np.sort(pair_ranks(a)), np.sort(pair_ranks(b))])
         assert sig == bfs_class_signature(long_path), path
         assert sa == bfs_class_signature(a) and sb == bfs_class_signature(b), path
 
@@ -599,7 +602,7 @@ def test_pipeline_signatures_match_class_signature(regime):
             want.append(f"error: {exc}")  # the leftover, one big cyclic part
     for path in SIGNING_PATHS:
         with signing_path(path):
-            assert outcomes(class_signatures(col.classes, n)) == want, path
+            assert outcomes(class_signatures(col.classes)) == want, path
 
 
 # --- colourings and verification ------------------------------------------
@@ -683,23 +686,25 @@ def test_verify_raises_when_uncheckable():
     def norm(edges):
         return tuple(sorted(tuple(sorted(e)) for e in edges))
 
-    edges_a = norm((i, (i + 1) % 12) for i in range(12))
-    edges_b = norm((20 + i, 20 + (i + 1) % 12) for i in range(12))
-    g = Graph.from_edges(32, edges_a + edges_b)
+    edges_a = norm((i, (i + 1) % 13) for i in range(13))
+    edges_b = norm((20 + i, 20 + (i + 1) % 13) for i in range(13))
+    g = Graph.from_edges(33, edges_a + edges_b)
     col = Coloring(host=g, classes=ranked(edges_a, edges_b), labels=("a", "b"))
     with pytest.raises(VerifyError):
         verify_distinct(col)
     # a larger cap resolves the group (and finds the collision)
-    ok, pair = verify_distinct(col, max_vertices=12)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphmod, "_CERT_CAP", 13)
+        ok, pair = verify_distinct(col)
     assert not ok and pair == (0, 1)
 
 
 def _uncheckable_groups(order: str) -> Coloring:
-    """Three 12-edge classes: two isomorphic paths and a 12-cycle, which the
-    default cap cannot code; order places the cycle first or last."""
-    p1 = [(i, i + 1) for i in range(12)]
-    p2 = [(20 + i, 21 + i) for i in range(12)]
-    ring = [tuple(sorted((40 + i, 40 + (i + 1) % 12))) for i in range(12)]
+    """Three 13-edge classes: two isomorphic paths and a 13-cycle, which the
+    cap cannot code; order places the cycle first or last."""
+    p1 = [(i, i + 1) for i in range(13)]
+    p2 = [(20 + i, 21 + i) for i in range(13)]
+    ring = [tuple(sorted((40 + i, 40 + (i + 1) % 13))) for i in range(13)]
     classes = (p1, p2, ring) if order == "pair first" else (ring, p1, p2)
     g = Graph.from_edges(60, p1 + p2 + ring)
     return Coloring(host=g, classes=ranked(*classes), labels=("a", "b", "c"))
@@ -709,8 +714,8 @@ def test_verify_returns_a_pair_found_before_an_uncheckable_class():
     assert verify_distinct(_uncheckable_groups("pair first")) == (False, (0, 1))
     # across groups: the pair has fewer edges, the uncheckable class more
     pair = [(0, 1)], [(2, 3)]
-    ring = [tuple(sorted((10 + i, 10 + (i + 1) % 12))) for i in range(12)]
-    twin = [(30 + i, 31 + i) for i in range(12)]
+    ring = [tuple(sorted((10 + i, 10 + (i + 1) % 13))) for i in range(13)]
+    twin = [(30 + i, 31 + i) for i in range(13)]
     g = Graph.from_edges(50, [e for cls in (*pair, ring, twin) for e in cls])
     col = Coloring(host=g, classes=ranked(*pair, ring, twin), labels=tuple("abcd"))
     assert verify_distinct(col) == (False, (0, 1))
@@ -720,9 +725,28 @@ def test_verify_raises_at_the_first_uncheckable_class():
     with pytest.raises(VerifyError) as exc:
         verify_distinct(_uncheckable_groups("cycle first"))
     assert str(exc.value) == (
-        "class 0 (12 edges) cannot be verified: "
-        "component has 12 vertices, canonical form capped at 10"
+        "class 0 (13 edges) cannot be verified: "
+        "component has 13 vertices, canonical form capped at 12"
     )
+
+
+def test_verify_certifies_non_trees_up_to_the_cap():
+    # C11 plus a chord is no cycle, so its certificate comes from the search;
+    # it and C12 both have 12 edges, so both are signed
+    chorded = [(i, i + 1) for i in range(10)] + [(0, 10), (0, 5)]
+    ring = [tuple(sorted((20 + i, 20 + (i + 1) % 12))) for i in range(12)]
+    g = Graph.from_edges(32, chorded + ring)
+    col = Coloring(host=g, classes=ranked(chorded, ring), labels=("a", "b"))
+    assert verify_distinct(col) == (True, None)
+    # two relabelled 13-cycles are past it
+    perm = rngmod.stream(13, 5).permutation(40).tolist()
+    first, second = ([tuple(sorted((perm[base + i], perm[base + (i + 1) % 13])))
+                      for i in range(13)] for base in (0, 20))
+    g = Graph.from_edges(40, first + second)
+    col = Coloring(host=g, classes=ranked(first, second), labels=("a", "b"))
+    with pytest.raises(VerifyError) as exc:
+        verify_distinct(col)
+    assert str(exc.value).endswith("canonical form capped at 12")
 
 
 def test_verify_mixed_class_with_large_tree():
@@ -962,23 +986,23 @@ def test_builders_add_no_leftover_when_the_classes_cover_the_host(
 
 
 def test_leftover_matching_an_uncodeable_class_raises(monkeypatch):
-    # the leftover, the second 11-cycle, has the size of the class holding
-    # the first, and a cycle on 11 vertices is past the canonicaliser's cap
-    first = [(i, i + 1) for i in range(10)] + [(0, 10)]
-    second = [(u + 11, v + 11) for u, v in first]
+    # the leftover, the second 13-cycle, has the size of the class holding
+    # the first, and a cycle on 13 vertices is past the canonicaliser's cap
+    first = [(i, i + 1) for i in range(12)] + [(0, 12)]
+    second = [(u + 13, v + 13) for u, v in first]
     with pytest.raises(VerifyError, match="neither can be canonicalised"):
-        embedded_classes(Graph.from_edges(22, first + second), [first], monkeypatch)
+        embedded_classes(Graph.from_edges(26, first + second), [first], monkeypatch)
 
 
 @pytest.mark.parametrize("cycle_is_the_class", [True, False])
 def test_leftover_error_names_the_side_that_cannot_be_coded(
     cycle_is_the_class, monkeypatch
 ):
-    # an 11-cycle, past the canonicaliser's cap, and an 11-edge path, a tree
+    # a 13-cycle, past the canonicaliser's cap, and a 13-edge path, a tree
     # that codes at any size: one is the class, the other the leftover
-    cycle = [(i, i + 1) for i in range(10)] + [(0, 10)]
-    path = [(i, i + 1) for i in range(11, 22)]
-    host = Graph.from_edges(23, cycle + path)
+    cycle = [(i, i + 1) for i in range(12)] + [(0, 12)]
+    path = [(i, i + 1) for i in range(13, 26)]
+    host = Graph.from_edges(27, cycle + path)
     side = "class 0" if cycle_is_the_class else "the leftover"
     with pytest.raises(VerifyError) as exc:
         embedded_classes(host, [cycle if cycle_is_the_class else path], monkeypatch)
@@ -1248,8 +1272,8 @@ def test_tau_exact_matches_oracle_on_nine_edge_families(name, seed):
     assert_tau_exact_on_both_paths(g, 9)
 
 
-def test_tau_exact_twelve_edges_within_budget():
-    graphs = {
+def twelve_edge_graphs() -> dict[str, Graph]:
+    return {
         "K1,12": Graph.from_edges(13, [(0, i) for i in range(1, 13)]),
         "12K2": matching(12),
         "C12": cycle_graph(12),
@@ -1257,8 +1281,11 @@ def test_tau_exact_twelve_edges_within_budget():
         "Q3": Graph.from_edges(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b]),
         **{f"random {seed}": seeded_graph(seed, 12, 7 + seed) for seed in range(3)},
     }
+
+
+def test_tau_exact_twelve_edges_within_budget():
     low, high = tau_matching(12), bnd.tau_counting_bound(12)
-    for name, g in graphs.items():
+    for name, g in twelve_edge_graphs().items():
         assert g.edge_count == 12, name
         t0 = time.perf_counter()
         tau = tau_exact(g, max_edges=12)
@@ -1267,6 +1294,20 @@ def test_tau_exact_twelve_edges_within_budget():
             assert tau == low, name
         else:
             assert low <= tau <= high, name
+
+
+def test_tau_exact_never_meets_the_cap(monkeypatch):
+    # tau_exact signs a size s only when two classes of that size meet, so
+    # 2s <= m <= 12, and a non-tree on s edges has at most s vertices: a
+    # cap of 6 changes no answer
+    graphs = [(g, 12) for g in twelve_edge_graphs().values()]
+    for edges in NINE_EDGES.values():
+        graphs.append((Graph.from_edges(1 + max(map(max, edges)), edges), 9))
+    want = [tau_exact(g, max_edges) for g, max_edges in graphs]
+    monkeypatch.setattr(graphmod, "_CERT_CAP", 6)
+    with pytest.raises(CanonicalizationError):
+        class_signature([(i, i + 1) for i in range(6)] + [(0, 6)])  # C7
+    assert [tau_exact(g, max_edges) for g, max_edges in graphs] == want
 
 
 def test_tau_exact_leaves_no_reference_cycle():

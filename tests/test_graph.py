@@ -89,7 +89,7 @@ def test_from_edges_matches_tuple_oracle(n, edges):
         assert x.edges == tuple(sorted(oracle.edges))
         assert x.adj == oracle.adj
         assert x.edge_count == oracle.edge_count
-        assert [x.degree(v) for v in range(n)] == [oracle.degree(v) for v in range(n)]
+        assert [len(x.adj[v]) for v in range(n)] == [oracle.degree(v) for v in range(n)]
         for u in range(-1, n + 1):
             for v in range(-1, n + 1):
                 assert x.has_edge(u, v) == oracle.has_edge(u, v), (u, v)
@@ -486,7 +486,7 @@ def test_class_signature_of_a_host_is_its_census(n, mean_degree):
     # 12 vertices, coarsely coded by the census, fails the signing
     for seed in range(8):
         g = gen_gnp(n, min(1.0, mean_degree / max(1, n - 1)), seed)
-        (sig,) = class_signatures([g.ranks], g.n, max_vertices=12)
+        (sig,) = class_signatures([g.ranks])
         counts = census(g).counts
         if any(code.startswith(b"L") for code in counts):
             assert isinstance(sig, CanonicalizationError)

@@ -150,9 +150,6 @@ def test_scan_finds_an_unpassed_default():
 # defaults that no program call passes, each kept for the reason given
 TEST_ONLY_DEFAULTS = {
     "main: argv": "the console script calls main() bare",
-    "canonical_form: max_vertices": "the canonicaliser cap takes three values "
-    "in the program (10, 12 and 2 * max_edges in tau_exact), and tests move it",
-    "verify_distinct: max_vertices": "the same canonicaliser cap",
     "toy_lagrange_opt: tol": "the toy solver is one of the paper checks, "
     "and its feasibility tolerance is the usual knob of a numerical solve",
 }
