@@ -7,8 +7,8 @@ point is trial i of `taulab experiment --seed 1`, seeded trial_seed(1, i).
 While a trial runs, the library names it looks up are rebound to timers, so
 each stage's column is its self time in milliseconds: the time of its calls
 less that of the timed calls inside them.  `supply` is the tree supply's
-draws, `hash` the hashing of pair outcomes (`rng.pair_outcomes`) that the
-embedding's reveals and `materialize` ask for, `harvest` the DFS path
+draws, `hash` the lazy graph's outcome table (`rng.pair_outcomes`), hashed
+once per trial when the graph is built, `harvest` the DFS path
 harvest with the CSR arrays it builds, and `build` the rest of the builder:
 cutting the classes and the leftover step, and any stage a builder adds
 later.  `other` is the trial's wall time

@@ -5,12 +5,10 @@ The host graph is G(n, p), but no pair is revealed until the process asks:
 comes from a stateless hash of (seed, pair), so outcomes depend only on the
 seed and the pair, never on the order or number of other reveals.  Each
 pair may be revealed at most once.  The graph keeps one byte per pair rank:
-bit 0 is the pair's outcome, bit 1 is set once the pair is revealed and
-bit 2 once its block is hashed, so there are no per-vertex partner sets and
-no other table.  The outcomes are hashed a block of 2^16 pair ranks at a
-time by `rng.pair_outcomes`, the first time a pair in the block is
-revealed, so a zero byte means its block is not hashed yet.  `materialize`
-reads bit 0 of the blocks already hashed and hashes only the rest.
+bit 0 is the pair's outcome and bit 1 is set once the pair is revealed, so
+there are no per-vertex partner sets and no other table.  Since the order
+of hashing decides nothing, every outcome is hashed when the graph is
+built, by one `rng.pair_outcomes` call; `materialize` reads bit 0.
 
 The embedding walks a supply of trees, each handed over with its canonical
 code.  A tree's vertices are taken in an order where each prefix is
@@ -39,7 +37,7 @@ next item of one iterator over those blocks.  The common step, an accepted
 first candidate, runs inline in `greedy_embed`: it ranks the candidate's
 pair from a list of triangular numbers, tests the candidate against the
 active vertex and the image, then reads the pair's byte once for the
-reveal, hashed and outcome tests, and counts the active vertex's reveals
+reveal and outcome tests, and counts the active vertex's reveals
 once per embedded edge.
 """
 
@@ -61,10 +59,8 @@ from .graph import Graph, pair_rank
 
 _REJECTION_TRIES = 40
 _DRAW_BLOCK = 512  # a tree of order 34 takes about 310 candidate draws
-_OUTCOME_BITS = 16  # blocks of 2^16 pairs: each hash scratch row stays in cache
 _MAX_PAIRS = 1 << 30  # the pair table takes one byte per pair
 _REVEALED = 2  # bit 1 of a pair's byte; bit 0 is its outcome
-_HASHED = 4  # bit 2, set in every byte of a hashed block
 
 REPORT_VERSION = 1
 
@@ -85,23 +81,11 @@ class LazyRandomGraph:
             )
         self.n = n
         self.p = p
-        self.seed = seed
         self._key = rngmod.derive_key(seed, 0)
-        # one byte per pair rank: bit 0 the outcome, bit 1 revealed, bit 2
-        # hashed.  A reveal hashes its block first, so an unhashed block is
-        # all zero.  calloc'd: a block takes memory only once it is hashed.
+        # one byte per pair rank: bit 0 the outcome, bit 1 revealed
         self._table = np.zeros(npairs, dtype=np.uint8)
+        rngmod.pair_outcomes(self._key, p, self._table.view(np.bool_))
         self._cells = memoryview(self._table)  # indexes to a Python int
-        self._scratch = rngmod.pair_scratch(min(npairs, 1 << _OUTCOME_BITS))
-
-    def _hash(self, rank: int) -> int:
-        """Hash the outcomes of rank's block into bit 0 of the table, mark
-        each of the block's bytes hashed and return rank's byte."""
-        start = rank >> _OUTCOME_BITS << _OUTCOME_BITS
-        block = self._table[start : start + (1 << _OUTCOME_BITS)]
-        rngmod.pair_outcomes(self._key, self.p, start, block.view(bool), self._scratch)
-        block |= _HASHED
-        return self._cells[rank]
 
     def is_revealed(self, u: int, v: int) -> bool:
         """False for self-pairs and pairs out of range."""
@@ -117,7 +101,7 @@ class LazyRandomGraph:
             raise ValueError(f"pair ({u}, {v}) out of range")
         a, b = (u, v) if u < v else (v, u)
         rank = pair_rank(a, b)
-        cell = self._cells[rank] or self._hash(rank)
+        cell = self._cells[rank]
         if cell & _REVEALED:
             raise ValueError(f"pair ({a}, {b}) already revealed")
         self._cells[rank] = cell | _REVEALED
@@ -125,14 +109,8 @@ class LazyRandomGraph:
 
 
 def materialize(g: LazyRandomGraph) -> Graph:
-    """Every pair's outcome of g as a concrete Graph: the blocks reveals
-    have hashed are read from g's table, the others are hashed now.
-
-    Revealed pairs keep their outcomes because the same table decides them.
-    """
-    for b in np.flatnonzero(g._table[:: 1 << _OUTCOME_BITS] == 0).tolist():
-        g._hash(b << _OUTCOME_BITS)
-    g._scratch = None  # every block is hashed, so no reveal needs it again
+    """Every pair's outcome of g as a concrete Graph, read from bit 0 of g's
+    table, so revealed pairs keep their outcomes."""
     # the outcome bits read as bools, where numpy's nonzero is fastest
     return Graph.from_ranks(g.n, np.flatnonzero((g._table & 1).view(np.bool_)))
 
@@ -147,8 +125,6 @@ class EmbedTrace:
     rev_inactive: list[int]
     activations: list[int]
     spans: list[tuple[int, int]] = field(default_factory=list)
-    failed: bool = False
-    failure_step: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -273,15 +249,12 @@ def greedy_embed(
                     w = _pick_after_rejection(take, g, active, image_set)
                     if w is None:
                         status = "failed"
-                        trace.failed = True
-                        trace.failure_step = steps
                         halt = True
                         break
                     rank = tri[w] + active if active < w else tri[active] + w
                     cell = cells[rank]
                 # reveal (active, w): the tests above are reveal's own
                 # self-pair and repeat checks, and both are in range
-                cell = cell or g._hash(rank)
                 cells[rank] = cell | _REVEALED
                 steps += 1
                 rev[w] += 1
@@ -349,6 +322,7 @@ def diagnostics_check(trace: EmbedTrace, epsilon: float, n: int) -> DiagnosticsR
 def embed_report(result: EmbedResult) -> dict:
     """JSON-ready summary of an embedding run (versioned)."""
     trace = result.trace
+    failed = result.status == "failed"  # a failed run halts at once
     return {
         "version": REPORT_VERSION,
         "n": result.n,
@@ -370,8 +344,8 @@ def embed_report(result: EmbedResult) -> dict:
             "max_rev_inactive": max(trace.rev_inactive, default=0),
             "max_activations": max(trace.activations, default=0),
             "spans": list(trace.spans),
-            "failed": trace.failed,
-            "failure_step": trace.failure_step,
+            "failed": failed,
+            "failure_step": trace.steps if failed else None,
         },
     }
 

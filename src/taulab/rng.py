@@ -11,9 +11,11 @@ separate:
   only on the seed material and the pair, never on the order of reveals.
 
 The splitmix64 scalar and vector paths must agree bit for bit; the tests
-cross-check them.  `pair_outcomes` decides a block of pairs without
-floats: u = (z >> 11) 2^-53 is exact, so u < p holds exactly when
-z < ceil(p 2^53) << 11 for p < 1, and every pair is an edge at p = 1.
+cross-check them.  `pair_outcomes` decides the pair ranks 0, 1, ... of a
+whole table without floats: u = (z >> 11) 2^-53 is exact, so u < p holds
+exactly when z < ceil(p 2^53) << 11 for p < 1, and every pair is an edge at
+p = 1.  It hashes a block of 2^16 ranks at a time, so its scratch stays
+small whatever the table's size.
 `bigints_below` reads ``rng.bytes`` in blocks: ``Generator.bytes(k)`` takes
 ceil(k / 4) whole uint32 words, so slots of that width give the same values.
 """
@@ -30,6 +32,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _BYTE_DRAWS = 64  # draws per rng.bytes call: 512 bytes at the dense order 34
+_OUTCOME_BLOCK = 1 << 16  # ranks per pair_outcomes block: scratch rows stay in cache
 
 
 def seed_sequence(seed: int, *path: int) -> np.random.SeedSequence:
@@ -80,27 +83,24 @@ def pair_uniform_array(key: int, ranks: np.ndarray) -> np.ndarray:
     return z * 2.0 ** -53
 
 
-def pair_scratch(size: int) -> np.ndarray:
-    """Scratch for `pair_outcomes` on blocks of up to size ranks: row 0
-    holds i gamma for i < size, rows 1 and 2 are overwritten by each call."""
-    scratch = np.empty((3, size), dtype=np.uint64)
-    np.multiply(np.arange(size, dtype=np.uint64), np.uint64(_GAMMA), out=scratch[0])
-    return scratch
-
-
-def pair_outcomes(
-    key: int, p: float, start: int, out: np.ndarray, scratch: np.ndarray
-) -> None:
-    """out[i] = pair_uniform(key, start + i) < p for each i, written in
-    place into the bool array out by one integer compare per pair, with
-    `pair_scratch` rows as the only arrays, so no block allocates."""
+def pair_outcomes(key: int, p: float, out: np.ndarray) -> None:
+    """out[i] = pair_uniform(key, i) < p for each i, written in place into
+    the bool array out by one integer compare per pair, _OUTCOME_BLOCK
+    ranks at a time through one scratch allocated per call."""
     if p >= 1.0:
         out[:] = True
         return
-    steps, z, t = scratch[:, : len(out)]
-    np.add(steps, np.uint64((key + (start + 1) * _GAMMA) & _MASK), out=z)
-    _mix(z, t)
-    np.less(z, np.uint64(math.ceil(p * 2.0**53) << 11), out=out)
+    threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
+    # row 0 holds i gamma; rows 1 and 2 are overwritten by each block
+    scratch = np.empty((3, min(len(out), _OUTCOME_BLOCK)), dtype=np.uint64)
+    np.multiply(np.arange(scratch.shape[1], dtype=np.uint64), np.uint64(_GAMMA),
+                out=scratch[0])
+    for start in range(0, len(out), _OUTCOME_BLOCK):
+        block = out[start : start + _OUTCOME_BLOCK]
+        steps, z, t = scratch[:, : len(block)]
+        np.add(steps, np.uint64((key + (start + 1) * _GAMMA) & _MASK), out=z)
+        _mix(z, t)
+        np.less(z, threshold, out=block)
 
 
 def bigints_below(rng: np.random.Generator, bound: int) -> Iterator[int]:

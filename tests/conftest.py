@@ -592,8 +592,6 @@ def scalar_greedy_embed(
                 w = pick_candidate(active, image_set)
                 if w is None:
                     status = "failed"
-                    trace.failed = True
-                    trace.failure_step = trace.steps
                     complete = False
                     halt = True
                     break

@@ -136,10 +136,10 @@ def test_failure_when_candidates_run_out():
     res = greedy_embed(lazy, coded([path_tree(2)]), 10**6, rngmod.stream(5, 0))
     assert res.status == "failed"
     assert res.embedded == []
-    assert res.trace.failed
+    assert embed_report(res)["trace"]["failed"]
     # the root's image revealed a pair to every other vertex, all absent
     assert res.trace.steps == n - 1
-    assert res.trace.failure_step == n - 1
+    assert embed_report(res)["trace"]["failure_step"] == n - 1
 
 
 def test_embed_deterministic():
@@ -447,11 +447,26 @@ def test_materialize_matches_blockwise_oracle(n):
         assert materialize(lazy) == blockwise_materialize(lazy)
 
 
+@pytest.mark.parametrize("n", [363, 600])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_the_outcome_table_is_complete_at_construction(n, p):
+    # every outcome is hashed when the graph is built, over more than one
+    # block of hashing; an embedding then adds the reveal bit alone
+    lazy = LazyRandomGraph(n, p, 10)
+    outcomes = np.zeros(len(lazy._table), dtype=np.bool_)
+    outcomes[blockwise_materialize(lazy).ranks] = True
+    assert np.array_equal(lazy._table & 1, outcomes)
+    res = greedy_embed(lazy, coded(maxdeg3_trees(7)), 400, rngmod.stream(10, 0))
+    assert int(lazy._table.max()) <= 3
+    assert np.count_nonzero(lazy._table & embed._REVEALED) == res.trace.steps > 0
+    assert np.array_equal(lazy._table & 1, outcomes)
+
+
 @pytest.mark.parametrize("n", [362, 363, 364])
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
 def test_materialize_after_reveals_matches_blockwise_oracle(n, p):
-    # reveals in a shuffled order hash some blocks of the outcome table
-    # first; materialize must read those and hash the rest to the same graph
+    # reveals in a shuffled order set reveal bits across the outcome table;
+    # materialize must read the outcome bits alone to the same graph
     lazy = LazyRandomGraph(n, p, 6)
     rng = np.random.default_rng(n)
     pairs = [(int(u), int(v)) for u, v in rng.integers(0, n, size=(400, 2)) if u != v]
@@ -502,44 +517,3 @@ def test_lazy_graph_refuses_a_table_above_the_cap(monkeypatch):
     assert LazyRandomGraph(5, 0.5, 0).n == 5
     with pytest.raises(ValueError, match="n=6 "):
         LazyRandomGraph(6, 0.5, 0)
-
-
-def hashed_blocks(lazy: LazyRandomGraph) -> set[int]:
-    """The blocks of 2^16 pair ranks whose bytes carry the hashed bit;
-    every byte of a block has it, or none has and the block is all zero."""
-    table = lazy._table
-    bits = table & embed._HASHED
-    blocks = set((np.flatnonzero(bits) >> embed._OUTCOME_BITS).tolist())
-    for b in range(-(-len(table) // (1 << embed._OUTCOME_BITS))):
-        block = slice(b << embed._OUTCOME_BITS, (b + 1) << embed._OUTCOME_BITS)
-        if b in blocks:
-            assert bits[block].all()
-        else:
-            assert not table[block].any()
-    return blocks
-
-
-def test_hashing_stays_lazy_per_block():
-    # n = 2000 has 1,999,000 pairs, 31 blocks: one reveal hashes its own
-    # block alone, materialize hashes the other 30
-    lazy = LazyRandomGraph(2000, 0.3, 10)
-    assert hashed_blocks(lazy) == set()
-    rank = 1500 * 1499 // 2 + 7
-    hit = lazy.reveal(7, 1500)
-    assert hashed_blocks(lazy) == {rank >> embed._OUTCOME_BITS}
-    host = materialize(lazy)
-    assert hashed_blocks(lazy) == set(range(31))
-    assert host == blockwise_materialize(lazy)
-    assert host.has_edge(7, 1500) == hit
-    # every block is hashed, so later reveals read the table alone
-    assert lazy.reveal(8, 1500) == host.has_edge(8, 1500)
-
-
-def test_greedy_embed_hashes_only_the_blocks_it_reveals_in():
-    lazy = LazyRandomGraph(2000, 0.01, 11)
-    res = greedy_embed(lazy, coded(maxdeg3_trees(7)), 10, rngmod.stream(11, 0))
-    assert res.trace.steps == 10
-    blocks = hashed_blocks(lazy)
-    assert 1 <= len(blocks) <= 10
-    revealed = np.flatnonzero(lazy._table & embed._REVEALED)
-    assert set((revealed >> embed._OUTCOME_BITS).tolist()) == blocks

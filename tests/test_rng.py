@@ -114,10 +114,27 @@ def test_pair_outcomes_equal_the_float_compare(p, start, length, data):
     key = (unmix(z) - (start + at + 1) * rngmod._GAMMA) % 2**64
     assert rngmod.pair_uniform(key, start + at) == (z >> 11) * 2.0**-53
     out = np.zeros(length, dtype=np.bool_)
-    rngmod.pair_outcomes(key, p, start, out, rngmod.pair_scratch(64))
+    # ranks start, start + 1, ... under key are ranks 0, 1, ... under the
+    # key moved on by start gammas: both mix the same values
+    rngmod.pair_outcomes((key + start * rngmod._GAMMA) % 2**64, p, out)
     ranks = np.arange(start, start + length, dtype=np.uint64)
     assert np.array_equal(out, rngmod.pair_uniform_array(key, ranks) < p)
     assert out.tolist() == [rngmod.pair_uniform(key, r) < p for r in ranks.tolist()]
+
+
+@pytest.mark.parametrize("length", [0, 1, 7, 8, 50])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_pair_outcomes_across_block_ends(monkeypatch, length, p):
+    # blocks of 7 ranks: lengths inside one block, at its end, one past it
+    # and over several, and the empty table of n = 1, which has no block;
+    # out starts all False and all True, so no rank may be left unwritten
+    monkeypatch.setattr(rngmod, "_OUTCOME_BLOCK", 7)
+    key = rngmod.derive_key(13, 0)
+    ranks = np.arange(length, dtype=np.uint64)
+    for fill in (False, True):
+        out = np.full(length, fill)
+        rngmod.pair_outcomes(key, p, out)
+        assert np.array_equal(out, rngmod.pair_uniform_array(key, ranks) < p)
 
 
 @pytest.mark.parametrize("nbytes", [1, 3, 5, 8, 9, 17])
