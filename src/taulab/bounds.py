@@ -24,6 +24,8 @@ import numpy as np
 
 # default --epsilon: the analysis's 1/10,000 embeds almost nothing at desk-scale n
 DESK_EPSILON = 0.01
+# default --c-path: harvested paths have floor(c_path * n) edges
+C_PATH = 0.05
 
 
 def f_dense(n: int) -> float:

@@ -432,6 +432,18 @@ def _cmd_experiment(args) -> int:
 # wiring
 
 
+def _add_trial_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of a seeded trial, which color and experiment share."""
+    p.add_argument("--regime", choices=sorted(_REGIMES), required=True)
+    p.add_argument("--n", type=int, required=True)
+    _add_density_flags(p)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--epsilon", type=float, default=bnd.DESK_EPSILON)
+    p.add_argument("--c-path", type=float, default=bnd.C_PATH)
+    p.add_argument("--proceed", action="store_true")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="taulab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -463,20 +475,13 @@ def _build_parser() -> _Parser:
     sp = new("pack-paths", _cmd_pack_paths, help="harvest edge-disjoint paths")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--target-len", type=int, default=None)
-    sp.add_argument("--c-path", type=float, default=0.05)
+    sp.add_argument("--c-path", type=float, default=bnd.C_PATH)
     sp.add_argument("--max-paths", type=int, default=None)
     sp.add_argument("--out", default=None, help="write one path per line here")
 
     sp = new("color", _cmd_color, help="build and verify a full colouring")
-    sp.add_argument("--regime", choices=sorted(_REGIMES), required=True)
-    sp.add_argument("--n", type=int, required=True)
-    _add_density_flags(sp)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--epsilon", type=float, default=bnd.DESK_EPSILON)
-    sp.add_argument("--c-path", type=float, default=0.05)
+    _add_trial_flags(sp)
     sp.add_argument("--out", default=None, help="write the colouring here")
-    sp.add_argument("--proceed", action="store_true")
 
     sp = new("tau-exact", _cmd_tau_exact, help="exact tau of a small graph")
     group = sp.add_mutually_exclusive_group(required=True)
@@ -492,18 +497,11 @@ def _build_parser() -> _Parser:
     _add_density_flags(sp)
 
     sp = new("experiment", _cmd_experiment, help="run seeded trials, emit CSV")
-    sp.add_argument("--regime", choices=sorted(_REGIMES), required=True)
-    sp.add_argument("--n", type=int, required=True)
-    _add_density_flags(sp)
-    sp.add_argument("--k", type=int, default=None)
+    _add_trial_flags(sp)
     sp.add_argument("--trials", type=int, required=True)
-    sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", default="experiment.csv")
     sp.add_argument("--json-out", default=None)
     sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--epsilon", type=float, default=bnd.DESK_EPSILON)
-    sp.add_argument("--c-path", type=float, default=0.05)
-    sp.add_argument("--proceed", action="store_true")
 
     return parser
 

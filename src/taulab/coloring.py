@@ -7,16 +7,16 @@ classes for the three random-graph regimes (embedded trees, linear forests
 packed into long paths, unions of small path components).  The last two take
 the host's edge density p, which caps the path harvest at floor(n p) paths
 (of floor(c_path n) edges each) and scales the very sparse box by theta(n, p).
-One step adds the leftover class of every unused edge (each used rank is
-found in the host's by binary search); a leftover isomorphic to a class is
-merged into the largest class, which then outsizes every other class and so
-stays distinct.
-Constructing a `Coloring` checks with one sort that the classes cover the
-host disjointly.  `verify_distinct` then certifies pairwise non-isomorphism
-from scratch: classes of different edge counts are trivially
-non-isomorphic, and classes of equal size are compared by their
-`graph.class_signatures`, the sorted codes of their components, computed
-for a whole batch of classes in one labelling pass.  `class_signature`
+One step adds the leftover class of the host edges that no class takes
+(each class rank is found in the host's by binary search); a leftover
+isomorphic to a class of its size is merged into the largest class, which
+then outsizes every other.  That step checks nothing itself.  Constructing
+a `Coloring` checks with one sort that the classes cover the host
+disjointly, naming a repeated or stray edge, and `verify_distinct`
+certifies pairwise non-isomorphism from scratch: classes of different edge
+counts are trivially non-isomorphic, and classes of equal size are compared
+by their `graph.class_signatures`, the sorted codes of their components,
+computed for a whole batch of classes in one labelling pass.  `class_signature`
 signs one class given as (u, v) pairs through it, and `canonical_form` is
 a graph's class signature plus one K1 per isolated vertex.  Each of them
 certifies a non-tree component only up to `graph._CERT_CAP` vertices.
@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import GRAPHS_WITH_EDGES, ell, most_classes, theta_verysparse
+from .bounds import C_PATH, GRAPHS_WITH_EDGES, ell, most_classes, theta_verysparse
 # ahu_code and components are unused here; they stay importable as
 # coloring.ahu_code and coloring.components for perfbench/run.py's tracer
 from .catalog import ahu_code  # noqa: F401
@@ -86,12 +86,14 @@ class Coloring:
         ranks = _joined(self.classes)
         ranks.sort(kind="stable")  # merges the classes' sorted runs
         if not np.array_equal(ranks, self.host.ranks):
-            _check_edges(
-                ranks,
-                self.host,
-                "edge {} appears in two classes",
-                "edge {} not in host graph",
-            )
+            twice = ranks[1:][ranks[1:] == ranks[:-1]]
+            if len(twice):
+                edge = edge_tuples(twice[:1])[0]
+                raise ValueError(f"edge {edge} appears in two classes")
+            missing = np.setdiff1d(ranks, self.host.ranks, assume_unique=True)
+            if len(missing):
+                edge = edge_tuples(missing[:1])[0]
+                raise ValueError(f"edge {edge} not in host graph")
             raise ValueError("classes do not cover the host edge set")
 
     @property
@@ -101,17 +103,6 @@ class Coloring:
 
 def _joined(classes: Sequence[np.ndarray]) -> np.ndarray:
     return np.concatenate((np.empty(0, np.int64), *classes))
-
-
-def _check_edges(ranks: np.ndarray, host: Graph, repeated: str, stray: str) -> None:
-    """Raise ValueError naming the first edge that the sorted ranks repeat,
-    else the first that host lacks; the messages format the edge into {}."""
-    twice = ranks[1:][ranks[1:] == ranks[:-1]]
-    if len(twice):
-        raise ValueError(repeated.format(edge_tuples(twice[:1])[0]))
-    missing = np.setdiff1d(ranks, host.ranks, assume_unique=True)
-    if len(missing):
-        raise ValueError(stray.format(edge_tuples(missing[:1])[0]))
 
 
 _COLORING_MAGIC = "coloring 1"
@@ -224,43 +215,27 @@ def verify_distinct(coloring: Coloring) -> tuple[bool, Optional[tuple[int, int]]
 
 
 def _with_leftover(
-    host: Graph, classes: list[np.ndarray], labels: list[str], what: str
+    host: Graph, classes: list[np.ndarray], labels: list[str]
 ) -> Coloring:
-    """The colouring of host by the classes, which must take distinct host
-    edges (what names them in error messages), plus a leftover class of the
-    unused edges.  A leftover isomorphic to a class (only on tiny inputs) is
-    merged into the largest, which then outsizes the rest and stays distinct."""
+    """The colouring of host by the classes plus a leftover class of the host
+    edges that no class takes.  A leftover isomorphic to a class of its size
+    (only on tiny inputs) is merged into the largest class, which then
+    outsizes the rest.  The `Coloring` checks that the classes cover the
+    host disjointly, and `verify_distinct` that they are distinct."""
     ranks = host.ranks
     used = _joined(classes)
-    at = np.searchsorted(ranks, used)  # where each used rank sits in host
-    placed = bool((at < len(ranks)).all()) and np.array_equal(ranks[at], used)
-    if placed:
-        leftover = np.delete(ranks, at)
-        placed = len(leftover) == len(ranks) - len(used)  # else one repeats
-    if not placed:  # some rank repeats or is missing, so this raises
-        _check_edges(
-            np.sort(used),
-            host,
-            f"{what} edge {{}} used twice",
-            f"{what} edge {{}} missing from host graph",
-        )
+    at = np.searchsorted(ranks, used)  # where each used rank would sit in host
+    inside = at < len(ranks)
+    at = at[inside][ranks[at[inside]] == used[inside]]  # the ranks host has
+    leftover = np.delete(ranks, at)
     if len(leftover):
-        same = [i for i, cls in enumerate(classes) if len(cls) == len(leftover)]
-        batch = [leftover, *(classes[i] for i in same)]
-        left, *sigs = class_signatures(batch) if same else [None]
-        for i, sig in zip(same, sigs):  # in index order, up to the first match
-            bad = [(name, s) for name, s in (("the leftover", left), (f"class {i}", sig))
-                   if isinstance(s, Exception)]
-            if bad:
-                who = "neither can" if len(bad) == 2 else f"{bad[0][0]} cannot"
-                raise VerifyError(
-                    f"leftover class matches class {i} in size but {who} be canonicalised"
-                ) from bad[0][1]
-            if sig == left:
-                big = max(range(len(classes)), key=lambda i: (len(classes[i]), -i))
-                classes[big] = np.union1d(classes[big], leftover)
-                labels[big] += "+leftover"
-                break
+        same = [cls for cls in classes if len(cls) == len(leftover)]
+        left, *sigs = class_signatures([leftover, *same]) if same else [None]
+        # a class that cannot be signed gets an exception, which equals nothing
+        if any(sig == left for sig in sigs):
+            big = max(range(len(classes)), key=lambda i: (len(classes[i]), -i))
+            classes[big] = np.sort(_joined([classes[big], leftover]))
+            labels[big] += "+leftover"
         else:
             classes.append(leftover)
             labels.append("leftover")
@@ -281,21 +256,18 @@ def _ranked_classes(parts: Sequence[Sequence[Edge]]) -> list[np.ndarray]:
 
 
 def build_dense_coloring(result: EmbedResult, host: Graph) -> Coloring:
-    """Colour classes from embedded trees plus one leftover class.
-
-    The embedded trees are pairwise non-isomorphic by construction (their
-    codes are distinct); the host must contain every embedded edge.
-    """
+    """Colour classes from embedded trees, one per tree, plus the leftover
+    class.  A supply of distinct codes gives distinct classes; that, and
+    that the host holds every embedded edge, is proven by `verify_distinct`
+    and the `Coloring`, not here."""
     trees = result.embedded
-    if len({tree.code for tree in trees}) != len(trees):
-        raise ValueError("embedded trees repeat a shape")
     classes = _ranked_classes([tree.edges for tree in trees])
     labels = ["tree:" + tree.code.decode("ascii") for tree in trees]
-    return _with_leftover(host, classes, labels, "embedded")
+    return _with_leftover(host, classes, labels)
 
 
 def build_sparse_coloring(
-    g: Graph, k: int, *, p: float, c_path: float = 0.05
+    g: Graph, k: int, *, p: float, c_path: float = C_PATH
 ) -> Coloring:
     """Pack one linear forest per partition of k into long paths: at most
     max(1, floor(n * p)) harvested paths of max(1, floor(c_path * n)) edges
@@ -309,7 +281,7 @@ def build_sparse_coloring(
     packed = pack_forests(pack.paths, forests)
     classes = _forest_classes(pack.paths, packed.placements)
     labels = ["forest:" + ",".join(map(str, pl.lengths)) for pl in packed.placements]
-    return _with_leftover(g, classes, labels, "placed")
+    return _with_leftover(g, classes, labels)
 
 
 _SAFETY = 0.5  # the share of each observed path count the box budgets
@@ -376,7 +348,7 @@ def build_verysparse_coloring(
             takes.append(take.ravel())
         classes.append(np.sort(_joined(takes)))
         labels.append("vector:" + ",".join(map(str, counts)))
-    return _with_leftover(g, classes, labels, "census")
+    return _with_leftover(g, classes, labels)
 
 
 # ---------------------------------------------------------------------------

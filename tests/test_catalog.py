@@ -126,6 +126,16 @@ def test_distinct_maxdeg3_matches_sampling_loop(t, seed):
     assert [g.edges for g in got] == [g.edges for g in oracle]
 
 
+def test_distinct_maxdeg3_sampling_gives_up(monkeypatch):
+    # every draw is one shape: the first is a tree, and the stream ends at
+    # the 10_001st miss in a row, max(10_000, 60 * 1) being the patience
+    draws = itertools.repeat(5, 20_000)
+    monkeypatch.setattr(rngmod, "bigints_below", lambda rng, bound: draws)
+    trees = list(iter_distinct_maxdeg3_trees(17, rngmod.stream(0, 2)))
+    assert len(trees) == 1
+    assert sum(1 for _ in draws) == 20_000 - 1 - 10_001
+
+
 def test_distinct_maxdeg3_sampling_needs_rng():
     with pytest.raises(ValueError, match="rng"):
         next(iter_distinct_maxdeg3_trees(20, None))

@@ -814,6 +814,9 @@ def test_read_coloring_rejects_bad_edge_lines(tmp_path, body, message):
             "coloring 1\n3 2\nlabel a\n1\n0 1\nlabel b\n-1\n",
             "line 7: edge count is negative: '-1'",
         ),
+        ("coloring 1\n3\n", "expected '<n> <classes>' on line 2"),
+        ("coloring 1\n3 1\nnolabel\n", "line 3: expected a label line, got 'nolabel'"),
+        ("coloring 1\n3 1\nlabel a\n1\n0 1\nextra\n", "trailing data after colouring"),
     ],
 )
 def test_read_coloring_rejects_bad_counts(tmp_path, text, message):
@@ -866,14 +869,15 @@ def test_dense_builder_rejects_repeated_shapes():
         lazy, coded([path_graph(5), path_graph(5)]), 10**4, rngmod.stream(29, 0)
     )
     host = materialize(lazy)
-    with pytest.raises(ValueError, match="repeat"):
-        build_dense_coloring(res, host)
+    # the builder keeps both; verify_distinct names the pair
+    col = build_dense_coloring(res, host)
+    assert verify_distinct(col) == (False, (0, 1))
 
 
 def test_dense_builder_checks_host_edges():
     lazy = LazyRandomGraph(30, 1.0, 29)
     res = greedy_embed(lazy, coded([path_graph(5)]), 10**4, rngmod.stream(29, 0))
-    with pytest.raises(ValueError, match="missing"):
+    with pytest.raises(ValueError, match="not in host"):
         build_dense_coloring(res, Graph.from_edges(30, []))
 
 
@@ -949,27 +953,20 @@ def census_classes(host, edge_sets, monkeypatch):
     return build_verysparse_coloring(host, tally, 4, p=0.5)
 
 
-@pytest.mark.parametrize(
-    "builder, what",
-    [
-        (embedded_classes, "embedded"),
-        (placed_classes, "placed"),
-        (census_classes, "census"),
-    ],
-)
+@pytest.mark.parametrize("builder", [embedded_classes, placed_classes, census_classes])
 @pytest.mark.parametrize(
     "edge_sets, message",
     [
-        ([[(2, 3)], [(4, 5)], [(2, 3)]], "{} edge (2, 3) used twice"),
-        ([[(2, 3)], [(4, 5)], [(3, 7)]], "{} edge (3, 7) missing from host graph"),
+        ([[(2, 3)], [(4, 5)], [(2, 3)]], "edge (2, 3) appears in two classes"),
+        ([[(2, 3)], [(4, 5)], [(3, 7)]], "edge (3, 7) not in host graph"),
     ],
+    ids=["repeated", "stray"],
 )
-def test_builders_name_a_repeated_or_stray_edge(
-    builder, what, edge_sets, message, monkeypatch
-):
+def test_builders_name_a_repeated_or_stray_edge(builder, edge_sets, message, monkeypatch):
+    # the Coloring each builder returns names the edge
     with pytest.raises(ValueError) as exc:
         builder(cycle_graph(12), edge_sets, monkeypatch)
-    assert str(exc.value) == message.format(what)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(
@@ -987,11 +984,13 @@ def test_builders_add_no_leftover_when_the_classes_cover_the_host(
 
 def test_leftover_matching_an_uncodeable_class_raises(monkeypatch):
     # the leftover, the second 13-cycle, has the size of the class holding
-    # the first, and a cycle on 13 vertices is past the canonicaliser's cap
+    # the first, and a cycle on 13 vertices is past the canonicaliser's cap:
+    # the two never match, so the leftover stays and verify_distinct raises
     first = [(i, i + 1) for i in range(12)] + [(0, 12)]
     second = [(u + 13, v + 13) for u, v in first]
-    with pytest.raises(VerifyError, match="neither can be canonicalised"):
-        embedded_classes(Graph.from_edges(26, first + second), [first], monkeypatch)
+    col = embedded_classes(Graph.from_edges(26, first + second), [first], monkeypatch)
+    with pytest.raises(VerifyError, match=r"^class 0 \(13 edges\) cannot be verified: "):
+        verify_distinct(col)
 
 
 @pytest.mark.parametrize("cycle_is_the_class", [True, False])
@@ -1003,12 +1002,12 @@ def test_leftover_error_names_the_side_that_cannot_be_coded(
     cycle = [(i, i + 1) for i in range(12)] + [(0, 12)]
     path = [(i, i + 1) for i in range(13, 26)]
     host = Graph.from_edges(27, cycle + path)
-    side = "class 0" if cycle_is_the_class else "the leftover"
+    side = 0 if cycle_is_the_class else 1  # the leftover is class 1
+    col = embedded_classes(host, [cycle if cycle_is_the_class else path], monkeypatch)
+    assert col.labels == ("tree:0", "leftover")
     with pytest.raises(VerifyError) as exc:
-        embedded_classes(host, [cycle if cycle_is_the_class else path], monkeypatch)
-    assert str(exc.value) == (
-        f"leftover class matches class 0 in size but {side} cannot be canonicalised"
-    )
+        verify_distinct(col)
+    assert str(exc.value).startswith(f"class {side} (13 edges) cannot be verified: ")
 
 
 @given(

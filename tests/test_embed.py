@@ -106,6 +106,11 @@ def test_embed_rejects_bad_supply():
     single = Graph.from_edges(1, [])
     with pytest.raises(ValueError):
         greedy_embed(lazy, coded([single]), 100, rngmod.stream(1, 0))
+    # a triangle plus an isolated vertex passes the degree check; ahu_code
+    # refuses it, so it comes with a made-up code
+    split = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ValueError, match="supplied tree is not connected"):
+        greedy_embed(lazy, [(split, b"x")], 100, rngmod.stream(1, 0))
 
 
 def test_counter_identities():

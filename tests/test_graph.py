@@ -657,6 +657,8 @@ def test_edgelist_rejects_malformed(tmp_path, text):
             "3 1\n0 99999999999999999999\n",
             "edge (0, 99999999999999999999) out of range for n=3",
         ),
+        ("", "empty edge-list file"),
+        ("3 1\n0 x\n", "malformed edge line: '0 x'"),
     ],
 )
 def test_edgelist_error_messages(tmp_path, text, message):
